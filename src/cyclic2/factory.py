@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from . import arith, criteria, forms
@@ -203,32 +203,16 @@ def search(
 
 
 def validate_certificate(cert: Certificate) -> None:
-    """Re-check every certificate invariant from scratch; raise on failure."""
-    n = target(cert.k, cert.M)
-    checks = [
-        (cert.w == 2 * cert.M * cert.M, "w"),
-        (cert.n == n, "n"),
-        (cert.p1 + cert.p2 == n, "pair sum"),
-        (cert.p1 != cert.p2, "distinctness"),
-        (cert.p1 >= 3 and cert.p2 >= 3, "prime size"),
-        (arith.is_prime(cert.p1) and arith.is_prime(cert.p2), "primality"),
-        (cert.p1 % 8 == 5, "p1 residue"),
-        (cert.p2 % 8 == 3, "p2 residue"),
-        (cert.x == abs(cert.p1 - n // 2), "x"),
-        (cert.x % 2 == 1 and 0 < cert.x <= n // 2 - 2, "x range"),
-        (math.gcd(cert.x, cert.w) == 1, "gcd(x, w)"),
-        (cert.d == cert.p1 * cert.p2, "d"),
-        (cert.d == (n // 2) ** 2 - cert.x * cert.x, "discriminant identity"),
-        (cert.d % 4 == 3, "d mod 4"),
-        (cert.symbol_ok, "symbol"),
-    ]
-    for ok, what in checks:
-        if not ok:
-            raise ValueError(f"certificate invariant violated: {what}")
-    if not criteria.exact_order_test(cert.p1, cert.p2, cert.w, cert.k):
-        raise ValueError("certificate invariant violated: symbol recomputation")
-    oracle = forms.class_number(cert.d)
-    if oracle != cert.oracle:
-        raise ValueError("certificate invariant violated: oracle recomputation")
-    if oracle.two_part != 1 << cert.k or not oracle.cyclic_2sylow:
-        raise ValueError("certificate invariant violated: 2-Sylow structure")
+    """Re-certify (k, M, p1, p2) from scratch and compare field by field.
+
+    Raises ValueError naming the first failed requirement or mismatched
+    field.  The budget admits the certificate's own d, so the oracle runs
+    exactly once, inside `certify`.
+    """
+    try:
+        fresh = certify(cert.k, cert.M, cert.p1, cert.p2, d_budget=cert.p1 * cert.p2)
+    except CertificationError as exc:
+        raise ValueError(f"certificate invariant violated: {exc.reason}") from exc
+    for field in fields(Certificate):
+        if getattr(fresh, field.name) != getattr(cert, field.name):
+            raise ValueError(f"certificate invariant violated: {field.name}")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclic2 import cli
+from cyclic2 import cli, forms
 
 
 def run(capsys, *argv):
@@ -69,6 +69,30 @@ def test_verify_rejects_bad_pair(capsys):
     diag = json.loads(err.splitlines()[-1])
     assert diag["error"] == "validation"
     assert diag["reason"] == "p1-residue"
+
+
+def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
+    calls = []
+    class_number = forms.class_number
+    monkeypatch.setattr(forms, "class_number",
+                        lambda d: calls.append(d) or class_number(d))
+    code, _, _ = run(capsys, "verify", "--k", "2", "--m", "1",
+                     "--p1", "13", "--p2", "3")
+    assert code == 0
+    assert calls == [39]
+
+
+def test_verify_d_respects_d_max(capsys, monkeypatch):
+    def no_enumeration(d):
+        raise AssertionError("the oracle ran on an over-budget d")
+
+    monkeypatch.setattr(forms, "enumerate_reduced", no_enumeration)
+    code, out, err = run(capsys, "verify", "--d-max", "100", "--d", "103")
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "--d-max" in diag["message"]
 
 
 def test_classgroup_forms_listing(capsys):

@@ -155,6 +155,19 @@ def test_validate_certificate_catches_tampering():
         factory.validate_certificate(bad)
 
 
+def test_validate_certificate_names_the_failure():
+    cert = factory.certify(2, 1, 13, 3)
+    bad = dataclasses.replace(cert, symbol_ok=False)
+    with pytest.raises(ValueError, match="invariant violated: symbol_ok"):
+        factory.validate_certificate(bad)
+    bad = dataclasses.replace(cert, p1=5, p2=11)
+    with pytest.raises(ValueError, match="invariant violated: x"):
+        factory.validate_certificate(bad)
+    bad = dataclasses.replace(cert, p1=1, p2=15)
+    with pytest.raises(ValueError, match="invariant violated: prime-too-small"):
+        factory.validate_certificate(bad)
+
+
 def test_negative_pairs_have_larger_two_part(table):
     seen = 0
     for k, m in ((3, 1), (1, 3), (2, 2)):

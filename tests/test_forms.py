@@ -4,6 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_forms import reference_enumerate
 
 from cyclic2 import arith, forms
 from cyclic2.forms import Form
@@ -200,6 +203,59 @@ def test_genus_count_law():
             continue
         s = forms.class_number(d)
         assert s.ambiguous_count == 1 << (len(fac) - 1), d
+
+
+# ------------------------------------- differential: reference enumerator
+
+
+def compose_ambiguous_count(d, group):
+    ident = forms.principal_form(-d)
+    return sum(forms.compose(f, f) == ident for f in group)
+
+
+def sampled_discriminants():
+    """Seeded d up to 1e8: both residues mod 4, and some with >= 4 primes."""
+    rng = random.Random(1211)
+    out = []
+    for residue in (0, 3):
+        for _ in range(10):
+            d = int(10 ** rng.uniform(4.3, 8))
+            out.append(d - d % 4 + residue)
+    while len(out) < 26:
+        d = rng.randrange(10**6, 10**8) | 3
+        if len(arith.factorize(d)) >= 4:
+            out.append(d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "ds",
+    [valid_discriminants(20_000), sampled_discriminants()],
+    ids=["all-d-to-20000", "sampled-d-to-1e8"],
+)
+def test_enumerate_matches_reference(ds):
+    for d in ds:
+        group = forms.enumerate_reduced(d)
+        assert group == reference_enumerate(d), d
+        shape = sum(forms.is_ambiguous(f) for f in group)
+        assert shape == compose_ambiguous_count(d, group), d
+
+
+def test_enumerate_chunked_candidates_match_reference(monkeypatch):
+    # a tiny chunk splits the candidate range of every b several times
+    monkeypatch.setattr(forms, "_A_CHUNK", 7)
+    for d in valid_discriminants(3_000) + [999_999, 1_000_000]:
+        assert forms.enumerate_reduced(d) == reference_enumerate(d), d
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 10**6).filter(lambda d: d % 4 in (0, 3)))
+def test_class_number_properties(d):
+    s = forms.class_number(d)
+    reference = reference_enumerate(d)
+    assert s.h == len(reference)
+    assert s.cyclic_2sylow == (s.ambiguous_count <= 2)
+    assert s.ambiguous_count == compose_ambiguous_count(d, reference)
 
 
 # ---------------------------------------------------------- element order
