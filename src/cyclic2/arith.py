@@ -9,7 +9,10 @@ concurrent use is safe.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import tempfile
+import zlib
 
 import numpy as np
 
@@ -23,8 +26,8 @@ SEGMENT_SIZE = 1 << 22       # sieve segment, in table entries
 DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries
 
 _CACHE_MAGIC = b"C2SV"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIQQ")
+_CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sIQQI")   # magic, version, lo, hi, CRC32 of the bitmap
 
 
 def is_prime(n: int) -> bool:
@@ -114,11 +117,23 @@ class PrimeTable:
         return len(self.primes())
 
     def save(self, path) -> None:
-        """Write the cache file: magic, version, lo, hi, raw bitmap."""
-        header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, self.lo, self.hi)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(self.bits)
+        """Write the cache file: magic, version, lo, hi, CRC32, raw bitmap.
+
+        The file is written in full under a temporary name and then moved
+        over `path`, so a reader never sees a partial cache.
+        """
+        header = _CACHE_HEADER.pack(
+            _CACHE_MAGIC, _CACHE_VERSION, self.lo, self.hi, zlib.crc32(self.bits)
+        )
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header)
+                fh.write(self.bits)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
@@ -126,12 +141,14 @@ class PrimeTable:
             raw = fh.read()
         if len(raw) < _CACHE_HEADER.size:
             raise ValueError("sieve cache too short")
-        magic, version, lo, hi = _CACHE_HEADER.unpack_from(raw)
+        magic, version, lo, hi, crc = _CACHE_HEADER.unpack_from(raw)
         if magic != _CACHE_MAGIC:
             raise ValueError("bad sieve cache magic")
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported sieve cache version {version}")
         bits = raw[_CACHE_HEADER.size :]
+        if zlib.crc32(bits) != crc:
+            raise ValueError("sieve cache checksum mismatch")
         return cls(lo, hi, bits)
 
 

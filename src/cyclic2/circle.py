@@ -181,6 +181,11 @@ def ramanujan_sum(q: int, m: int) -> int:
     return mu * arith.euler_phi(q) // arith.euler_phi(qg)
 
 
+# Largest series truncation Q.  `_mult_tables(Q)` holds two int64 arrays of
+# Q + 1 entries, 160 MB at this cap, and the series sum loops over every q.
+MAX_TRUNCATION_Q = 10**7
+
+
 @lru_cache(maxsize=8)
 def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     # mobius and totient arrays for 0..limit
@@ -198,6 +203,10 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _series_sum(m: int, Q: int, restricted: bool) -> float:
+    if not 2 <= Q <= MAX_TRUNCATION_Q:
+        raise ValueError(
+            f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
+        )
     mu, phi = _mult_tables(Q)
     total = 0.0
     for q in range(1, Q + 1):
@@ -241,17 +250,15 @@ def singular_series(
 ) -> SingularValue:
     """Unrestricted binary Goldbach singular series S1(m).
 
-    Series mode truncates the Dirichlet series at q <= truncation_q;
-    product mode uses the closed Euler product (exact vanishing on odd
-    m).  The two agree within roughly 1/sqrt(truncation_q).
+    Series mode truncates the Dirichlet series at q <= truncation_q, which
+    must lie in [2, MAX_TRUNCATION_Q]; product mode uses the closed Euler
+    product (exact vanishing on odd m).  The two agree within roughly 1/sqrt(truncation_q).
     """
     if m < 1:
         raise ValueError("singular_series requires m >= 1")
     if mode == "product":
         return SingularValue(m=m, value=_product_full(m), mode=mode, truncation_q=None)
     if mode == "series":
-        if truncation_q < 2:
-            raise ValueError("series mode requires truncation_q >= 2")
         return SingularValue(
             m=m,
             value=_series_sum(m, truncation_q, restricted=False),
@@ -277,8 +284,6 @@ def restricted_singular_series(
         value = _product_full(m) / 4 * (1 + ramanujan_sum(8, m) / 4)
         return SingularValue(m=m, value=value, mode=mode, truncation_q=None)
     if mode == "series":
-        if truncation_q < 2:
-            raise ValueError("series mode requires truncation_q >= 2")
         return SingularValue(
             m=m,
             value=_series_sum(m, truncation_q, restricted=True),

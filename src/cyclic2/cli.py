@@ -121,11 +121,7 @@ def cmd_search(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
         raise ValueError("search requires --k and --m-max")
     if cfg.m_min < 1 or cfg.m_max < cfg.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
-    n_max = max(factory.target(cfg.k, m) for m in range(cfg.m_min, cfg.m_max + 1))
-    table = _prime_table(n_max, cfg.cache_path)
-    certs = factory.search(
-        cfg.k, range(cfg.m_min, cfg.m_max + 1), d_budget=cfg.d_budget, table=table
-    )
+    certs = factory.search(cfg.k, range(cfg.m_min, cfg.m_max + 1), d_budget=cfg.d_budget)
     return [(CERT_COLUMNS, [_cert_row(c) for c in certs])]
 
 
@@ -139,13 +135,16 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
     }
 
 
+def _budgeted_class_number(cfg: RunConfig) -> forms.ClassGroup2Summary:
+    """The oracle on --d, refused before any enumeration above --d-max."""
+    if cfg.d > cfg.d_budget:
+        raise ValueError(f"d={cfg.d} exceeds the oracle budget --d-max {cfg.d_budget}")
+    return forms.class_number(cfg.d)
+
+
 def cmd_verify(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
     if cfg.d is not None:
-        if cfg.d > cfg.d_budget:
-            raise ValueError(
-                f"d={cfg.d} exceeds the oracle budget --d-max {cfg.d_budget}"
-            )
-        summary = forms.class_number(cfg.d)
+        summary = _budgeted_class_number(cfg)
         return [(GROUP_COLUMNS, [_group_row(summary)])]
     if None in (cfg.k, cfg.m, cfg.p1, cfg.p2):
         raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
@@ -156,7 +155,7 @@ def cmd_verify(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
 def cmd_classgroup(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
     if cfg.d is None:
         raise ValueError("classgroup requires --d")
-    summary = forms.class_number(cfg.d)
+    summary = _budgeted_class_number(cfg)
     row = _group_row(summary)
     columns = list(GROUP_COLUMNS)
     if cfg.with_forms:
@@ -227,12 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
+    def d_max(p):
+        p.add_argument("--d-max", type=int, default=factory.DEFAULT_D_BUDGET,
+                       help="largest discriminant the enumeration oracle will accept")
+
     p = sub.add_parser("search", help="emit certificates for a multiplier range")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--d-max", type=int, default=factory.DEFAULT_D_BUDGET,
-                   help="largest discriminant the enumeration oracle will accept")
+    d_max(p)
     common(p)
 
     p = sub.add_parser("verify", help="re-validate a claimed certificate, or "
@@ -242,17 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--p1", type=int)
     p.add_argument("--p2", type=int)
-    p.add_argument("--d-max", type=int, default=factory.DEFAULT_D_BUDGET)
+    d_max(p)
     common(p)
 
     p = sub.add_parser("classgroup", help="class number and 2-Sylow structure")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--forms", action="store_true", help="include the reduced forms")
+    d_max(p)
     common(p)
 
     p = sub.add_parser("singular", help="singular series in both modes")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--truncation-q", type=int, default=10_000)
+    p.add_argument("--truncation-q", type=int, default=10_000,
+                   help=f"series truncation, at most {circle.MAX_TRUNCATION_Q}")
     common(p)
 
     p = sub.add_parser("compare", help="restricted counts against the main term")

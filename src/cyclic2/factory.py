@@ -6,10 +6,15 @@ criterion automatically; each candidate is still run through the full
 criterion and then confirmed against the form-enumeration oracle before
 a certificate is emitted.  A disagreement between the two routes is an
 internal error, never a rejection.
+
+The search enumerates only the pairs whose d = p1*p2 fits the oracle
+budget (`budget_pairs`), so its cost grows with the number of
+certifiable pairs, not with n.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, fields
@@ -102,6 +107,30 @@ def find_pairs(
     return pairs
 
 
+def budget_pairs(k: int, M: int, d_budget: int) -> list[tuple[int, int]]:
+    """The positive-mode pairs of `find_pairs(k, M, ...)` with p1*p2 <= d_budget.
+
+    For p <= n/2, d = p*(n - p) is strictly increasing in p, so the pairs
+    within budget are exactly those whose smaller prime is at most p*, the
+    largest p <= n // 2 with p*(n - p) <= d_budget; and p* <= isqrt(d_budget).
+    Only [2, p*] is sieved; each partner n - p is tested with `is_prime`.
+    Ordered by p1 ascending.
+    """
+    n = target(k, M)
+    half = range(n // 2 + 1)
+    p_star = bisect.bisect_right(half, d_budget, key=lambda p: p * (n - p)) - 1
+    if p_star < 3:
+        return []
+    table = arith.sieve(2, p_star)
+    pairs = [
+        (p, n - p) if r == 5 else (n - p, p)
+        for r in (5, 3)
+        for p in table.primes_mod8(r)
+        if arith.is_prime(n - p)
+    ]
+    return sorted(pairs)
+
+
 def certify(
     k: int, M: int, p1: int, p2: int, *, d_budget: int = DEFAULT_D_BUDGET
 ) -> Certificate:
@@ -169,14 +198,14 @@ def search(
     m_values: Iterable[int],
     *,
     d_budget: int = DEFAULT_D_BUDGET,
-    table: PrimeTable | None = None,
-    max_span: int = arith.DEFAULT_MAX_SPAN,
 ) -> Iterator[Certificate]:
     """Certificates for every passing pair over the given multipliers.
 
-    Emits in deterministic order: M ascending, then p1 ascending.
-    Per-pair rejections are logged and skipped; overflow and internal
-    errors propagate.
+    Emits in deterministic order: M ascending, then p1 ascending.  Only
+    pairs with d <= d_budget are enumerated (`budget_pairs`), so the cost
+    grows with the certifiable pairs, not with the target n; each one
+    still goes through `certify`.  Per-pair rejections are logged and
+    skipped; overflow and internal errors propagate.
     """
     ms = sorted(set(int(m) for m in m_values))
     if not ms:
@@ -187,13 +216,8 @@ def search(
             raise ValueError(
                 f"derived discriminants overflow the 63-bit bound at k={k}, M={m}"
             )
-    n_max = max(targets.values())
-    if table is None:
-        table = arith.sieve(2, n_max, max_span=max_span)
-    elif not table.covers(3, n_max - 3):
-        raise ValueError("supplied prime table does not cover the search range")
     for m in ms:
-        for p1, p2 in find_pairs(k, m, table):
+        for p1, p2 in budget_pairs(k, m, d_budget):
             try:
                 yield certify(k, m, p1, p2, d_budget=d_budget)
             except CertificationError as exc:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -109,6 +110,15 @@ def test_cache_roundtrip(tmp_path):
     assert (loaded.lo, loaded.hi) == (table.lo, table.hi)
     assert loaded.bits == table.bits
     assert loaded.primes() == table.primes()
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.c2sv"]
+
+
+def test_cache_rejects_version_1(tmp_path):
+    table = arith.sieve(2, 12345)
+    path = tmp_path / "v1.c2sv"
+    path.write_bytes(struct.pack("<4sIQQ", b"C2SV", 1, table.lo, table.hi) + table.bits)
+    with pytest.raises(ValueError, match="version 1"):
+        arith.PrimeTable.load(path)
 
 
 def test_cache_rejects_garbage(tmp_path):

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
 import json
+import math
 
 import pytest
 
-from cyclic2 import cli, forms
+from cyclic2 import arith, circle, cli, factory, forms
 
 
 def run(capsys, *argv):
@@ -82,17 +83,71 @@ def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
     assert calls == [39]
 
 
-def test_verify_d_respects_d_max(capsys, monkeypatch):
+def _assert_refused_before_enumeration(capsys, monkeypatch, subcommand):
     def no_enumeration(d):
         raise AssertionError("the oracle ran on an over-budget d")
 
     monkeypatch.setattr(forms, "enumerate_reduced", no_enumeration)
-    code, out, err = run(capsys, "verify", "--d-max", "100", "--d", "103")
+    code, out, err = run(capsys, subcommand, "--d-max", "100", "--d", "103")
     assert code == 2
     assert out == ""
     diag = json.loads(err.splitlines()[-1])
     assert diag["error"] == "validation"
     assert "--d-max" in diag["message"]
+
+
+def test_verify_d_respects_d_max(capsys, monkeypatch):
+    _assert_refused_before_enumeration(capsys, monkeypatch, "verify")
+
+
+def test_classgroup_respects_d_max(capsys, monkeypatch):
+    _assert_refused_before_enumeration(capsys, monkeypatch, "classgroup")
+
+
+def _record_sieve_his(monkeypatch):
+    sieve, his = arith.sieve, []
+    monkeypatch.setattr(
+        arith, "sieve", lambda lo, hi, **kw: his.append(hi) or sieve(lo, hi, **kw)
+    )
+    return his
+
+
+def test_search_past_the_old_sieve_wall(capsys, monkeypatch):
+    # n = 285,610,000 is above arith.DEFAULT_MAX_SPAN, but only primes up
+    # to the budget root are sieved.
+    his = _record_sieve_his(monkeypatch)
+    code, out, _ = run(capsys, "search", "--k", "2", "--m-min", "65", "--m-max", "65")
+    assert code == 0
+    row = "2,65,8450,142804997,285609997,3,856829991,true,26724,4,true"
+    assert out.splitlines()[1:] == [row]
+    assert max(his) <= math.isqrt(factory.DEFAULT_D_BUDGET)
+
+
+def test_search_far_target_sieves_nothing_large(capsys, monkeypatch):
+    # n ~ 4.4e10: the derived discriminants overflow 63 bits, which is
+    # refused before any sieve, instead of a sieve of [2, n].
+    his = _record_sieve_his(monkeypatch)
+    code, out, err = run(capsys, "search", "--k", "4", "--m-min", "3", "--m-max", "3")
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "overflow" in diag["message"]
+    assert all(hi <= math.isqrt(factory.DEFAULT_D_BUDGET) for hi in his)
+
+
+def test_singular_truncation_q_is_capped(capsys, monkeypatch):
+    def no_tables(limit):
+        raise AssertionError("the series tables were allocated")
+
+    monkeypatch.setattr(circle, "_mult_tables", no_tables)
+    q = str(circle.MAX_TRUNCATION_Q + 1)
+    code, out, err = run(capsys, "singular", "--m", "16", "--truncation-q", q)
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "truncation_q" in diag["message"]
 
 
 def test_classgroup_forms_listing(capsys):
@@ -152,6 +207,26 @@ def test_sieve_cache_is_transparent(capsys, tmp_path, monkeypatch):
     code, second, _ = run(capsys, *args)
     assert code == 0
     assert plain == first == second
+
+
+def test_sieve_cache_bit_flip_is_detected(capsys, tmp_path, monkeypatch):
+    args = ["compare", "--n-lo", "30", "--n-hi", "30"]
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+
+    cache = tmp_path / "primes.c2sv"
+    table = arith.sieve(2, 40)
+    table.save(cache)
+    raw = bytearray(cache.read_bytes())
+    i = 27 - table.lo   # mark the composite 27 as prime
+    raw[len(raw) - len(table.bits) + i // 8] |= 1 << (i % 8)
+    cache.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        arith.PrimeTable.load(cache)
+    monkeypatch.setenv("C2_CACHE", str(cache))
+    code, cached, _ = run(capsys, *args)
+    assert code == 0
+    assert cached == plain
 
 
 def test_output_file_has_lf_endings(capsys, tmp_path):

@@ -1,16 +1,41 @@
 """Tests for the pair search and certification pipeline."""
 
 import dataclasses
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclic2 import arith, factory, forms
 from cyclic2.factory import CertificationError
+
+# Largest target n on which budget_pairs is compared with find_pairs.
+TARGET_CAP = 200_000
+
+
+def _small_targets():
+    out = []
+    for k in range(1, 6):
+        m = 1
+        while factory.target(k, m) <= TARGET_CAP:
+            out.append((k, m))
+            m += 1
+    return out
+
+
+SMALL_TARGETS = _small_targets()
 
 
 @pytest.fixture(scope="module")
 def table():
     return arith.sieve(2, 1300)
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return arith.sieve(2, TARGET_CAP)
 
 
 # ------------------------------------------------------------------ target
@@ -71,6 +96,53 @@ def test_find_pairs_insufficient_table():
         factory.find_pairs(3, 1, small)
 
 
+# ------------------------------------------------------------ budget_pairs
+
+
+def _within_budget(pairs, budget):
+    return [(p1, p2) for p1, p2 in pairs if p1 * p2 <= budget]
+
+
+def test_budget_pairs_matches_find_pairs(wide_table):
+    assert len(SMALL_TARGETS) == 158 + 10 + 2 + 1
+    rng = random.Random(3)
+    for k, m in SMALL_TARGETS:
+        n = factory.target(k, m)
+        pairs = factory.find_pairs(k, m, wide_table)
+        ds = sorted(p1 * p2 for p1, p2 in pairs)
+        # d = 15 is the smallest product of two admissible primes, (n/2)**2
+        # bounds every d, and a pair's d and d - 1 straddle a boundary.
+        budgets = {-1, 0, 14, (n // 2) ** 2}
+        budgets |= {rng.randrange((n // 2) ** 2) for _ in range(3)}
+        for d in (ds[0], ds[len(ds) // 2]):
+            budgets |= {d, d - 1}
+        for budget in sorted(budgets):
+            assert factory.budget_pairs(k, m, budget) == _within_budget(
+                pairs, budget
+            ), (k, m, budget)
+        assert factory.budget_pairs(k, m, 14) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_budget_pairs_property(wide_table, data):
+    k, m = data.draw(st.sampled_from(SMALL_TARGETS))
+    n = factory.target(k, m)
+    budget = data.draw(st.integers(-1, (n // 2) ** 2 + 1))
+    pairs = factory.find_pairs(k, m, wide_table)
+    assert factory.budget_pairs(k, m, budget) == _within_budget(pairs, budget)
+
+
+def test_search_sieves_only_below_the_budget_root(monkeypatch):
+    sieve, his = arith.sieve, []
+    monkeypatch.setattr(
+        arith, "sieve", lambda lo, hi, **kw: his.append(hi) or sieve(lo, hi, **kw)
+    )
+    certs = list(factory.search(4, [2]))
+    assert [(c.p1, c.p2) for c in certs] == [(5, 67108859)]
+    assert his and max(his) <= math.isqrt(factory.DEFAULT_D_BUDGET)
+
+
 # ----------------------------------------------------------------- certify
 
 
@@ -105,8 +177,8 @@ def test_certify_rejections():
     assert exc.value.reason == "oracle-budget-exceeded"
 
 
-def test_search_stream(table):
-    certs = list(factory.search(1, range(1, 5), table=table))
+def test_search_stream():
+    certs = list(factory.search(1, range(1, 5)))
     keys = [(c.M, c.p1, c.p2, c.d) for c in certs]
     assert (1, 5, 3, 15) in keys
     assert keys == sorted(keys)
@@ -116,9 +188,9 @@ def test_search_stream(table):
         factory.validate_certificate(c)
 
 
-def test_search_deterministic(table):
-    a = list(factory.search(2, [1, 2], table=table))
-    b = list(factory.search(2, [1, 2], table=table))
+def test_search_deterministic():
+    a = list(factory.search(2, [1, 2]))
+    b = list(factory.search(2, [1, 2]))
     assert a == b
 
 
@@ -127,15 +199,15 @@ def test_search_overflow():
         list(factory.search(5, [2]))
 
 
-def test_search_budget_rejections_not_fatal(table):
+def test_search_budget_rejections_not_fatal():
     # a tiny budget rejects every pair but the stream still completes
-    certs = list(factory.search(2, [1], table=table, d_budget=30))
+    certs = list(factory.search(2, [1], d_budget=30))
     assert certs == []
 
 
-def test_search_budget_partial(table):
+def test_search_budget_partial():
     # d = 55 for (5, 11) exceeds the budget, d = 39 for (13, 3) does not
-    certs = list(factory.search(2, [1], table=table, d_budget=45))
+    certs = list(factory.search(2, [1], d_budget=45))
     assert [(c.p1, c.p2, c.d) for c in certs] == [(13, 3, 39)]
 
 
