@@ -19,10 +19,16 @@ and two singular series:
           = (S1(m)/4) * (1 + c_8(m)/4)
 
 S2 vanishes exactly for m odd or m = 4 (mod 8); sums of two primes that
-are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  Representation counters
-weigh ordered pairs by log p1 * log p2 (or von Mangoldt weights for the
-unrestricted count), and compare_window tabulates the ratio of the
-restricted count against its predicted main term n * S2(n).
+are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The restricted
+representation count weighs ordered pairs by log p1 * log p2, and
+compare_window tabulates its ratio against the predicted main term
+n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.
+
+The truncated series and the window sum are numpy expressions that add
+their terms left to right in increasing q (resp. p, 3 class first), the
+order of the scalar loops they replaced, with the same IEEE operations
+per term, so their floats are bit-identical to those loops
+(tests/reference_circle.py keeps them as the test oracle).
 """
 
 from __future__ import annotations
@@ -181,56 +187,78 @@ def ramanujan_sum(q: int, m: int) -> int:
     return mu * arith.euler_phi(q) // arith.euler_phi(qg)
 
 
-# Largest series truncation Q.  `_mult_tables(Q)` holds two int64 arrays of
-# Q + 1 entries, 160 MB at this cap, and the series sum loops over every q.
+# Largest series truncation Q.  `_mult_tables(Q)` holds an int8 and an
+# int64 array of Q + 1 entries, 90 MB at this cap.  Q < 2**24 also keeps
+# the limb arithmetic of `_series_sum` inside int64.
 MAX_TRUNCATION_Q = 10**7
+
+_SERIES_CHUNK = 1 << 16   # q values per numpy step of the series sum
 
 
 @lru_cache(maxsize=8)
 def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    # mobius and totient arrays for 0..limit
-    mu = np.ones(limit + 1, dtype=np.int64)
+    # mobius (int8) and totient (int64) arrays for 0..limit, limit >= 2.
+    # Primes up to sqrt(limit) update by slices.  A larger prime p divides
+    # only i*p with i <= limit // p < sqrt(limit), so those updates run per
+    # cofactor i for all such p at once (Bertrand: at least one p exists).
+    # The updates commute: sign flips do, and phi -= phi // p is exact
+    # whatever primes of the index came before.
+    mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in arith.sieve(2, max(limit, 2)).primes():
-        if p > limit:
-            break
+    primes = np.array(arith.sieve(2, limit).primes(), dtype=np.int64)
+    split = np.searchsorted(primes, math.isqrt(limit), side="right")
+    for p in primes[:split].tolist():
         mu[p::p] *= -1
-        if p * p <= limit:
-            mu[p * p :: p * p] = 0
+        mu[p * p :: p * p] = 0
         phi[p::p] -= phi[p::p] // p
+    large = primes[split:]
+    for i in range(1, limit // int(large[0]) + 1):
+        p = large[: np.searchsorted(large, limit // i, side="right")]
+        multiples = i * p
+        mu[multiples] *= -1
+        phi[multiples] -= phi[multiples] // p
     mu[0] = 0
     return mu, phi
 
 
 def _series_sum(m: int, Q: int, restricted: bool) -> float:
+    # The terms coeff * c / phi(q)**2 are the same IEEE operations as one
+    # Python float expression per q (c and phi(q)**2 < 2**53 are exact),
+    # and np.cumsum adds them left to right in increasing q.
     if not 2 <= Q <= MAX_TRUNCATION_Q:
         raise ValueError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
     mu, phi = _mult_tables(Q)
+    # gcd(q, m) = gcd(q, m mod q); m mod q is built from m's 32-bit limbs,
+    # most significant first, and r < q < 2**24 keeps r * 2**32 in int64.
+    top = (m.bit_length() - 1) // 32 * 32
+    limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
     total = 0.0
-    for q in range(1, Q + 1):
+    for start in range(1, Q + 1, _SERIES_CHUNK):
+        end = min(start + _SERIES_CHUNK, Q + 1)
+        q = np.arange(start, end, dtype=np.int64)
         if restricted:
-            if q % 8 == 0:
-                q0 = q // 8
-                if q0 % 2 == 0 or mu[q0] == 0:
-                    continue
-                coeff = 2.0
-            else:
-                if mu[q] == 0:
-                    continue
-                coeff = 0.25
+            # mu2(q)**2 is 2 at q = 8*q0 with q0 odd and squarefree, 0 at
+            # other multiples of 8, and mu(q)**2 / 4 elsewhere.
+            q0, residue = np.divmod(q, 8)
+            eighth = residue == 0
+            keep = np.where(eighth, (q0 % 2 == 1) & (mu[q0] != 0), mu[start:end] != 0)
+            coeff = np.where(eighth, 2.0, 0.25)
         else:
-            if mu[q] == 0:
-                continue
+            keep = mu[start:end] != 0
             coeff = 1.0
-        g = math.gcd(q, m)
-        qg = q // g
-        mq = int(mu[qg])
-        if mq == 0:
-            continue
-        c = mq * int(phi[q]) // int(phi[qg])
-        total += coeff * c / int(phi[q]) ** 2
+        r = np.zeros_like(q)
+        for limb in limbs:
+            r = ((r << 32) + limb) % q
+        qg = q // np.gcd(q, r)
+        mq = mu[qg]
+        keep &= mq != 0
+        phi_q = phi[start:end]
+        c = mq * phi_q // phi[qg]
+        terms = (coeff * c / (phi_q * phi_q))[keep]
+        if terms.size:
+            total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
     return total
 
 
@@ -293,80 +321,48 @@ def restricted_singular_series(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def goldbach_lambda_sum(d: int, table: PrimeTable) -> float:
-    """Von Mangoldt convolution sum over ordered pairs d1 + d2 = d.
+@lru_cache(maxsize=4)
+def _restricted_primes(table: PrimeTable):
+    """The primes 3 and 5 mod 8 of `table`, for the window sum.
 
-    Prime powers included; zero for d < 4.
+    Returns them increasing with their math.log values, the same split
+    into the 3 class and the 5 class, and one bool per table entry (index
+    n - table.lo) flagging them.  Nothing is indexed by value over
+    [0, hi] beyond those flags.
     """
-    if d < 1:
-        raise ValueError("goldbach_lambda_sum requires d >= 1")
-    if d < 4:
-        return 0.0
-    if not table.covers(2, d):
-        raise ValueError(
-            f"prime table [{table.lo}, {table.hi}] does not cover [2, {d}]"
-        )
-    weights: dict[int, float] = {}
-    for p in table.primes():
-        if p > d - 2:
-            break
-        lp = math.log(p)
-        q = p
-        while q <= d - 2:
-            weights[q] = lp
-            q *= p
-    total = 0.0
-    for q, wq in weights.items():
-        other = weights.get(d - q)
-        if other is not None:
-            total += wq * other
-    return total
-
-
-def _restricted_prime_pairs(n: int, table: PrimeTable):
-    # yields (p, n - p) with p <= n - p, both prime and 3 or 5 mod 8
-    for r in (3, 5):
-        for p in table.primes_mod8(r):
-            if 2 * p > n:
-                break
-            q = n - p
-            if q % 8 in (3, 5) and q in table:
-                yield p, q
+    primes = np.array(table.primes(), dtype=np.int64)
+    primes = primes[(primes % 8 == 3) | (primes % 8 == 5)]
+    logs = np.array([math.log(p) for p in primes.tolist()])
+    classes = [(primes[primes % 8 == r], logs[primes % 8 == r]) for r in (3, 5)]
+    flag = np.zeros(table.hi - table.lo + 1, dtype=bool)
+    flag[primes - table.lo] = True
+    return primes, logs, classes, flag
 
 
 def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
     """Sum of log p1 * log p2 over ordered pairs p1 + p2 = n with both
     primes congruent to 3 or 5 mod 8.  Every representation is counted;
-    there is no cutoff on the prime sizes."""
+    there is no cutoff on the prime sizes.
+
+    The smaller prime p runs over the 3 class, then the 5 class, each
+    increasing; the terms log p * log(n - p), doubled unless p = n - p,
+    are added left to right in that order."""
     if n < 2:
         raise ValueError("goldbach_restricted_sum requires n >= 2")
     if n > 6 and not table.covers(3, n):
         raise ValueError(
             f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
         )
-    total = 0.0
-    for p, q in _restricted_prime_pairs(n, table):
-        term = math.log(p) * math.log(q)
-        total += term if p == q else 2 * term
-    return total
-
-
-def goldbach_restricted_count(n: int, table: PrimeTable) -> int:
-    """Unweighted ordered count of the same restricted representations.
-
-    Exploratory variant; the weighted sum is the quantity the main-term
-    comparisons use.
-    """
-    if n < 2:
-        raise ValueError("goldbach_restricted_count requires n >= 2")
-    if n > 6 and not table.covers(3, n):
-        raise ValueError(
-            f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
-        )
-    total = 0
-    for p, q in _restricted_prime_pairs(n, table):
-        total += 1 if p == q else 2
-    return total
+    primes, logs, classes, flag = _restricted_primes(table)
+    cuts = [np.searchsorted(cls, n // 2, side="right") for cls, _ in classes]
+    p = np.concatenate([cls[:k] for (cls, _), k in zip(classes, cuts)])
+    log_p = np.concatenate([cls_logs[:k] for (_, cls_logs), k in zip(classes, cuts)])
+    hit = flag[n - p - table.lo]
+    p, log_p = p[hit], log_p[hit]
+    q = n - p
+    terms = log_p * logs[np.searchsorted(primes, q)]
+    terms = np.where(p == q, terms, 2 * terms)
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
 
 
 def root_count_mod(poly: IntPolynomial, d: int) -> int:
@@ -396,6 +392,31 @@ def goldbach_poly_constant(poly: IntPolynomial, p_bound: int) -> float:
     return value
 
 
+# Largest compare window, as rows * n_hi: each row walks about pi(n)/4
+# candidate primes, so a window of 33 million rows near the sieve cap
+# would run for hours.  Two windows of width 5000 at step 8 near 3e5 come
+# to about 2e8.
+MAX_WINDOW_WORK = 10**11
+
+
+def window_range(n_lo: int, n_hi: int, step: int) -> range:
+    """The n that compare_window visits, checked against MAX_WINDOW_WORK.
+
+    Cheap: callers run it before building a prime table for the window.
+    """
+    if step < 1:
+        raise ValueError("step must be positive")
+    if n_lo > n_hi:
+        raise ValueError("empty window")
+    ns = range(n_lo, n_hi + 1, step)
+    if len(ns) * n_hi > MAX_WINDOW_WORK:
+        raise ValueError(
+            f"window of {len(ns)} rows up to n={n_hi} exceeds the work budget "
+            f"rows * n_hi <= {MAX_WINDOW_WORK}"
+        )
+    return ns
+
+
 def compare_window(
     n_lo: int, n_hi: int, step: int, table: PrimeTable
 ) -> list[CompareRow]:
@@ -405,12 +426,8 @@ def compare_window(
     restricted singular series vanishes is rejected outright.  S2 is
     evaluated in product mode.  Deterministic.
     """
-    if step < 1:
-        raise ValueError("step must be positive")
-    if n_lo > n_hi:
-        raise ValueError("empty window")
     rows = []
-    for n in range(n_lo, n_hi + 1, step):
+    for n in window_range(n_lo, n_hi, step):
         if n % 2 or n % 8 == 4:
             raise ValueError(
                 f"n={n} is rejected: the restricted singular series vanishes "

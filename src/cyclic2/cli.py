@@ -135,16 +135,16 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
     }
 
 
-def _budgeted_class_number(cfg: RunConfig) -> forms.ClassGroup2Summary:
-    """The oracle on --d, refused before any enumeration above --d-max."""
+def _budgeted_d(cfg: RunConfig) -> int:
+    """--d for the oracle, refused before any enumeration above --d-max."""
     if cfg.d > cfg.d_budget:
         raise ValueError(f"d={cfg.d} exceeds the oracle budget --d-max {cfg.d_budget}")
-    return forms.class_number(cfg.d)
+    return cfg.d
 
 
 def cmd_verify(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
     if cfg.d is not None:
-        summary = _budgeted_class_number(cfg)
+        summary = forms.class_number(_budgeted_d(cfg))
         return [(GROUP_COLUMNS, [_group_row(summary)])]
     if None in (cfg.k, cfg.m, cfg.p1, cfg.p2):
         raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
@@ -155,12 +155,13 @@ def cmd_verify(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
 def cmd_classgroup(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
     if cfg.d is None:
         raise ValueError("classgroup requires --d")
-    summary = _budgeted_class_number(cfg)
-    row = _group_row(summary)
+    d = _budgeted_d(cfg)
+    group = forms.enumerate_reduced(d) if cfg.with_forms else None
+    row = _group_row(forms.class_number(d, group))
     columns = list(GROUP_COLUMNS)
     if cfg.with_forms:
         columns.append("forms")
-        row["forms"] = ";".join(str(f) for f in forms.enumerate_reduced(cfg.d))
+        row["forms"] = ";".join(str(f) for f in group)
     return [(columns, [row])]
 
 
@@ -189,6 +190,7 @@ def cmd_singular(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
 def cmd_compare(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
     if cfg.n_lo is None or cfg.n_hi is None:
         raise ValueError("compare requires --n-lo and --n-hi")
+    circle.window_range(cfg.n_lo, cfg.n_hi, cfg.step)  # refused before the sieve
     table = _prime_table(max(cfg.n_hi, 2), cfg.cache_path)
     rows = circle.compare_window(cfg.n_lo, cfg.n_hi, cfg.step, table)
     out = [
@@ -259,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"series truncation, at most {circle.MAX_TRUNCATION_Q}")
     common(p)
 
-    p = sub.add_parser("compare", help="restricted counts against the main term")
+    p = sub.add_parser("compare", help="restricted counts against the main term; "
+                       f"rows * n-hi at most {circle.MAX_WINDOW_WORK}")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
     p.add_argument("--step", type=int, default=8)

@@ -215,15 +215,17 @@ def enumerate_reduced(d: int) -> list[Form]:
     return out
 
 
-def class_number(d: int) -> ClassGroup2Summary:
+def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
     The cyclicity verdict is double-checked: the ambiguous-class count
     (order <= 2 classes) decides it, and a scan for an element whose
     2-part has maximal order must agree, else an internal error is
-    raised.
+    raised.  A caller that already holds `enumerate_reduced(d)` passes
+    it as `group`, which is then not enumerated again.
     """
-    group = enumerate_reduced(d)
+    if group is None:
+        group = enumerate_reduced(d)
     h = len(group)
     two_part = h & -h
     ident = principal_form(-d)

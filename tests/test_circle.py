@@ -6,6 +6,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_circle import (
+    goldbach_lambda_sum,
+    goldbach_restricted_count,
+    reference_mult_tables,
+    reference_restricted_sum,
+    reference_series_sum,
+)
 
 from cyclic2 import arith, circle
 from cyclic2.circle import IntPolynomial
@@ -247,15 +256,82 @@ def test_singular_value_metadata():
         circle.singular_series(0)
 
 
+# ------------------------------- differential: scalar reference, bit for bit
+
+
+@pytest.mark.parametrize(
+    "limit", [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 100, 997, 1000, 4096, 10**4, 123457, 10**6]
+)
+def test_mult_tables_match_reference(limit):
+    mu, phi = circle._mult_tables(limit)
+    ref_mu, ref_phi = reference_mult_tables(limit)
+    assert mu.tolist() == ref_mu.tolist()
+    assert phi.tolist() == ref_phi.tolist()
+
+
+def test_mult_tables_match_arith():
+    mu, phi = circle._mult_tables(10**6)
+    rng = random.Random(41)
+    for q in [rng.randrange(1, 10**6 + 1) for _ in range(200)] + [10**6]:
+        assert (int(mu[q]), int(phi[q])) == (arith.mobius(q), arith.euler_phi(q)), q
+
+
+SERIES_MS = [1, 2, 4, 6, 8, 12, 16, 30, 210, 213396, 2**20, 8 * 3 * 5 * 7 * 11 * 13 * 17,
+             2**64 + 6, 3 * 2**63 + 2]
+SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
+
+
+@pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
+def test_series_sum_matches_reference(monkeypatch, chunk):
+    monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+    for m in SERIES_MS:
+        for Q in SERIES_QS:
+            for restricted in (False, True):
+                value = circle._series_sum(m, Q, restricted)
+                assert type(value) is float
+                assert value == reference_series_sum(m, Q, restricted), (m, Q, restricted)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2**80), st.integers(2, 2 * 10**4), st.booleans())
+def test_series_sum_property(m, Q, restricted):
+    assert circle._series_sum(m, Q, restricted) == reference_series_sum(m, Q, restricted)
+
+
+@pytest.fixture(scope="module")
+def wide_table():
+    return arith.sieve(2, 300_000)
+
+
+def test_restricted_sum_matches_reference(table, wide_table):
+    for n in range(2, 3000):
+        value = circle.goldbach_restricted_sum(n, table)
+        assert type(value) is float
+        assert value == reference_restricted_sum(n, table), n
+    rng = random.Random(43)
+    for n in [rng.randrange(2, 300_001) for _ in range(300)] + [300_000, 299_998]:
+        assert circle.goldbach_restricted_sum(n, wide_table) == (
+            reference_restricted_sum(n, wide_table)
+        ), n
+
+
+def test_restricted_sum_on_offset_and_tiny_tables():
+    # tables starting at 3 and tables too short for the n <= 6 cases
+    for lo, hi in ((3, 3000), (2, 2), (2, 3), (3, 3), (2, 5)):
+        t = arith.sieve(lo, hi)
+        for n in range(2, max(hi, 6) + 1):
+            assert circle.goldbach_restricted_sum(n, t) == reference_restricted_sum(n, t)
+
+
 # --------------------------------------------------- representation counts
 
 
 def test_lambda_sum_examples(table):
-    assert circle.goldbach_lambda_sum(4, table) == pytest.approx(
+    assert goldbach_lambda_sum(4, table) == pytest.approx(
         math.log(2) ** 2, abs=1e-12
     )
-    assert circle.goldbach_lambda_sum(1, table) == 0.0
-    assert circle.goldbach_lambda_sum(2, table) == 0.0
+    assert goldbach_lambda_sum(1, table) == 0.0
+    assert goldbach_lambda_sum(2, table) == 0.0
 
 
 def test_lambda_sum_brute_force(table):
@@ -269,7 +345,7 @@ def test_lambda_sum_brute_force(table):
         brute = sum(
             von_mangoldt(i) * von_mangoldt(d - i) for i in range(1, d)
         )
-        assert circle.goldbach_lambda_sum(d, table) == pytest.approx(brute, abs=1e-9)
+        assert goldbach_lambda_sum(d, table) == pytest.approx(brute, abs=1e-9)
 
 
 def test_lambda_sum_prime_power_bound(table):
@@ -278,7 +354,7 @@ def test_lambda_sum_prime_power_bound(table):
     for d in range(27, 2000, 2):
         if trial_is_prime(d - 2) or trial_is_prime(d - 4):
             continue
-        val = circle.goldbach_lambda_sum(d, table)
+        val = goldbach_lambda_sum(d, table)
         assert val <= math.sqrt(d) * math.log(d) ** 2, d
 
 
@@ -311,20 +387,20 @@ def test_restricted_sum_brute_force(table):
         assert circle.goldbach_restricted_sum(n, table) == pytest.approx(
             brute, abs=1e-9
         ), n
-        assert circle.goldbach_restricted_count(n, table) == count, n
+        assert goldbach_restricted_count(n, table) == count, n
 
 
 def test_restricted_below_full(table):
     for n in range(4, 2000, 2):
         r2 = circle.goldbach_restricted_sum(n, table)
-        r = circle.goldbach_lambda_sum(n, table)
+        r = goldbach_lambda_sum(n, table)
         assert r2 <= r + math.log(n) ** 2 * math.sqrt(n), n
         assert r2 <= r + 1e-9, n
 
 
 def test_sum_range_errors(table):
     with pytest.raises(ValueError):
-        circle.goldbach_lambda_sum(5000, table)
+        goldbach_lambda_sum(5000, table)
     with pytest.raises(ValueError):
         circle.goldbach_restricted_sum(5000, table)
 
@@ -384,6 +460,21 @@ def test_compare_window_rejects_vanishing(table):
         circle.compare_window(12, 20, 8, table)
     with pytest.raises(ValueError, match="vanishes"):
         circle.compare_window(15, 15, 8, table)
+
+
+def test_compare_window_work_budget():
+    # 100,000 rows up to n = 10**6 is exactly the budget; one row more is not
+    n_hi = 10**6
+    n_lo = n_hi - 8 * (circle.MAX_WINDOW_WORK // n_hi - 1)
+    assert len(circle.window_range(n_lo, n_hi, 8)) * n_hi == circle.MAX_WINDOW_WORK
+    with pytest.raises(ValueError, match="work budget"):
+        circle.window_range(n_lo - 8, n_hi, 8)
+    with pytest.raises(ValueError, match="work budget"):
+        circle.compare_window(n_lo - 8, n_hi, 8, arith.sieve(2, 10))
+    with pytest.raises(ValueError, match="step"):
+        circle.window_range(8, 16, 0)
+    with pytest.raises(ValueError, match="empty"):
+        circle.window_range(16, 8, 8)
 
 
 def test_compare_window_deterministic(table):

@@ -158,6 +158,32 @@ def test_classgroup_forms_listing(capsys):
     assert row.endswith('"1,1,10;2,-1,5;2,1,5;3,3,4"')
 
 
+def test_classgroup_forms_enumerates_once(capsys, monkeypatch):
+    calls = []
+    enumerate_reduced = forms.enumerate_reduced
+    monkeypatch.setattr(forms, "enumerate_reduced",
+                        lambda d: calls.append(d) or enumerate_reduced(d))
+    code, out, _ = run(capsys, "classgroup", "--d", "39", "--forms")
+    assert code == 0
+    assert out == 'd,h,two_part,cyclic,ambiguous,forms\n39,4,4,true,2,"1,1,10;2,-1,5;2,1,5;3,3,4"\n'
+    assert calls == [39]
+
+
+def test_compare_over_work_budget_refused_before_sieve(capsys, monkeypatch):
+    def no_sieve(lo, hi, **kw):
+        raise AssertionError("a sieve ran for an over-budget window")
+
+    monkeypatch.delenv("C2_CACHE", raising=False)
+    monkeypatch.setattr(arith, "sieve", no_sieve)
+    code, out, err = run(capsys, "compare", "--n-lo", "8", "--n-hi", "268435000",
+                         "--step", "8")
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "work budget" in diag["message"]
+
+
 def test_compare_rows(capsys):
     code, out, _ = run(capsys, "compare", "--n-lo", "16", "--n-hi", "32", "--step", "8")
     assert code == 0
