@@ -17,7 +17,6 @@ import zlib
 import numpy as np
 
 _U64 = 1 << 64
-_U63 = 1 << 63
 
 # First twelve primes: a witness set proven deterministic far beyond 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -112,9 +111,6 @@ class PrimeTable:
         if r not in self._by_residue:
             self._by_residue[r] = [p for p in self.primes() if p % 8 == r]
         return self._by_residue[r]
-
-    def count(self) -> int:
-        return len(self.primes())
 
     def save(self, path) -> None:
         """Write the cache file: magic, version, lo, hi, CRC32, raw bitmap.

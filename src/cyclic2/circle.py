@@ -64,36 +64,6 @@ class SingularValue:
 
 
 @dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients in ascending order of degree.
-
-    Degree must be >= 1 and the leading coefficient positive.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) < 2:
-            raise ValueError("polynomial degree must be >= 1")
-        if self.coeffs[-1] <= 0:
-            raise ValueError("leading coefficient must be positive")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
-    def eval_mod(self, x: int, d: int) -> int:
-        val = 0
-        for c in reversed(self.coeffs):
-            val = (val * x + c) % d
-        return val
-
-
-@dataclass(frozen=True)
 class CompareRow:
     """One window row: n, the restricted count, n*S2(n), and their ratio."""
 
@@ -363,33 +333,6 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
     terms = log_p * logs[np.searchsorted(primes, q)]
     terms = np.where(p == q, terms, 2 * terms)
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
-def root_count_mod(poly: IntPolynomial, d: int) -> int:
-    """Number of residues x mod d with poly(x) = 0 (mod d), directly."""
-    if d < 1:
-        raise ValueError("root_count_mod requires d >= 1")
-    return sum(1 for x in range(d) if poly.eval_mod(x, d) == 0)
-
-
-def goldbach_poly_constant(poly: IntPolynomial, p_bound: int) -> float:
-    """Truncated constant governing average pair counts over poly values.
-
-    leading * rho(2) * prod over odd p <= p_bound of
-    (1 + rho(p)/(p(p-2))) * (1 - 1/(p-1)**2), where rho(p) counts roots
-    of poly mod p.  Nonzero iff poly takes even values (rho(2) > 0).
-    Since rho(p) <= degree for p beyond the discriminant, the dropped
-    tail is bounded by exp((degree + 1)/(p_bound - 2)) - 1 relatively.
-    """
-    if p_bound < 3:
-        raise ValueError("goldbach_poly_constant requires p_bound >= 3")
-    value = float(poly.leading * root_count_mod(poly, 2))
-    if value == 0.0:
-        return 0.0
-    for p in arith.sieve(3, p_bound).primes():
-        rho = root_count_mod(poly, p)
-        value *= (1 + rho / (p * (p - 2))) * (1 - 1 / (p - 1) ** 2)
-    return value
 
 
 # Largest compare window, as rows * n_hi: each row walks about pi(n)/4

@@ -1,11 +1,13 @@
 """Command-line front end.
 
-The only module with I/O side effects.  Output is bit-exact and
-reproducible: CSV with LF line endings, reals at 12 significant digits,
-booleans as true/false, no timestamps in data files.  JSON mirrors the
-CSV fields one-to-one.  Exit codes: 0 success with at least one output
-row, 2 validation failure, 1 internal error; failures also emit one
-machine-readable JSON line on stderr.
+The only module with I/O side effects, apart from the sieve cache file
+that `arith.PrimeTable.save`/`load` write and read when C2_CACHE names a
+path; an unwritable cache costs one warning on stderr, never a result.
+Output is bit-exact and reproducible: CSV with LF line endings, reals at
+12 significant digits, booleans as true/false, no timestamps in data
+files.  JSON mirrors the CSV fields one-to-one.  Exit codes: 0 success
+with at least one output row, 2 validation failure, 1 internal error;
+failures also emit one machine-readable JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arith, circle, criteria, factory, forms
 
@@ -28,26 +29,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    k: int | None = None
-    m_min: int = 1
-    m_max: int | None = None
-    m: int | None = None
-    p1: int | None = None
-    p2: int | None = None
-    d: int | None = None
-    d_budget: int = factory.DEFAULT_D_BUDGET
-    truncation_q: int = 10_000
-    n_lo: int | None = None
-    n_hi: int | None = None
-    step: int = 8
-    with_forms: bool = False
-    fmt: str = "csv"
-    output: str | None = None
-    cache_path: str | None = None
+log = logging.getLogger("cyclic2.cli")  # not __name__: that is __main__ under `python -m`
 
 
 def _fmt_value(v) -> str:
@@ -58,8 +40,8 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_rows(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
-    if cfg.fmt == "json":
+def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> None:
+    if args.format == "json":
         payload = [{c: row[c] for c in columns} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -69,10 +51,10 @@ def _write_rows(cfg: RunConfig, columns: list[str], rows: list[dict]) -> None:
         for row in rows:
             writer.writerow([_fmt_value(row[c]) for c in columns])
         text = buf.getvalue()
-    if cfg.output is None or cfg.output == "-":
+    if args.output is None or args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output, "w", newline="") as fh:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -86,7 +68,8 @@ def _error_line(kind: str, exc: BaseException) -> None:
 
 def _prime_table(hi: int, cache_path: str | None) -> arith.PrimeTable:
     """Sieve [2, hi], optionally through the cache file; results are
-    identical with or without the cache."""
+    identical with or without the cache, and a cache that cannot be
+    written is reported and skipped."""
     if cache_path and os.path.exists(cache_path):
         try:
             table = arith.PrimeTable.load(cache_path)
@@ -96,7 +79,11 @@ def _prime_table(hi: int, cache_path: str | None) -> arith.PrimeTable:
             return table
     table = arith.sieve(2, hi)
     if cache_path:
-        table.save(cache_path)
+        try:
+            table.save(cache_path)
+        except OSError as exc:
+            log.warning("sieve cache not written to %s: %s",
+                        cache_path, exc.strerror or exc)
     return table
 
 
@@ -116,13 +103,11 @@ def _cert_row(cert: factory.Certificate) -> dict:
     }
 
 
-def cmd_search(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
-    if cfg.k is None or cfg.m_max is None:
-        raise ValueError("search requires --k and --m-max")
-    if cfg.m_min < 1 or cfg.m_max < cfg.m_min:
+def cmd_search(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
-    certs = factory.search(cfg.k, range(cfg.m_min, cfg.m_max + 1), d_budget=cfg.d_budget)
-    return [(CERT_COLUMNS, [_cert_row(c) for c in certs])]
+    certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=args.d_max)
+    return CERT_COLUMNS, [_cert_row(c) for c in certs]
 
 
 def _group_row(summary: forms.ClassGroup2Summary) -> dict:
@@ -135,40 +120,35 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
     }
 
 
-def _budgeted_d(cfg: RunConfig) -> int:
+def _budgeted_d(args: argparse.Namespace) -> int:
     """--d for the oracle, refused before any enumeration above --d-max."""
-    if cfg.d > cfg.d_budget:
-        raise ValueError(f"d={cfg.d} exceeds the oracle budget --d-max {cfg.d_budget}")
-    return cfg.d
+    if args.d > args.d_max:
+        raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
+    return args.d
 
 
-def cmd_verify(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
-    if cfg.d is not None:
-        summary = forms.class_number(_budgeted_d(cfg))
-        return [(GROUP_COLUMNS, [_group_row(summary)])]
-    if None in (cfg.k, cfg.m, cfg.p1, cfg.p2):
+def cmd_verify(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    if args.d is not None:
+        return GROUP_COLUMNS, [_group_row(forms.class_number(_budgeted_d(args)))]
+    if None in (args.k, args.m, args.p1, args.p2):
         raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
-    cert = factory.certify(cfg.k, cfg.m, cfg.p1, cfg.p2, d_budget=cfg.d_budget)
-    return [(CERT_COLUMNS, [_cert_row(cert)])]
+    cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=args.d_max)
+    return CERT_COLUMNS, [_cert_row(cert)]
 
 
-def cmd_classgroup(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
-    if cfg.d is None:
-        raise ValueError("classgroup requires --d")
-    d = _budgeted_d(cfg)
-    group = forms.enumerate_reduced(d) if cfg.with_forms else None
+def cmd_classgroup(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    d = _budgeted_d(args)
+    group = forms.enumerate_reduced(d) if args.forms else None
     row = _group_row(forms.class_number(d, group))
     columns = list(GROUP_COLUMNS)
-    if cfg.with_forms:
+    if args.forms:
         columns.append("forms")
         row["forms"] = ";".join(str(f) for f in group)
-    return [(columns, [row])]
+    return columns, [row]
 
 
-def cmd_singular(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
-    if cfg.m is None:
-        raise ValueError("singular requires --m")
-    m, q = cfg.m, cfg.truncation_q
+def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    m, q = args.m, args.truncation_q
     if m % 2:
         reason = "odd"
     elif m % 8 == 4:
@@ -184,15 +164,13 @@ def cmd_singular(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
         "truncation_q": q,
         "vanishing_reason": reason,
     }
-    return [(list(row.keys()), [row])]
+    return list(row.keys()), [row]
 
 
-def cmd_compare(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
-    if cfg.n_lo is None or cfg.n_hi is None:
-        raise ValueError("compare requires --n-lo and --n-hi")
-    circle.window_range(cfg.n_lo, cfg.n_hi, cfg.step)  # refused before the sieve
-    table = _prime_table(max(cfg.n_hi, 2), cfg.cache_path)
-    rows = circle.compare_window(cfg.n_lo, cfg.n_hi, cfg.step, table)
+def cmd_compare(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+    circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
+    table = _prime_table(max(args.n_hi, 2), os.environ.get("C2_CACHE"))
+    rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
     out = [
         {
             "n": r.n,
@@ -202,16 +180,7 @@ def cmd_compare(cfg: RunConfig) -> list[tuple[list[str], list[dict]]]:
         }
         for r in rows
     ]
-    return [(["n", "restricted_sum", "main_term", "ratio"], out)]
-
-
-_COMMANDS = {
-    "search": cmd_search,
-    "verify": cmd_verify,
-    "classgroup": cmd_classgroup,
-    "singular": cmd_singular,
-    "compare": cmd_compare,
-}
+    return ["n", "restricted_sum", "main_term", "ratio"], out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log per-pair rejections to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -237,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-min", type=int, default=1)
     p.add_argument("--m-max", type=int, required=True)
     d_max(p)
-    common(p)
+    common(p, cmd_search)
 
     p = sub.add_parser("verify", help="re-validate a claimed certificate, or "
                        "report the 2-Sylow structure of a discriminant")
@@ -247,44 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=int)
     p.add_argument("--p2", type=int)
     d_max(p)
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("classgroup", help="class number and 2-Sylow structure")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--forms", action="store_true", help="include the reduced forms")
     d_max(p)
-    common(p)
+    common(p, cmd_classgroup)
 
     p = sub.add_parser("singular", help="singular series in both modes")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--truncation-q", type=int, default=10_000,
                    help=f"series truncation, at most {circle.MAX_TRUNCATION_Q}")
-    common(p)
+    common(p, cmd_singular)
 
     p = sub.add_parser("compare", help="restricted counts against the main term; "
                        f"rows * n-hi at most {circle.MAX_WINDOW_WORK}")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
     p.add_argument("--step", type=int, default=8)
-    common(p)
+    common(p, cmd_compare)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.fmt = getattr(args, "format", "csv")
-    cfg.output = getattr(args, "output", None)
-    cfg.cache_path = os.environ.get("C2_CACHE")
-    for attr, name in (
-        ("k", "k"), ("m_min", "m_min"), ("m_max", "m_max"), ("m", "m"),
-        ("p1", "p1"), ("p2", "p2"), ("d", "d"), ("d_budget", "d_max"),
-        ("truncation_q", "truncation_q"), ("n_lo", "n_lo"), ("n_hi", "n_hi"),
-        ("step", "step"), ("with_forms", "forms"),
-    ):
-        if hasattr(args, name):
-            setattr(cfg, attr, getattr(args, name))
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -294,14 +248,11 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    cfg = _config_from_args(args)
     try:
-        sections = _COMMANDS[cfg.subcommand](cfg)
-        total = sum(len(rows) for _, rows in sections)
-        if total == 0:
+        columns, rows = args.run(args)
+        if not rows:
             raise ValueError("no output rows produced")
-        for columns, rows in sections:
-            _write_rows(cfg, columns, rows)
+        _write_rows(args, columns, rows)
         return EXIT_OK
     except factory.InternalInvariantError as exc:
         _error_line("internal", exc)

@@ -155,9 +155,3 @@ def exact_order_test(p1: int, p2: int, w: int, k: int) -> bool:
         )
     return arith.kronecker(p1, w) == -1
 
-
-def mod8_test(p: int) -> bool:
-    """Shortcut for w = 2*M**2: the symbol is -1 iff p = 3 or 5 (mod 8)."""
-    if p < 3 or p % 2 == 0 or not arith.is_prime(p):
-        raise ValueError(f"mod8_test requires an odd prime, got {p}")
-    return p % 8 in (3, 5)

@@ -206,16 +206,21 @@ def search(
     grows with the certifiable pairs, not with the target n; each one
     still goes through `certify`.  Per-pair rejections are logged and
     skipped; overflow and internal errors propagate.
+
+    The target grows with M, so the 63-bit bound is checked once, at the
+    largest M, before anything is built per M; for an increasing range
+    that M is read in O(1).
     """
-    ms = sorted(set(int(m) for m in m_values))
+    if isinstance(m_values, range) and m_values.step > 0:
+        ms = m_values
+    else:
+        ms = sorted(set(int(m) for m in m_values))
     if not ms:
         return
-    targets = {m: target(k, m) for m in ms}
-    for m, n in targets.items():
-        if (n // 2) ** 2 >= _I63:
-            raise ValueError(
-                f"derived discriminants overflow the 63-bit bound at k={k}, M={m}"
-            )
+    if (target(k, ms[-1]) // 2) ** 2 >= _I63:
+        raise ValueError(
+            f"derived discriminants overflow the 63-bit bound at k={k}, M={ms[-1]}"
+        )
     for m in ms:
         for p1, p2 in budget_pairs(k, m, d_budget):
             try:

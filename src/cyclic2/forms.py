@@ -75,12 +75,6 @@ def inverse(f: Form) -> Form:
     return Form(f.a, -f.b, f.c)
 
 
-def is_reduced(f: Form) -> bool:
-    if not (-f.a < f.b <= f.a <= f.c):
-        return False
-    return f.b >= 0 if f.a == f.c else True
-
-
 def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     if -a < b <= a:
         return a, b, c

@@ -17,7 +17,6 @@ from reference_circle import (
 )
 
 from cyclic2 import arith, circle
-from cyclic2.circle import IntPolynomial
 
 SQRT2 = math.sqrt(2)
 
@@ -403,42 +402,6 @@ def test_sum_range_errors(table):
         goldbach_lambda_sum(5000, table)
     with pytest.raises(ValueError):
         circle.goldbach_restricted_sum(5000, table)
-
-
-# --------------------------------------------------------- polynomial side
-
-
-def test_polynomial_validation():
-    with pytest.raises(ValueError):
-        IntPolynomial((3,))
-    with pytest.raises(ValueError):
-        IntPolynomial((1, -2))
-    poly = IntPolynomial((1, 0, 1))
-    assert poly.degree == 2 and poly.leading == 1
-
-
-def test_root_count_examples():
-    linear = IntPolynomial((0, 1))
-    for d in (1, 2, 3, 10, 97):
-        assert circle.root_count_mod(linear, d) == 1
-    doubled_square = IntPolynomial((0, 0, 8))  # 2*(2x)**2
-    assert circle.root_count_mod(doubled_square, 2) == 2
-    assert circle.root_count_mod(IntPolynomial((1, 0, 1)), 5) == 2
-    assert circle.root_count_mod(IntPolynomial((1, 0, 1)), 3) == 0
-
-
-def test_poly_constant_identity_polynomial():
-    # for F(x) = x the two product factors cancel exactly, so C = 1
-    assert circle.goldbach_poly_constant(IntPolynomial((0, 1)), 10_000) == (
-        pytest.approx(1.0, abs=1e-10)
-    )
-
-
-def test_poly_constant_even_valued_nonzero():
-    poly = IntPolynomial((0, 0, 8))
-    assert circle.goldbach_poly_constant(poly, 1000) > 0
-    odd_valued = IntPolynomial((1, 2))  # 2x + 1 is always odd
-    assert circle.goldbach_poly_constant(odd_valued, 1000) == 0.0
 
 
 # ---------------------------------------------------------- window compare

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
 import json
+import logging
 import math
 
 import pytest
@@ -261,3 +262,22 @@ def test_output_file_has_lf_endings(capsys, tmp_path):
     data = out.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n")
+
+
+@pytest.mark.parametrize("unwritable", ["missing-dir/primes.c2sv", "a-directory"])
+def test_unwritable_cache_warns_and_keeps_rows(capsys, tmp_path, monkeypatch,
+                                               caplog, unwritable):
+    args = ["compare", "--n-lo", "30", "--n-hi", "30"]
+    monkeypatch.delenv("C2_CACHE", raising=False)
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+
+    (tmp_path / "a-directory").mkdir()
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setenv("C2_CACHE", str(tmp_path / unwritable))
+    with caplog.at_level(logging.WARNING, logger=cli.log.name):
+        code, cached, _ = run(capsys, *args)
+    assert code == 0
+    assert cached == plain
+    assert [r.message.startswith("sieve cache not written") for r in caplog.records] == [True]
+    assert sorted(tmp_path.iterdir()) == before   # no temp file left behind

@@ -199,23 +199,3 @@ def test_exact_order_matches_square_class_on_pairs():
                     arith.kronecker(p2, w) != arith.kronecker(-1, w)
                 )
 
-
-# --------------------------------------------------------------- mod8 test
-
-
-def test_mod8_examples():
-    assert criteria.mod8_test(13) is True
-    assert criteria.mod8_test(17) is False
-    assert criteria.mod8_test(3) is True
-
-
-def test_mod8_validation():
-    with pytest.raises(ValueError):
-        criteria.mod8_test(9)
-    with pytest.raises(ValueError):
-        criteria.mod8_test(2)
-
-
-def test_mod8_matches_kronecker():
-    for p in arith.sieve(3, 10_000).primes():
-        assert criteria.mod8_test(p) == (arith.kronecker(p, 2) == -1)

@@ -3,12 +3,13 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclic2 import arith, factory, forms
+from cyclic2 import arith, criteria, factory, forms
 from cyclic2.factory import CertificationError
 
 # Largest target n on which budget_pairs is compared with find_pairs.
@@ -199,6 +200,18 @@ def test_search_overflow():
         list(factory.search(5, [2]))
 
 
+def test_search_overflow_checked_before_per_m_work():
+    # a million multipliers: the bound is checked at the largest M alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow"):
+            next(factory.search(1, range(1, 10**6 + 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_search_budget_rejections_not_fatal():
     # a tiny budget rejects every pair but the stream still completes
     certs = list(factory.search(2, [1], d_budget=30))
@@ -249,3 +262,37 @@ def test_negative_pairs_have_larger_two_part(table):
             assert summary.cyclic_2sylow
             seen += 1
     assert seen >= 3
+
+
+# Largest d = p1*p2 drawn for the two-route agreement test; the smaller
+# prime is at least 3, so every such target n is at most D_CAP // 3 + 3.
+D_CAP = 2 * 10**5
+TWO_ROUTE_TABLE = arith.sieve(2, D_CAP // 3 + 3)
+
+
+@st.composite
+def capped_pairs(draw):
+    k = draw(st.integers(1, 4))
+    m_top = 1
+    while factory.target(k, m_top + 1) <= TWO_ROUTE_TABLE.hi:
+        m_top += 1
+    m = draw(st.integers(1, m_top))
+    negative = draw(st.booleans())
+    pairs = [
+        (p1, p2)
+        for p1, p2 in factory.find_pairs(k, m, TWO_ROUTE_TABLE, negative=negative)
+        if p1 * p2 <= D_CAP
+    ]
+    assume(pairs)
+    return k, m, negative, draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(capped_pairs())
+def test_symbol_route_agrees_with_oracle(case):
+    k, m, negative, (p1, p2) = case
+    summary = forms.class_number(p1 * p2)
+    verdict = criteria.exact_order_test(p1, p2, 2 * m * m, k)
+    assert verdict == (summary.two_part == 1 << k)
+    assert verdict != negative
+    assert summary.cyclic_2sylow

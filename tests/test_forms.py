@@ -16,6 +16,11 @@ def valid_discriminants(limit, start=3):
     return [d for d in range(start, limit + 1) if d % 4 in (0, 3)]
 
 
+def is_reduced(f: Form) -> bool:
+    """-a < b <= a <= c, with b >= 0 when a == c."""
+    return -f.a < f.b <= f.a <= f.c and (f.b >= 0 or f.a != f.c)
+
+
 def transform(f: Form, m11, m12, m21, m22) -> Form:
     """Act on f by an SL2(Z) matrix; preserves the class."""
     assert m11 * m22 - m12 * m21 == 1
@@ -71,7 +76,7 @@ def test_reduce_idempotent_and_reduced():
         if b * b - 4 * a * c >= 0:
             continue
         r = forms.reduce(Form(a, b, c))
-        assert forms.is_reduced(r)
+        assert is_reduced(r)
         assert forms.reduce(r) == r
         assert forms.discriminant(r) == b * b - 4 * a * c
 
