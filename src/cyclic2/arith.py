@@ -69,8 +69,8 @@ class PrimeTable:
     """Bit-packed primality over an inclusive range [lo, hi].
 
     Bit i of the bitmap (LSB-first within each byte) is set iff lo + i is
-    prime.  Iteration is in increasing order; `primes_mod8(r)` yields
-    exactly the primes congruent to r mod 8 in range.
+    prime.  `primes()` is an int64 array and `primes_mod8(r)` a list of
+    Python ints, both increasing and recomputed on each call.
     """
 
     def __init__(self, lo: int, hi: int, bits: bytes):
@@ -82,8 +82,6 @@ class PrimeTable:
         self.lo = lo
         self.hi = hi
         self.bits = bytes(bits)
-        self._values: list[int] | None = None
-        self._by_residue: dict[int, list[int]] = {}
 
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
@@ -94,23 +92,20 @@ class PrimeTable:
         i = n - self.lo
         return bool((self.bits[i >> 3] >> (i & 7)) & 1)
 
-    def primes(self) -> list[int]:
-        """All primes in [lo, hi], increasing."""
-        if self._values is None:
-            span = self.hi - self.lo + 1
-            flags = np.unpackbits(
-                np.frombuffer(self.bits, dtype=np.uint8), bitorder="little"
-            )[:span]
-            self._values = (np.flatnonzero(flags) + self.lo).tolist()
-        return self._values
+    def primes(self) -> np.ndarray:
+        """All primes in [lo, hi], increasing, as a fresh int64 array."""
+        span = self.hi - self.lo + 1
+        flags = np.unpackbits(
+            np.frombuffer(self.bits, dtype=np.uint8), bitorder="little"
+        )[:span]
+        return np.flatnonzero(flags).astype(np.int64, copy=False) + self.lo
 
     def primes_mod8(self, r: int) -> list[int]:
-        """Primes in range with p % 8 == r, increasing."""
+        """Primes in range with p % 8 == r, increasing, as Python ints."""
         if not 0 <= r <= 7:
             raise ValueError("residue must be in 0..7")
-        if r not in self._by_residue:
-            self._by_residue[r] = [p for p in self.primes() if p % 8 == r]
-        return self._by_residue[r]
+        primes = self.primes()
+        return primes[primes % 8 == r].tolist()
 
     def save(self, path) -> None:
         """Write the cache file: magic, version, lo, hi, CRC32, raw bitmap.
@@ -133,16 +128,18 @@ class PrimeTable:
 
     @classmethod
     def load(cls, path) -> "PrimeTable":
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) < _CACHE_HEADER.size:
+        # unbuffered, and the bitmap read apart from the header, so that
+        # no second copy of a large bitmap is made
+        with open(path, "rb", buffering=0) as fh:
+            header = fh.read(_CACHE_HEADER.size)
+            bits = fh.readall()
+        if len(header) < _CACHE_HEADER.size:
             raise ValueError("sieve cache too short")
-        magic, version, lo, hi, crc = _CACHE_HEADER.unpack_from(raw)
+        magic, version, lo, hi, crc = _CACHE_HEADER.unpack(header)
         if magic != _CACHE_MAGIC:
             raise ValueError("bad sieve cache magic")
         if version != _CACHE_VERSION:
             raise ValueError(f"unsupported sieve cache version {version}")
-        bits = raw[_CACHE_HEADER.size :]
         if zlib.crc32(bits) != crc:
             raise ValueError("sieve cache checksum mismatch")
         return cls(lo, hi, bits)

@@ -109,28 +109,26 @@ def restricted_mobius_sum(q8: int) -> complex:
     return _restricted_exponential_sum(1, q8)
 
 
-def totient_pm3(n: int) -> int:
-    """Count of r < n with (r, n) = 1 and r = +-3 (mod 8); needs 8 | n."""
+def _residue_totient(n: int, starts: tuple[int, int], name: str) -> int:
+    # count of r < n with (r, n) = 1 in the two classes `starts` mod 8
     if n % 8:
-        raise ValueError(f"totient_pm3 requires 8 | n, got {n}")
+        raise ValueError(f"{name} requires 8 | n, got {n}")
     return sum(
         1
-        for start in (3, 5)
+        for start in starts
         for r in range(start, n, 8)
         if math.gcd(r, n) == 1
     )
+
+
+def totient_pm3(n: int) -> int:
+    """Count of r < n with (r, n) = 1 and r = +-3 (mod 8); needs 8 | n."""
+    return _residue_totient(n, (3, 5), "totient_pm3")
 
 
 def totient_pm1(n: int) -> int:
     """Count of r < n with (r, n) = 1 and r = +-1 (mod 8); needs 8 | n."""
-    if n % 8:
-        raise ValueError(f"totient_pm1 requires 8 | n, got {n}")
-    return sum(
-        1
-        for start in (1, 7)
-        for r in range(start, n, 8)
-        if math.gcd(r, n) == 1
-    )
+    return _residue_totient(n, (1, 7), "totient_pm1")
 
 
 def restricted_gauss_sum(a: int, q8: int) -> complex:
@@ -175,7 +173,7 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     # whatever primes of the index came before.
     mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    primes = np.array(arith.sieve(2, limit).primes(), dtype=np.int64)
+    primes = arith.sieve(2, limit).primes()
     split = np.searchsorted(primes, math.isqrt(limit), side="right")
     for p in primes[:split].tolist():
         mu[p::p] *= -1
@@ -232,6 +230,11 @@ def _series_sum(m: int, Q: int, restricted: bool) -> float:
     return total
 
 
+# 1 + c_8(m)/4 by m mod 8: c_8(m) is 4 when 8 | m, -4 when m = 4 (mod 8),
+# and 0 otherwise (mu(8/gcd(8, m)) vanishes), so the factor is 2, 0 or 1.
+_C8_FACTOR = {0: 2.0, 4: 0.0}
+
+
 def _product_full(m: int) -> float:
     # 0 for odd m; else 2*C2 * prod over odd p | m of (p-1)/(p-2)
     if m % 2:
@@ -279,7 +282,7 @@ def restricted_singular_series(
     if m < 1:
         raise ValueError("restricted_singular_series requires m >= 1")
     if mode == "product":
-        value = _product_full(m) / 4 * (1 + ramanujan_sum(8, m) / 4)
+        value = _product_full(m) / 4 * _C8_FACTOR.get(m % 8, 1.0)
         return SingularValue(m=m, value=value, mode=mode, truncation_q=None)
     if mode == "series":
         return SingularValue(
@@ -300,7 +303,7 @@ def _restricted_primes(table: PrimeTable):
     n - table.lo) flagging them.  Nothing is indexed by value over
     [0, hi] beyond those flags.
     """
-    primes = np.array(table.primes(), dtype=np.int64)
+    primes = table.primes()
     primes = primes[(primes % 8 == 3) | (primes % 8 == 5)]
     logs = np.array([math.log(p) for p in primes.tolist()])
     classes = [(primes[primes % 8 == r], logs[primes % 8 == r]) for r in (3, 5)]

@@ -69,14 +69,17 @@ def _error_line(kind: str, exc: BaseException) -> None:
 def _prime_table(hi: int, cache_path: str | None) -> arith.PrimeTable:
     """Sieve [2, hi], optionally through the cache file; results are
     identical with or without the cache, and a cache that cannot be
-    written is reported and skipped."""
+    written is reported and skipped.  A larger cached table is trimmed
+    to [2, hi], so the window's work does not grow with the cache."""
     if cache_path and os.path.exists(cache_path):
         try:
             table = arith.PrimeTable.load(cache_path)
         except (ValueError, OSError):
             table = None
         if table is not None and table.covers(2, hi):
-            return table
+            # [2, hi] is hi - 1 bits; the bits past hi in the last byte lie
+            # outside the new span, so primes() never reads them
+            return arith.PrimeTable(2, hi, table.bits[: (hi - 1 + 7) // 8])
     table = arith.sieve(2, hi)
     if cache_path:
         try:

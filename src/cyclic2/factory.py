@@ -8,7 +8,7 @@ a certificate is emitted.  A disagreement between the two routes is an
 internal error, never a rejection.
 
 The search enumerates only the pairs whose d = p1*p2 fits the oracle
-budget (`budget_pairs`), so its cost grows with the number of
+budget (`find_pairs`), so its cost grows with the number of
 certifiable pairs, not with n.
 """
 
@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from . import arith, criteria, forms
-from .arith import PrimeTable
 from .forms import ClassGroup2Summary
 
 log = logging.getLogger(__name__)
@@ -81,50 +80,33 @@ def target(k: int, M: int) -> int:
 
 
 def find_pairs(
-    k: int, M: int, table: PrimeTable, *, negative: bool = False
+    k: int, M: int, d_budget: int = DEFAULT_D_BUDGET, *, negative: bool = False
 ) -> list[tuple[int, int]]:
-    """All prime pairs p1 + p2 = target(k, M) in the admissible residues.
+    """All prime pairs p1 + p2 = target(k, M) in the admissible residues
+    with d = p1*p2 <= d_budget, ordered by p1 ascending.
 
     Positive mode takes p1 = 5, p2 = 3 (mod 8), the residues that make
     the symbol criterion succeed.  Negative mode (p1 = 1, p2 = 7 mod 8)
     enumerates counterexample pairs whose 2-class group is strictly
     larger than 2**k; these are for exercising the failing direction of
-    the criterion and are never certified.  Ordered by p1 ascending.
-    """
-    n = target(k, M)
-    if not table.covers(3, n - 3):
-        raise ValueError(
-            f"prime table [{table.lo}, {table.hi}] does not cover [3, {n - 3}]"
-        )
-    r1, r2 = (1, 7) if negative else (5, 3)
-    pairs = []
-    for p1 in table.primes_mod8(r1):
-        if p1 > n - 3:
-            break
-        p2 = n - p1
-        if p2 % 8 == r2 and p2 != p1 and p2 in table:
-            pairs.append((p1, p2))
-    return pairs
-
-
-def budget_pairs(k: int, M: int, d_budget: int) -> list[tuple[int, int]]:
-    """The positive-mode pairs of `find_pairs(k, M, ...)` with p1*p2 <= d_budget.
+    the criterion and are never certified.
 
     For p <= n/2, d = p*(n - p) is strictly increasing in p, so the pairs
     within budget are exactly those whose smaller prime is at most p*, the
     largest p <= n // 2 with p*(n - p) <= d_budget; and p* <= isqrt(d_budget).
     Only [2, p*] is sieved; each partner n - p is tested with `is_prime`.
-    Ordered by p1 ascending.
+    Since 8 | n, the partner of a prime p = r (mod 8) is -r (mod 8).
     """
     n = target(k, M)
     half = range(n // 2 + 1)
     p_star = bisect.bisect_right(half, d_budget, key=lambda p: p * (n - p)) - 1
     if p_star < 3:
         return []
+    r1, r2 = (1, 7) if negative else (5, 3)
     table = arith.sieve(2, p_star)
     pairs = [
-        (p, n - p) if r == 5 else (n - p, p)
-        for r in (5, 3)
+        (p, n - p) if r == r1 else (n - p, p)
+        for r in (r1, r2)
         for p in table.primes_mod8(r)
         if arith.is_prime(n - p)
     ]
@@ -202,7 +184,7 @@ def search(
     """Certificates for every passing pair over the given multipliers.
 
     Emits in deterministic order: M ascending, then p1 ascending.  Only
-    pairs with d <= d_budget are enumerated (`budget_pairs`), so the cost
+    pairs with d <= d_budget are enumerated (`find_pairs`), so the cost
     grows with the certifiable pairs, not with the target n; each one
     still goes through `certify`.  Per-pair rejections are logged and
     skipped; overflow and internal errors propagate.
@@ -222,7 +204,7 @@ def search(
             f"derived discriminants overflow the 63-bit bound at k={k}, M={ms[-1]}"
         )
     for m in ms:
-        for p1, p2 in budget_pairs(k, m, d_budget):
+        for p1, p2 in find_pairs(k, m, d_budget):
             try:
                 yield certify(k, m, p1, p2, d_budget=d_budget)
             except CertificationError as exc:

@@ -23,7 +23,7 @@ def reference_mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Mobius and totient arrays for 0..limit, one slice update per prime."""
     mu = np.ones(limit + 1, dtype=np.int64)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in arith.sieve(2, max(limit, 2)).primes():
+    for p in arith.sieve(2, max(limit, 2)).primes().tolist():
         if p > limit:
             break
         mu[p::p] *= -1
@@ -111,7 +111,7 @@ def goldbach_lambda_sum(d: int, table: PrimeTable) -> float:
             f"prime table [{table.lo}, {table.hi}] does not cover [2, {d}]"
         )
     weights: dict[int, float] = {}
-    for p in table.primes():
+    for p in table.primes().tolist():
         if p > d - 2:
             break
         lp = math.log(p)

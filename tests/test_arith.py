@@ -4,6 +4,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from cyclic2 import arith
@@ -56,15 +57,15 @@ def test_is_prime_domain():
 
 
 def test_sieve_examples():
-    assert arith.sieve(2, 20).primes() == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert arith.sieve(2, 2).primes() == [2]
-    assert arith.sieve(90, 100).primes() == [97]
+    assert arith.sieve(2, 20).primes().tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert arith.sieve(2, 2).primes().tolist() == [2]
+    assert arith.sieve(90, 100).primes().tolist() == [97]
 
 
 def test_sieve_matches_trial_division():
     table = arith.sieve(2, 100_000)
     expected = [n for n in range(2, 100_001) if trial_is_prime(n)]
-    assert table.primes() == expected
+    assert table.primes().tolist() == expected
     for n in (2, 3, 4, 9973, 99990, 99991):
         assert (n in table) == trial_is_prime(n)
 
@@ -72,22 +73,37 @@ def test_sieve_matches_trial_division():
 def test_sieve_offset_window():
     lo, hi = 10**6, 10**6 + 10**4
     table = arith.sieve(lo, hi)
-    assert table.primes() == [n for n in range(lo, hi + 1) if trial_is_prime(n)]
+    assert table.primes().tolist() == [
+        n for n in range(lo, hi + 1) if trial_is_prime(n)
+    ]
 
 
 def test_sieve_segment_boundaries(monkeypatch):
-    reference = arith.sieve(2, 5000).primes()
+    reference = arith.sieve(2, 5000).primes().tolist()
     monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
-    assert arith.sieve(2, 5000).primes() == reference
+    assert arith.sieve(2, 5000).primes().tolist() == reference
 
 
 def test_sieve_residue_views():
     table = arith.sieve(2, 3000)
-    all_primes = table.primes()
+    all_primes = table.primes().tolist()
     for r in range(8):
         assert table.primes_mod8(r) == [p for p in all_primes if p % 8 == r]
     merged = sorted(p for r in (1, 3, 5, 7) for p in table.primes_mod8(r))
     assert merged == [p for p in all_primes if p % 2]
+
+
+def test_prime_views_types():
+    # numpy out, Python ints for the scalar consumers (is_prime rejects
+    # numpy ints), and nothing memoised on the table
+    table = arith.sieve(90, 3000)
+    primes = table.primes()
+    assert isinstance(primes, np.ndarray) and primes.dtype == np.int64
+    assert primes is not table.primes()
+    for r in range(8):
+        assert all(type(p) is int for p in table.primes_mod8(r))
+    assert all(arith.is_prime(p) for p in table.primes_mod8(5))
+    assert sorted(vars(table)) == ["bits", "hi", "lo"]
 
 
 def test_sieve_validation():
@@ -109,7 +125,7 @@ def test_cache_roundtrip(tmp_path):
     loaded = arith.PrimeTable.load(path)
     assert (loaded.lo, loaded.hi) == (table.lo, table.hi)
     assert loaded.bits == table.bits
-    assert loaded.primes() == table.primes()
+    assert loaded.primes().tolist() == table.primes().tolist()
     assert [p.name for p in tmp_path.iterdir()] == ["primes.c2sv"]
 
 
@@ -139,7 +155,7 @@ def test_jacobi_examples():
 
 
 def test_jacobi_euler_criterion():
-    for p in arith.sieve(3, 499).primes():
+    for p in arith.sieve(3, 499).primes().tolist():
         for a in range(p):
             e = pow(a, (p - 1) // 2, p)
             expected = 0 if e == 0 else (1 if e == 1 else -1)
@@ -261,7 +277,7 @@ def test_mobius_phi_against_sieved_tables():
     limit = 3000
     mu = [1] * (limit + 1)
     phi = list(range(limit + 1))
-    for p in arith.sieve(2, limit).primes():
+    for p in arith.sieve(2, limit).primes().tolist():
         for k in range(p, limit + 1, p):
             mu[k] *= -1
             phi[k] -= phi[k] // p

@@ -96,8 +96,10 @@ def test_totient_examples():
     assert circle.totient_pm3(8) == 2
     assert circle.totient_pm3(24) == 4
     assert circle.totient_pm1(24) == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"totient_pm3 requires 8 \| n, got 12"):
         circle.totient_pm3(12)
+    with pytest.raises(ValueError, match=r"totient_pm1 requires 8 \| n, got 12"):
+        circle.totient_pm1(12)
 
 
 def test_totient_closed_form():
@@ -191,10 +193,20 @@ def test_ramanujan_multiplicative():
 
 def test_twin_prime_constant_against_partial_product():
     partial = 1.0
-    for p in arith.sieve(3, 1_000_000).primes():
+    for p in arith.sieve(3, 1_000_000).primes().tolist():
         partial *= 1 - 1 / (p - 1) ** 2
     # the truncated product converges like 1/(P log P)
     assert abs(partial - circle.TWIN_PRIME_CONSTANT) < 1e-6
+
+
+def test_product_c8_factor_matches_ramanujan_sum():
+    # 1 + c_8(m)/4 is read from m mod 8; it must give the same float as
+    # the Ramanujan sum it stands for
+    rng = random.Random(8)
+    ms = list(range(1, 5000)) + [rng.randrange(2, 2**62) for _ in range(200)]
+    for m in ms:
+        want = circle._product_full(m) / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
+        assert circle.restricted_singular_series(m, "product").value == want, m
 
 
 def test_singular_product_vanishing():

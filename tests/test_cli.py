@@ -256,6 +256,28 @@ def test_sieve_cache_bit_flip_is_detected(capsys, tmp_path, monkeypatch):
     assert cached == plain
 
 
+def test_larger_cache_is_trimmed_to_the_window(capsys, tmp_path, monkeypatch):
+    # 1009 is prime and shares the last byte of [2, 1008]'s bitmap
+    args = ["compare", "--n-lo", "200", "--n-hi", "1008"]
+    monkeypatch.delenv("C2_CACHE", raising=False)
+    code, plain, _ = run(capsys, *args)
+    assert code == 0
+
+    cache = tmp_path / "primes.c2sv"
+    arith.sieve(2, 10**6).save(cache)
+    tables, window = [], circle.compare_window
+    monkeypatch.setattr(
+        circle, "compare_window", lambda *a: tables.append(a[3]) or window(*a)
+    )
+    monkeypatch.setenv("C2_CACHE", str(cache))
+    code, cached, _ = run(capsys, *args)
+    assert code == 0
+    assert cached == plain
+    assert [(t.lo, t.hi) for t in tables] == [(2, 1008)]
+    assert tables[0].primes()[-1] == 997
+    assert arith.PrimeTable.load(cache).hi == 10**6
+
+
 def test_output_file_has_lf_endings(capsys, tmp_path):
     out = tmp_path / "rows.csv"
     assert cli.main(["verify", "--d", "39", "--output", str(out)]) == 0

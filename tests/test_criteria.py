@@ -60,7 +60,7 @@ def test_hilbert_symmetric():
 
 def test_hilbert_bimultiplicative():
     rng = random.Random(31)
-    primes = [p for p in arith.sieve(2, 97).primes()]
+    primes = arith.sieve(2, 97).primes().tolist()
     for _ in range(600):
         p = rng.choice(primes)
         a1 = rng.choice([v for v in range(-1000, 1001) if v])
@@ -171,7 +171,7 @@ def test_exact_order_biconditional_for_general_even_w():
     checked = 0
     for w, k in ((2, 1), (2, 2), (4, 1), (6, 1), (6, 2), (10, 1), (10, 2), (12, 1), (20, 1)):
         n = 4 * w ** (2 ** (k - 1))
-        for p in table.primes():
+        for p in table.primes().tolist():
             q = n - p
             if p >= q or q < 3 or p < 3 or q not in table:
                 continue
@@ -186,11 +186,10 @@ def test_exact_order_biconditional_for_general_even_w():
 
 
 def test_exact_order_matches_square_class_on_pairs():
-    table = arith.sieve(2, 1024)
     for k, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)):
         w = 2 * m * m
         for negative in (False, True):
-            for p1, p2 in factory.find_pairs(k, m, table, negative=negative):
+            for p1, p2 in factory.find_pairs(k, m, negative=negative):
                 want = criteria.exact_order_test(p1, p2, w, k)
                 report = criteria.square_class_report(w, p1 * p2)
                 assert want == report.exact_order_2k == (not report.is_square)

@@ -8,11 +8,12 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_pairs import table_pairs
 
 from cyclic2 import arith, criteria, factory, forms
 from cyclic2.factory import CertificationError
 
-# Largest target n on which budget_pairs is compared with find_pairs.
+# Largest target n on which find_pairs is compared with the table scan.
 TARGET_CAP = 200_000
 
 
@@ -27,11 +28,6 @@ def _small_targets():
 
 
 SMALL_TARGETS = _small_targets()
-
-
-@pytest.fixture(scope="module")
-def table():
-    return arith.sieve(2, 1300)
 
 
 @pytest.fixture(scope="module")
@@ -66,23 +62,23 @@ def test_target_overflow():
 # -------------------------------------------------------------- find_pairs
 
 
-def test_find_pairs_examples(table):
-    assert factory.find_pairs(1, 1, table) == [(5, 3)]
-    assert factory.find_pairs(2, 1, table) == [(5, 11), (13, 3)]
-    assert factory.find_pairs(3, 1, table) == [(5, 59), (53, 11), (61, 3)]
+def test_find_pairs_examples():
+    assert factory.find_pairs(1, 1) == [(5, 3)]
+    assert factory.find_pairs(2, 1) == [(5, 11), (13, 3)]
+    assert factory.find_pairs(3, 1) == [(5, 59), (53, 11), (61, 3)]
 
 
-def test_find_pairs_negative_mode(table):
-    assert factory.find_pairs(2, 1, table, negative=True) == []
-    pairs = factory.find_pairs(3, 1, table, negative=True)
+def test_find_pairs_negative_mode():
+    assert factory.find_pairs(2, 1, negative=True) == []
+    pairs = factory.find_pairs(3, 1, negative=True)
     assert pairs == [(17, 47), (41, 23)]
     for p1, p2 in pairs:
         assert p1 % 8 == 1 and p2 % 8 == 7
 
 
-def test_find_pairs_residues_and_order(table):
+def test_find_pairs_residues_and_order():
     for k, m in ((1, 2), (1, 3), (2, 2)):
-        pairs = factory.find_pairs(k, m, table)
+        pairs = factory.find_pairs(k, m)
         n = factory.target(k, m)
         assert pairs == sorted(pairs)
         for p1, p2 in pairs:
@@ -91,47 +87,43 @@ def test_find_pairs_residues_and_order(table):
             assert arith.is_prime(p1) and arith.is_prime(p2)
 
 
-def test_find_pairs_insufficient_table():
-    small = arith.sieve(2, 50)
-    with pytest.raises(ValueError, match="cover"):
-        factory.find_pairs(3, 1, small)
-
-
-# ------------------------------------------------------------ budget_pairs
-
-
 def _within_budget(pairs, budget):
     return [(p1, p2) for p1, p2 in pairs if p1 * p2 <= budget]
 
 
-def test_budget_pairs_matches_find_pairs(wide_table):
+def test_find_pairs_matches_table_scan(wide_table):
     assert len(SMALL_TARGETS) == 158 + 10 + 2 + 1
     rng = random.Random(3)
     for k, m in SMALL_TARGETS:
         n = factory.target(k, m)
-        pairs = factory.find_pairs(k, m, wide_table)
-        ds = sorted(p1 * p2 for p1, p2 in pairs)
-        # d = 15 is the smallest product of two admissible primes, (n/2)**2
-        # bounds every d, and a pair's d and d - 1 straddle a boundary.
-        budgets = {-1, 0, 14, (n // 2) ** 2}
-        budgets |= {rng.randrange((n // 2) ** 2) for _ in range(3)}
-        for d in (ds[0], ds[len(ds) // 2]):
-            budgets |= {d, d - 1}
-        for budget in sorted(budgets):
-            assert factory.budget_pairs(k, m, budget) == _within_budget(
-                pairs, budget
-            ), (k, m, budget)
-        assert factory.budget_pairs(k, m, 14) == []
+        for negative in (False, True):
+            pairs = table_pairs(k, m, wide_table, negative=negative)
+            ds = sorted(p1 * p2 for p1, p2 in pairs)
+            # d = 15 is the smallest product of two admissible primes,
+            # (n/2)**2 bounds every d, and a pair's d and d - 1 straddle a
+            # boundary.
+            budgets = {-1, 0, 14, (n // 2) ** 2}
+            budgets |= {rng.randrange((n // 2) ** 2) for _ in range(3)}
+            for d in (ds[0], ds[len(ds) // 2]) if ds else ():
+                budgets |= {d, d - 1}
+            for budget in sorted(budgets):
+                assert factory.find_pairs(
+                    k, m, budget, negative=negative
+                ) == _within_budget(pairs, budget), (k, m, negative, budget)
+            assert factory.find_pairs(k, m, 14, negative=negative) == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_budget_pairs_property(wide_table, data):
+def test_find_pairs_property(wide_table, data):
     k, m = data.draw(st.sampled_from(SMALL_TARGETS))
     n = factory.target(k, m)
     budget = data.draw(st.integers(-1, (n // 2) ** 2 + 1))
-    pairs = factory.find_pairs(k, m, wide_table)
-    assert factory.budget_pairs(k, m, budget) == _within_budget(pairs, budget)
+    negative = data.draw(st.booleans())
+    pairs = table_pairs(k, m, wide_table, negative=negative)
+    assert factory.find_pairs(k, m, budget, negative=negative) == _within_budget(
+        pairs, budget
+    )
 
 
 def test_search_sieves_only_below_the_budget_root(monkeypatch):
@@ -253,10 +245,10 @@ def test_validate_certificate_names_the_failure():
         factory.validate_certificate(bad)
 
 
-def test_negative_pairs_have_larger_two_part(table):
+def test_negative_pairs_have_larger_two_part():
     seen = 0
     for k, m in ((3, 1), (1, 3), (2, 2)):
-        for p1, p2 in factory.find_pairs(k, m, table, negative=True):
+        for p1, p2 in factory.find_pairs(k, m, negative=True):
             summary = forms.class_number(p1 * p2)
             assert summary.two_part > 1 << k, (k, m, p1, p2)
             assert summary.cyclic_2sylow
@@ -267,22 +259,17 @@ def test_negative_pairs_have_larger_two_part(table):
 # Largest d = p1*p2 drawn for the two-route agreement test; the smaller
 # prime is at least 3, so every such target n is at most D_CAP // 3 + 3.
 D_CAP = 2 * 10**5
-TWO_ROUTE_TABLE = arith.sieve(2, D_CAP // 3 + 3)
 
 
 @st.composite
 def capped_pairs(draw):
     k = draw(st.integers(1, 4))
     m_top = 1
-    while factory.target(k, m_top + 1) <= TWO_ROUTE_TABLE.hi:
+    while factory.target(k, m_top + 1) <= D_CAP // 3 + 3:
         m_top += 1
     m = draw(st.integers(1, m_top))
     negative = draw(st.booleans())
-    pairs = [
-        (p1, p2)
-        for p1, p2 in factory.find_pairs(k, m, TWO_ROUTE_TABLE, negative=negative)
-        if p1 * p2 <= D_CAP
-    ]
+    pairs = factory.find_pairs(k, m, D_CAP, negative=negative)
     assume(pairs)
     return k, m, negative, draw(st.sampled_from(pairs))
 
