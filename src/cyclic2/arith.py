@@ -23,6 +23,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SEGMENT_SIZE = 1 << 22       # sieve segment, in table entries
 DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries
+_UNPACK_BYTES = 1 << 14      # bitmap bytes unpacked per step of PrimeTable.primes
 
 _CACHE_MAGIC = b"C2SV"
 _CACHE_VERSION = 2
@@ -93,12 +94,27 @@ class PrimeTable:
         return bool((self.bits[i >> 3] >> (i & 7)) & 1)
 
     def primes(self) -> np.ndarray:
-        """All primes in [lo, hi], increasing, as a fresh int64 array."""
+        """All primes in [lo, hi], increasing, as a fresh int64 array.
+
+        Counted first and filled _UNPACK_BYTES of bitmap at a time, so
+        memory stays near the result plus one unpacked slice.
+        """
         span = self.hi - self.lo + 1
-        flags = np.unpackbits(
-            np.frombuffer(self.bits, dtype=np.uint8), bitorder="little"
-        )[:span]
-        return np.flatnonzero(flags).astype(np.int64, copy=False) + self.lo
+        packed = np.frombuffer(self.bits, dtype=np.uint8)
+        # bits of the last byte past hi lie outside the table
+        tail = self.bits[-1] & ((1 << ((span - 1) % 8 + 1)) - 1)
+        count = int.from_bytes(memoryview(self.bits)[:-1], "little").bit_count()
+        out = np.empty(count + tail.bit_count(), dtype=np.int64)
+        pos = 0
+        for start in range(0, len(packed), _UNPACK_BYTES):
+            flags = np.unpackbits(
+                packed[start : start + _UNPACK_BYTES], bitorder="little"
+            )[: span - 8 * start]
+            found = np.flatnonzero(flags)
+            found += self.lo + 8 * start
+            out[pos : pos + len(found)] = found
+            pos += len(found)
+        return out
 
     def primes_mod8(self, r: int) -> list[int]:
         """Primes in range with p % 8 == r, increasing, as Python ints."""

@@ -190,6 +190,16 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _series_sum(m: int, Q: int, restricted: bool) -> float:
+    """S2(m) truncated at Q when restricted, else S1(m)."""
+    return _series_sums(m, Q, _SERIES_CHUNK)[restricted]
+
+
+@lru_cache(maxsize=8)
+def _series_sums(m: int, Q: int, chunk: int) -> tuple[float, float]:
+    # S1 and S2 in one pass, so that `singular` pays once for the work
+    # they share (m mod q, the gcd, the mu/phi gathers, c, phi(q)**2).
+    # The chunk size is part of the cache key only so that a test which
+    # shrinks _SERIES_CHUNK recomputes.
     # The terms coeff * c / phi(q)**2 are the same IEEE operations as one
     # Python float expression per q (c and phi(q)**2 < 2**53 are exact),
     # and np.cumsum adds them left to right in increasing q.
@@ -202,32 +212,36 @@ def _series_sum(m: int, Q: int, restricted: bool) -> float:
     # most significant first, and r < q < 2**24 keeps r * 2**32 in int64.
     top = (m.bit_length() - 1) // 32 * 32
     limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
-    total = 0.0
-    for start in range(1, Q + 1, _SERIES_CHUNK):
-        end = min(start + _SERIES_CHUNK, Q + 1)
+    full = restricted = 0.0
+    for start in range(1, Q + 1, chunk):
+        end = min(start + chunk, Q + 1)
         q = np.arange(start, end, dtype=np.int64)
-        if restricted:
-            # mu2(q)**2 is 2 at q = 8*q0 with q0 odd and squarefree, 0 at
-            # other multiples of 8, and mu(q)**2 / 4 elsewhere.
-            q0, residue = np.divmod(q, 8)
-            eighth = residue == 0
-            keep = np.where(eighth, (q0 % 2 == 1) & (mu[q0] != 0), mu[start:end] != 0)
-            coeff = np.where(eighth, 2.0, 0.25)
-        else:
-            keep = mu[start:end] != 0
-            coeff = 1.0
         r = np.zeros_like(q)
         for limb in limbs:
             r = ((r << 32) + limb) % q
         qg = q // np.gcd(q, r)
         mq = mu[qg]
-        keep &= mq != 0
         phi_q = phi[start:end]
         c = mq * phi_q // phi[qg]
-        terms = (coeff * c / (phi_q * phi_q))[keep]
-        if terms.size:
-            total = float(np.cumsum(np.concatenate(([total], terms)))[-1])
-    return total
+        sq = phi_q * phi_q
+        squarefree = mu[start:end] != 0
+        live = mq != 0
+        # mu2(q)**2 is 2 at q = 8*q0 with q0 odd and squarefree, 0 at
+        # other multiples of 8, and mu(q)**2 / 4 elsewhere.
+        q0, residue = np.divmod(q, 8)
+        eighth = residue == 0
+        keep = np.where(eighth, (q0 % 2 == 1) & (mu[q0] != 0), squarefree) & live
+        coeff = np.where(eighth, 2.0, 0.25)
+        full = _add_terms(full, (c / sq)[squarefree & live])
+        restricted = _add_terms(restricted, (coeff * c / sq)[keep])
+    return full, restricted
+
+
+def _add_terms(total: float, terms: np.ndarray) -> float:
+    # total + terms[0] + terms[1] + ..., left to right
+    if not terms.size:
+        return total
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 # 1 + c_8(m)/4 by m mod 8: c_8(m) is 4 when 8 | m, -4 when m = 4 (mod 8),
@@ -305,7 +319,7 @@ def _restricted_primes(table: PrimeTable):
     """
     primes = table.primes()
     primes = primes[(primes % 8 == 3) | (primes % 8 == 5)]
-    logs = np.array([math.log(p) for p in primes.tolist()])
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
     classes = [(primes[primes % 8 == r], logs[primes % 8 == r]) for r in (3, 5)]
     flag = np.zeros(table.hi - table.lo + 1, dtype=bool)
     flag[primes - table.lo] = True

@@ -5,9 +5,11 @@ enumeration, element orders, and the 2-Sylow structure summary.  This
 module is the unconditional oracle the certificate pipeline checks its
 symbol criteria against.  Enumeration is still exhaustive (every
 candidate a is tried for every b), but vectorised with numpy over a.
-The classes of order <= 2 are counted from the shape of their reduced
-forms, and the witness scan, which runs on `compose`, must agree with
-that count, so composition stays cross-checked.
+
+`class_number` reaches the number of classes of order <= 2 by three
+routes: the shape of the reduced forms, genus theory, and composition
+(a square count for a non-cyclic verdict, a witness scan for a cyclic
+one), so `compose` stays cross-checked.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import arith
 
 _I63 = 1 << 63
 # candidate a values tested per numpy call; bounds the arrays of one
@@ -209,39 +213,65 @@ def enumerate_reduced(d: int) -> list[Form]:
     return out
 
 
+def _genus_ambiguous_count(d: int) -> int:
+    """Classes of order <= 2 of discriminant -d by genus theory: 2**(mu - 1).
+
+    With r the number of odd primes dividing d, mu is r for d = 3 (mod 4)
+    or d/4 = 3 (mod 4), r + 2 for d/4 = 0 (mod 8), and r + 1 otherwise;
+    fundamental or not (Cox, Primes of the Form x^2 + ny^2, Prop. 3.11).
+    """
+    mu = sum(1 for p, _ in arith.factorize(d) if p > 2)
+    if d % 4 == 0:
+        n = d // 4
+        if n % 8 == 0:
+            mu += 2
+        elif n % 4 != 3:
+            mu += 1
+    return 1 << (mu - 1)
+
+
 def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
-    The cyclicity verdict is double-checked: the ambiguous-class count
-    (order <= 2 classes) decides it, and a scan for an element whose
-    2-part has maximal order must agree, else an internal error is
-    raised.  A caller that already holds `enumerate_reduced(d)` passes
-    it as `group`, which is then not enumerated again.
+    Three routes reach the number of classes of order <= 2, and any
+    disagreement raises an internal error.  The shape count decides the
+    verdict: cyclic iff it is at most 2.  Genus theory always runs.
+    Composition runs one of two checks: a non-cyclic count must equal h
+    over the number of distinct squares (|G^2| * |G[2]| = |G|, h
+    compositions); a cyclic verdict with h even needs a class whose h/2-th
+    power is not principal (a scan that stops at the first such witness).
+    A caller that already holds `enumerate_reduced(d)` passes it as
+    `group`, which is then not enumerated again.
     """
     if group is None:
         group = enumerate_reduced(d)
     h = len(group)
     two_part = h & -h
-    ident = principal_form(-d)
     ambiguous = sum(map(is_ambiguous, group))
-    if ambiguous & (ambiguous - 1):
+    genus = _genus_ambiguous_count(d)
+    if ambiguous != genus:
         raise ArithmeticError(
-            f"ambiguous class count {ambiguous} for d={d} is not a power of 2"
+            f"ambiguous class count {ambiguous} for d={d} disagrees with "
+            f"genus theory ({genus})"
         )
     cyclic = ambiguous <= 2
-    if two_part == 1:
-        witness_cyclic = True
-    else:
+    if not cyclic:
+        squares = len({compose(f, f) for f in group})
+        if squares * ambiguous != h:
+            raise ArithmeticError(
+                f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
+                f"times {ambiguous} ambiguous classes is not h={h}"
+            )
+    elif two_part > 1:
         # g**(h/2) is non-principal iff the 2-part of g generates a
         # subgroup of order two_part; such g exists iff the 2-Sylow
         # subgroup is cyclic.
-        half = h // 2
-        witness_cyclic = any(form_pow(f, half) != ident for f in group)
-    if witness_cyclic != cyclic:
-        raise ArithmeticError(
-            f"2-Sylow bookkeeping mismatch for d={d}: "
-            f"ambiguous_count={ambiguous}, witness says cyclic={witness_cyclic}"
-        )
+        ident = principal_form(-d)
+        if not any(form_pow(f, h // 2) != ident for f in group):
+            raise ArithmeticError(
+                f"2-Sylow bookkeeping mismatch for d={d}: "
+                f"ambiguous_count={ambiguous}, but no element of order {two_part}"
+            )
     return ClassGroup2Summary(
         d=d,
         h=h,

@@ -1,13 +1,16 @@
-"""Pure-Python reference enumerator of reduced forms, for tests only.
+"""Slow reference routes of the class-group oracle, for tests only.
 
-This is the plain double loop that `forms.enumerate_reduced` replaced
-with a numpy version.  It is kept here, outside the package, so that the
-differential tests compare the oracle against an implementation that
-shares no code with it.
+`reference_enumerate` is the plain double loop that
+`forms.enumerate_reduced` replaced with a numpy version; it shares no
+code with the oracle.  `reference_witness_cyclic` is the full witness
+scan that `forms.class_number` ran on every d before it checked a
+non-cyclic verdict by counting squares; it costs about h*log2(h)
+compositions when no witness exists.
 """
 
 import math
 
+from cyclic2 import forms
 from cyclic2.forms import Form
 
 
@@ -29,3 +32,12 @@ def reference_enumerate(d: int) -> list[Form]:
         b += 2
     out.sort(key=lambda f: (f.a, f.b, f.c))
     return out
+
+
+def reference_witness_cyclic(group: list[Form], h: int) -> bool:
+    """Whether the 2-Sylow subgroup of the class group `group` of order h
+    is cyclic: some g has a non-principal g**(h/2), or h is odd."""
+    if h % 2:
+        return True
+    ident = forms.principal_form(forms.discriminant(group[0]))
+    return any(forms.form_pow(f, h // 2) != ident for f in group)

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,44 @@ def test_prime_views_types():
         assert all(type(p) is int for p in table.primes_mod8(r))
     assert all(arith.is_prime(p) for p in table.primes_mod8(5))
     assert sorted(vars(table)) == ["bits", "hi", "lo"]
+
+
+def unpacked_primes(table):
+    """primes() as one whole-bitmap unpack: the expression it replaced."""
+    flags = np.unpackbits(
+        np.frombuffer(table.bits, dtype=np.uint8), bitorder="little"
+    )[: table.hi - table.lo + 1]
+    return np.flatnonzero(flags).astype(np.int64, copy=False) + table.lo
+
+
+def test_primes_match_whole_unpack(monkeypatch):
+    wide = arith.sieve(2, 10_000)
+    # a trimmed table keeps bits past hi in its last byte, as cli does
+    # with a larger cached sieve; primes() must not read them
+    trimmed = [arith.PrimeTable(2, hi, wide.bits[: (hi - 1 + 7) // 8])
+               for hi in (2, 3, 9, 10, 97, 100, 1001)]
+    spans = [(2, 2), (2, 9), (5, 12), (3, 3), (90, 100), (2, 10**5),
+             (10**6 + 1, 10**6 + 77_777), (10**9, 10**9 + 12_345)]
+    tables = [arith.sieve(lo, hi) for lo, hi in spans] + trimmed
+    for slice_bytes in (arith._UNPACK_BYTES, 1, 3):
+        monkeypatch.setattr(arith, "_UNPACK_BYTES", slice_bytes)
+        for table in tables:
+            primes = table.primes()
+            assert primes.dtype == np.int64
+            assert primes.tolist() == unpacked_primes(table).tolist(), (
+                table.lo, table.hi, slice_bytes)
+
+
+def test_primes_peak_memory():
+    table = arith.sieve(2, 2**22)
+    tracemalloc.start()
+    try:
+        primes = table.primes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(primes, unpacked_primes(table))
+    assert peak < 1.5 * primes.nbytes, (peak, primes.nbytes)
 
 
 def test_sieve_validation():

@@ -303,3 +303,19 @@ def test_unwritable_cache_warns_and_keeps_rows(capsys, tmp_path, monkeypatch,
     assert cached == plain
     assert [r.message.startswith("sieve cache not written") for r in caplog.records] == [True]
     assert sorted(tmp_path.iterdir()) == before   # no temp file left behind
+
+
+def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
+    # d = 86531263 is non-cyclic (h = 3168, 8 ambiguous classes), so its
+    # verdict is checked by counting squares; a compose that squares
+    # every class to the principal form must make that check fail
+    real = forms.compose
+    monkeypatch.setattr(
+        forms, "compose",
+        lambda f, g: forms.principal_form(forms.discriminant(f)) if f == g else real(f, g),
+    )
+    code, out, err = run(capsys, "verify", "--d", "86531263")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "internal" and "squares" in error["message"]

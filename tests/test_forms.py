@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_forms import reference_enumerate
+from reference_forms import reference_enumerate, reference_witness_cyclic
 
 from cyclic2 import arith, forms
 from cyclic2.forms import Form
@@ -199,6 +199,18 @@ def test_class_number_validation():
         forms.class_number(2**63 + 3)
 
 
+def genus_case(d):
+    """Which of the genus-theory rules for mu applies to d."""
+    if d % 4 == 3:
+        return "d=3(4)"
+    n = d // 4
+    if n % 4 == 3:
+        return "d/4=3(4)"
+    if n % 8 == 0:
+        return "d/4=0(8)"
+    return "d/4=4(8)" if n % 8 == 4 else "d/4=1,2(4)"
+
+
 def test_genus_count_law():
     # squarefree d = 3 mod 4: ambiguous classes number 2**(t-1) where t
     # counts the prime divisors of d
@@ -206,8 +218,35 @@ def test_genus_count_law():
         fac = arith.factorize(d)
         if any(e > 1 for _, e in fac):
             continue
+        assert forms._genus_ambiguous_count(d) == 1 << (len(fac) - 1), d
+    # every valid d, fundamental or not: genus theory against the shape
+    # count of the enumerated forms and against class_number
+    cases = set()
+    for d in valid_discriminants(10_000):
+        shape = sum(map(forms.is_ambiguous, forms.enumerate_reduced(d)))
+        assert forms._genus_ambiguous_count(d) == shape, d
+        assert forms.class_number(d).ambiguous_count == shape, d
+        odd_part = d >> ((d & -d).bit_length() - 1)
+        cases.add((genus_case(d), all(e == 1 for _, e in arith.factorize(odd_part))))
+    assert cases == {(case, sf) for case in ("d=3(4)", "d/4=3(4)", "d/4=1,2(4)",
+                                             "d/4=4(8)", "d/4=0(8)")
+                     for sf in (True, False)}
+
+
+def test_genus_count_large_d_divisible_by_32():
+    # d/4 = 0 (mod 8), mu = r + 2: class_number checks all three routes
+    rng = random.Random(32)
+    for _ in range(4):
+        d = 32 * rng.randrange(10**6 // 32, 10**9 // 32)
         s = forms.class_number(d)
-        assert s.ambiguous_count == 1 << (len(fac) - 1), d
+        assert s.ambiguous_count == forms._genus_ambiguous_count(d) >= 2, d
+        assert s.h % s.ambiguous_count == 0, d
+
+
+def test_class_number_rejects_disagreeing_genus(monkeypatch):
+    monkeypatch.setattr(forms, "_genus_ambiguous_count", lambda d: 8)
+    with pytest.raises(ArithmeticError, match="genus"):
+        forms.class_number(39)
 
 
 # ------------------------------------- differential: reference enumerator
@@ -234,16 +273,21 @@ def sampled_discriminants():
 
 
 @pytest.mark.parametrize(
-    "ds",
-    [valid_discriminants(20_000), sampled_discriminants()],
+    "ds, witness_scan",
+    [(valid_discriminants(20_000), True), (sampled_discriminants(), False)],
     ids=["all-d-to-20000", "sampled-d-to-1e8"],
 )
-def test_enumerate_matches_reference(ds):
+def test_enumerate_matches_reference(ds, witness_scan):
+    # the full witness scan costs h*log2(h) compositions on a non-cyclic
+    # d, so it runs on the small sweep only
     for d in ds:
         group = forms.enumerate_reduced(d)
         assert group == reference_enumerate(d), d
         shape = sum(forms.is_ambiguous(f) for f in group)
         assert shape == compose_ambiguous_count(d, group), d
+        if witness_scan:
+            verdict = forms.class_number(d, group).cyclic_2sylow
+            assert verdict == reference_witness_cyclic(group, len(group)), d
 
 
 def test_enumerate_chunked_candidates_match_reference(monkeypatch):
