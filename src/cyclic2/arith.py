@@ -9,10 +9,6 @@ concurrent use is safe.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
-import zlib
 
 import numpy as np
 
@@ -24,10 +20,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 SEGMENT_SIZE = 1 << 22       # sieve segment, in table entries
 DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries
 _UNPACK_BYTES = 1 << 14      # bitmap bytes unpacked per step of PrimeTable.primes
-
-_CACHE_MAGIC = b"C2SV"
-_CACHE_VERSION = 2
-_CACHE_HEADER = struct.Struct("<4sIQQI")   # magic, version, lo, hi, CRC32 of the bitmap
 
 
 def is_prime(n: int) -> bool:
@@ -123,45 +115,8 @@ class PrimeTable:
         primes = self.primes()
         return primes[primes % 8 == r].tolist()
 
-    def save(self, path) -> None:
-        """Write the cache file: magic, version, lo, hi, CRC32, raw bitmap.
 
-        The file is written in full under a temporary name and then moved
-        over `path`, so a reader never sees a partial cache.
-        """
-        header = _CACHE_HEADER.pack(
-            _CACHE_MAGIC, _CACHE_VERSION, self.lo, self.hi, zlib.crc32(self.bits)
-        )
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(header)
-                fh.write(self.bits)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path) -> "PrimeTable":
-        # unbuffered, and the bitmap read apart from the header, so that
-        # no second copy of a large bitmap is made
-        with open(path, "rb", buffering=0) as fh:
-            header = fh.read(_CACHE_HEADER.size)
-            bits = fh.readall()
-        if len(header) < _CACHE_HEADER.size:
-            raise ValueError("sieve cache too short")
-        magic, version, lo, hi, crc = _CACHE_HEADER.unpack(header)
-        if magic != _CACHE_MAGIC:
-            raise ValueError("bad sieve cache magic")
-        if version != _CACHE_VERSION:
-            raise ValueError(f"unsupported sieve cache version {version}")
-        if zlib.crc32(bits) != crc:
-            raise ValueError("sieve cache checksum mismatch")
-        return cls(lo, hi, bits)
-
-
-def sieve(lo: int, hi: int, *, max_span: int = DEFAULT_MAX_SPAN) -> PrimeTable:
+def sieve(lo: int, hi: int) -> PrimeTable:
     """Segmented sieve of [lo, hi] inclusive.
 
     Internally processes SEGMENT_SIZE entries at a time, so hi may far
@@ -171,9 +126,9 @@ def sieve(lo: int, hi: int, *, max_span: int = DEFAULT_MAX_SPAN) -> PrimeTable:
     if lo < 2 or hi < lo:
         raise ValueError("sieve requires 2 <= lo <= hi")
     span = hi - lo + 1
-    if span > max_span:
+    if span > DEFAULT_MAX_SPAN:
         raise ValueError(
-            f"sieve range of {span} entries exceeds the budget of {max_span}"
+            f"sieve range of {span} entries exceeds the budget of {DEFAULT_MAX_SPAN}"
         )
     base = _simple_sieve(math.isqrt(hi))
     base_primes = [int(p) for p in np.flatnonzero(base)]

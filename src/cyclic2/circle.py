@@ -191,15 +191,13 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _series_sum(m: int, Q: int, restricted: bool) -> float:
     """S2(m) truncated at Q when restricted, else S1(m)."""
-    return _series_sums(m, Q, _SERIES_CHUNK)[restricted]
+    return _series_sums(m, Q)[restricted]
 
 
 @lru_cache(maxsize=8)
-def _series_sums(m: int, Q: int, chunk: int) -> tuple[float, float]:
+def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # S1 and S2 in one pass, so that `singular` pays once for the work
     # they share (m mod q, the gcd, the mu/phi gathers, c, phi(q)**2).
-    # The chunk size is part of the cache key only so that a test which
-    # shrinks _SERIES_CHUNK recomputes.
     # The terms coeff * c / phi(q)**2 are the same IEEE operations as one
     # Python float expression per q (c and phi(q)**2 < 2**53 are exact),
     # and np.cumsum adds them left to right in increasing q.
@@ -213,8 +211,8 @@ def _series_sums(m: int, Q: int, chunk: int) -> tuple[float, float]:
     top = (m.bit_length() - 1) // 32 * 32
     limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
     full = restricted = 0.0
-    for start in range(1, Q + 1, chunk):
-        end = min(start + chunk, Q + 1)
+    for start in range(1, Q + 1, _SERIES_CHUNK):
+        end = min(start + _SERIES_CHUNK, Q + 1)
         q = np.arange(start, end, dtype=np.int64)
         r = np.zeros_like(q)
         for limb in limbs:

@@ -1,8 +1,7 @@
 """Command-line front end.
 
-The only module with I/O side effects, apart from the sieve cache file
-that `arith.PrimeTable.save`/`load` write and read when C2_CACHE names a
-path; an unwritable cache costs one warning on stderr, never a result.
+The only module with I/O side effects: it reads the command line and
+writes rows to stdout or --output, and error lines and logs to stderr.
 Output is bit-exact and reproducible: CSV with LF line endings, reals at
 12 significant digits, booleans as true/false, no timestamps in data
 files.  JSON mirrors the CSV fields one-to-one.  Exit codes: 0 success
@@ -17,7 +16,6 @@ import csv
 import io
 import json
 import logging
-import os
 import sys
 
 from . import arith, circle, criteria, factory, forms
@@ -28,8 +26,6 @@ GROUP_COLUMNS = ["d", "h", "two_part", "cyclic", "ambiguous"]
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
-
-log = logging.getLogger("cyclic2.cli")  # not __name__: that is __main__ under `python -m`
 
 
 def _fmt_value(v) -> str:
@@ -64,30 +60,6 @@ def _error_line(kind: str, exc: BaseException) -> None:
     if reason:
         payload["reason"] = reason
     print(json.dumps(payload), file=sys.stderr)
-
-
-def _prime_table(hi: int, cache_path: str | None) -> arith.PrimeTable:
-    """Sieve [2, hi], optionally through the cache file; results are
-    identical with or without the cache, and a cache that cannot be
-    written is reported and skipped.  A larger cached table is trimmed
-    to [2, hi], so the window's work does not grow with the cache."""
-    if cache_path and os.path.exists(cache_path):
-        try:
-            table = arith.PrimeTable.load(cache_path)
-        except (ValueError, OSError):
-            table = None
-        if table is not None and table.covers(2, hi):
-            # [2, hi] is hi - 1 bits; the bits past hi in the last byte lie
-            # outside the new span, so primes() never reads them
-            return arith.PrimeTable(2, hi, table.bits[: (hi - 1 + 7) // 8])
-    table = arith.sieve(2, hi)
-    if cache_path:
-        try:
-            table.save(cache_path)
-        except OSError as exc:
-            log.warning("sieve cache not written to %s: %s",
-                        cache_path, exc.strerror or exc)
-    return table
 
 
 def _cert_row(cert: factory.Certificate) -> dict:
@@ -172,7 +144,7 @@ def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 def cmd_compare(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
-    table = _prime_table(max(args.n_hi, 2), os.environ.get("C2_CACHE"))
+    table = arith.sieve(2, max(args.n_hi, 2))
     rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
     out = [
         {
@@ -257,9 +229,6 @@ def main(argv=None) -> int:
             raise ValueError("no output rows produced")
         _write_rows(args, columns, rows)
         return EXIT_OK
-    except factory.InternalInvariantError as exc:
-        _error_line("internal", exc)
-        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         _error_line("validation", exc)
         return EXIT_VALIDATION

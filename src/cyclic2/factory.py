@@ -37,14 +37,6 @@ class CertificationError(ValueError):
         self.reason = reason
 
 
-class InternalInvariantError(RuntimeError):
-    """A provable invariant failed at runtime: a bug, not a rejection."""
-
-
-class OracleMismatchError(InternalInvariantError):
-    """Symbol criterion and class-group enumeration disagree."""
-
-
 @dataclass(frozen=True)
 class Certificate:
     """A fully verified construction: the 2-class group of Q(sqrt(-d)) is
@@ -120,8 +112,8 @@ def certify(
 
     Raises CertificationError naming the first failed requirement.
     Violations of provable invariants (coprimality of x and w, the
-    discriminant identity, criterion/oracle agreement) raise internal
-    errors instead.
+    discriminant identity, criterion/oracle agreement) raise
+    ArithmeticError instead, an internal error.
     """
     n = target(k, M)
     w = 2 * M * M
@@ -144,19 +136,16 @@ def certify(
     half = n // 2
     x = abs(p1 - half)
     if x % 2 == 0 or not 0 < x <= half - 2:
-        raise InternalInvariantError(f"x={x} escaped its provable range")
+        raise ArithmeticError(f"x={x} escaped its provable range")
     if math.gcd(x, w) != 1:
-        raise InternalInvariantError(f"gcd(x={x}, w={w}) != 1 for distinct primes")
+        raise ArithmeticError(f"gcd(x={x}, w={w}) != 1 for distinct primes")
     d = p1 * p2
     if d != half * half - x * x or d % 4 != 3:
-        raise InternalInvariantError(f"discriminant identity failed for d={d}")
+        raise ArithmeticError(f"discriminant identity failed for d={d}")
     if d > d_budget:
         raise CertificationError(
             "oracle-budget-exceeded", f"d={d} exceeds the oracle budget {d_budget}"
         )
-    fac = arith.factorize(d)
-    if any(e > 1 for _, e in fac) or [p for p, _ in fac] != sorted((p1, p2)):
-        raise CertificationError("d-not-squarefree", f"d={d} is not p1*p2 squarefree")
     symbol_ok = criteria.exact_order_test(p1, p2, w, k)
     if not symbol_ok:
         raise CertificationError(
@@ -164,7 +153,7 @@ def certify(
         )
     oracle = forms.class_number(d)
     if oracle.two_part != 1 << k or not oracle.cyclic_2sylow:
-        raise OracleMismatchError(
+        raise ArithmeticError(
             f"oracle-mismatch: symbol test passed but enumeration of d={d} "
             f"gives two_part={oracle.two_part}, cyclic={oracle.cyclic_2sylow}, "
             f"expected cyclic 2**{k}"

@@ -2,7 +2,6 @@
 
 import math
 import random
-import struct
 import tracemalloc
 
 import numpy as np
@@ -117,8 +116,8 @@ def unpacked_primes(table):
 
 def test_primes_match_whole_unpack(monkeypatch):
     wide = arith.sieve(2, 10_000)
-    # a trimmed table keeps bits past hi in its last byte, as cli does
-    # with a larger cached sieve; primes() must not read them
+    # a table cut from a wider bitmap keeps bits past hi in its last
+    # byte; primes() must not read them
     trimmed = [arith.PrimeTable(2, hi, wide.bits[: (hi - 1 + 7) // 8])
                for hi in (2, 3, 9, 10, 97, 100, 1001)]
     spans = [(2, 2), (2, 9), (5, 12), (3, 3), (90, 100), (2, 10**5),
@@ -151,36 +150,10 @@ def test_sieve_validation():
     with pytest.raises(ValueError):
         arith.sieve(10, 5)
     with pytest.raises(ValueError):
-        arith.sieve(2, 1000, max_span=100)
+        arith.sieve(2, arith.DEFAULT_MAX_SPAN + 2)
     table = arith.sieve(2, 50)
     with pytest.raises(ValueError):
         51 in table
-
-
-def test_cache_roundtrip(tmp_path):
-    table = arith.sieve(2, 12345)
-    path = tmp_path / "primes.c2sv"
-    table.save(path)
-    loaded = arith.PrimeTable.load(path)
-    assert (loaded.lo, loaded.hi) == (table.lo, table.hi)
-    assert loaded.bits == table.bits
-    assert loaded.primes().tolist() == table.primes().tolist()
-    assert [p.name for p in tmp_path.iterdir()] == ["primes.c2sv"]
-
-
-def test_cache_rejects_version_1(tmp_path):
-    table = arith.sieve(2, 12345)
-    path = tmp_path / "v1.c2sv"
-    path.write_bytes(struct.pack("<4sIQQ", b"C2SV", 1, table.lo, table.hi) + table.bits)
-    with pytest.raises(ValueError, match="version 1"):
-        arith.PrimeTable.load(path)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.c2sv"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        arith.PrimeTable.load(path)
 
 
 # ------------------------------------------------------------------ jacobi

@@ -295,6 +295,7 @@ SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
 @pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
 def test_series_sum_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+    circle._series_sums.cache_clear()
     for m in SERIES_MS:
         for Q in SERIES_QS:
             for restricted in (False, True):

@@ -1,7 +1,7 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
+import dataclasses
 import json
-import logging
 import math
 
 import pytest
@@ -108,7 +108,7 @@ def test_classgroup_respects_d_max(capsys, monkeypatch):
 def _record_sieve_his(monkeypatch):
     sieve, his = arith.sieve, []
     monkeypatch.setattr(
-        arith, "sieve", lambda lo, hi, **kw: his.append(hi) or sieve(lo, hi, **kw)
+        arith, "sieve", lambda lo, hi: his.append(hi) or sieve(lo, hi)
     )
     return his
 
@@ -171,10 +171,9 @@ def test_classgroup_forms_enumerates_once(capsys, monkeypatch):
 
 
 def test_compare_over_work_budget_refused_before_sieve(capsys, monkeypatch):
-    def no_sieve(lo, hi, **kw):
+    def no_sieve(lo, hi):
         raise AssertionError("a sieve ran for an over-budget window")
 
-    monkeypatch.delenv("C2_CACHE", raising=False)
     monkeypatch.setattr(arith, "sieve", no_sieve)
     code, out, err = run(capsys, "compare", "--n-lo", "8", "--n-hi", "268435000",
                          "--step", "8")
@@ -220,62 +219,19 @@ def test_byte_identical_reruns(capsys, tmp_path):
     assert q1.read_bytes() == q2.read_bytes()
 
 
-def test_sieve_cache_is_transparent(capsys, tmp_path, monkeypatch):
+def test_compare_ignores_c2_cache(capsys, tmp_path, monkeypatch):
+    # C2_CACHE is not read: compare always sieves and writes only its rows
     args = ["compare", "--n-lo", "1000", "--n-hi", "1100", "--step", "8"]
-    code, plain, _ = run(capsys, *args)
-    assert code == 0
-
-    cache = tmp_path / "primes.c2sv"
-    monkeypatch.setenv("C2_CACHE", str(cache))
-    code, first, _ = run(capsys, *args)
-    assert code == 0
-    assert cache.exists()
-    assert cache.read_bytes()[:4] == b"C2SV"
-    code, second, _ = run(capsys, *args)
-    assert code == 0
-    assert plain == first == second
-
-
-def test_sieve_cache_bit_flip_is_detected(capsys, tmp_path, monkeypatch):
-    args = ["compare", "--n-lo", "30", "--n-hi", "30"]
-    code, plain, _ = run(capsys, *args)
-    assert code == 0
-
-    cache = tmp_path / "primes.c2sv"
-    table = arith.sieve(2, 40)
-    table.save(cache)
-    raw = bytearray(cache.read_bytes())
-    i = 27 - table.lo   # mark the composite 27 as prime
-    raw[len(raw) - len(table.bits) + i // 8] |= 1 << (i % 8)
-    cache.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="checksum"):
-        arith.PrimeTable.load(cache)
-    monkeypatch.setenv("C2_CACHE", str(cache))
-    code, cached, _ = run(capsys, *args)
-    assert code == 0
-    assert cached == plain
-
-
-def test_larger_cache_is_trimmed_to_the_window(capsys, tmp_path, monkeypatch):
-    # 1009 is prime and shares the last byte of [2, 1008]'s bitmap
-    args = ["compare", "--n-lo", "200", "--n-hi", "1008"]
     monkeypatch.delenv("C2_CACHE", raising=False)
     code, plain, _ = run(capsys, *args)
     assert code == 0
 
-    cache = tmp_path / "primes.c2sv"
-    arith.sieve(2, 10**6).save(cache)
-    tables, window = [], circle.compare_window
-    monkeypatch.setattr(
-        circle, "compare_window", lambda *a: tables.append(a[3]) or window(*a)
-    )
-    monkeypatch.setenv("C2_CACHE", str(cache))
-    code, cached, _ = run(capsys, *args)
+    monkeypatch.setenv("C2_CACHE", str(tmp_path / "primes.c2sv"))
+    code, out, err = run(capsys, *args)
     assert code == 0
-    assert cached == plain
-    assert [(t.lo, t.hi) for t in tables] == [(2, 1008)]
-    assert tables[0].primes()[-1] == 997
-    assert arith.PrimeTable.load(cache).hi == 10**6
+    assert out == plain
+    assert err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_file_has_lf_endings(capsys, tmp_path):
@@ -284,25 +240,6 @@ def test_output_file_has_lf_endings(capsys, tmp_path):
     data = out.read_bytes()
     assert b"\r" not in data
     assert data.endswith(b"\n")
-
-
-@pytest.mark.parametrize("unwritable", ["missing-dir/primes.c2sv", "a-directory"])
-def test_unwritable_cache_warns_and_keeps_rows(capsys, tmp_path, monkeypatch,
-                                               caplog, unwritable):
-    args = ["compare", "--n-lo", "30", "--n-hi", "30"]
-    monkeypatch.delenv("C2_CACHE", raising=False)
-    code, plain, _ = run(capsys, *args)
-    assert code == 0
-
-    (tmp_path / "a-directory").mkdir()
-    before = sorted(tmp_path.iterdir())
-    monkeypatch.setenv("C2_CACHE", str(tmp_path / unwritable))
-    with caplog.at_level(logging.WARNING, logger=cli.log.name):
-        code, cached, _ = run(capsys, *args)
-    assert code == 0
-    assert cached == plain
-    assert [r.message.startswith("sieve cache not written") for r in caplog.records] == [True]
-    assert sorted(tmp_path.iterdir()) == before   # no temp file left behind
 
 
 def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
@@ -319,3 +256,18 @@ def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err.strip().splitlines()[-1])
     assert error["error"] == "internal" and "squares" in error["message"]
+
+
+def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
+    # the symbol route certifies (13, 3) with 2-part 4; an oracle that
+    # reports 8 contradicts it, which is a bug and not a rejection
+    real = forms.class_number
+    monkeypatch.setattr(
+        forms, "class_number", lambda d: dataclasses.replace(real(d), two_part=8)
+    )
+    code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
+                         "--p1", "13", "--p2", "3")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err.strip().splitlines()[-1])
+    assert error["error"] == "internal" and "oracle-mismatch" in error["message"]

@@ -149,6 +149,16 @@ def test_certify_examples():
     assert c.symbol_ok
 
 
+def test_certify_factorizes_once(monkeypatch):
+    # p1 and p2 are proven distinct primes, so d = p1*p2 needs no
+    # factorization of its own; the genus route in the oracle does one
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    factory.certify(2, 1, 13, 3)
+    assert calls == [39]
+
+
 def test_certify_rejections():
     with pytest.raises(CertificationError) as exc:
         factory.certify(2, 1, 11, 3)
