@@ -1,9 +1,9 @@
 """Integer and multiplicative-function primitives.
 
-Deterministic 64-bit primality, a segmented bit-packed prime sieve with
-residue-class views mod 8, Jacobi/Kronecker symbols, and factorization
-helpers.  Everything here is pure; values are immutable once built, so
-concurrent use is safe.
+Deterministic 64-bit primality, a segmented prime sieve whose table is
+one bool per value with residue-class views mod 8, Jacobi/Kronecker
+symbols, and factorization helpers.  Everything here is pure; values are
+immutable once built, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ _U64 = 1 << 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SEGMENT_SIZE = 1 << 22       # sieve segment, in table entries
-DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries
-_UNPACK_BYTES = 1 << 14      # bitmap bytes unpacked per step of PrimeTable.primes
+DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries of one byte
 
 
 def is_prime(n: int) -> bool:
@@ -47,34 +46,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Boolean primality flags for 0..limit (the square-root worktable)."""
-    flags = np.zeros(max(limit, 1) + 1, dtype=bool)
-    if limit >= 2:
-        flags[2:] = True
-        for p in range(2, math.isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-    return flags
-
-
 class PrimeTable:
-    """Bit-packed primality over an inclusive range [lo, hi].
+    """Primality over an inclusive range [lo, hi], one bool per value.
 
-    Bit i of the bitmap (LSB-first within each byte) is set iff lo + i is
-    prime.  `primes()` is an int64 array and `primes_mod8(r)` a list of
-    Python ints, both increasing and recomputed on each call.
+    flags[i] is True iff lo + i is prime; the array is read-only.
+    `primes()` is an int64 array and `primes_mod8(r)` a list of Python
+    ints, both increasing and recomputed on each call.
     """
 
-    def __init__(self, lo: int, hi: int, bits: bytes):
+    def __init__(self, lo: int, hi: int, flags: np.ndarray):
         if lo < 2 or hi < lo:
             raise ValueError("PrimeTable requires 2 <= lo <= hi")
-        span = hi - lo + 1
-        if len(bits) != (span + 7) // 8:
-            raise ValueError("bitmap length does not match range")
+        if not isinstance(flags, np.ndarray) or flags.dtype != bool:
+            raise ValueError("PrimeTable flags must be a bool ndarray")
+        if flags.shape != (hi - lo + 1,):
+            raise ValueError("flags length does not match range")
+        flags.setflags(write=False)
         self.lo = lo
         self.hi = hi
-        self.bits = bytes(bits)
+        self.flags = flags
 
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
@@ -82,30 +72,12 @@ class PrimeTable:
     def __contains__(self, n: int) -> bool:
         if not self.lo <= n <= self.hi:
             raise ValueError(f"{n} outside table range [{self.lo}, {self.hi}]")
-        i = n - self.lo
-        return bool((self.bits[i >> 3] >> (i & 7)) & 1)
+        return bool(self.flags[n - self.lo])
 
     def primes(self) -> np.ndarray:
-        """All primes in [lo, hi], increasing, as a fresh int64 array.
-
-        Counted first and filled _UNPACK_BYTES of bitmap at a time, so
-        memory stays near the result plus one unpacked slice.
-        """
-        span = self.hi - self.lo + 1
-        packed = np.frombuffer(self.bits, dtype=np.uint8)
-        # bits of the last byte past hi lie outside the table
-        tail = self.bits[-1] & ((1 << ((span - 1) % 8 + 1)) - 1)
-        count = int.from_bytes(memoryview(self.bits)[:-1], "little").bit_count()
-        out = np.empty(count + tail.bit_count(), dtype=np.int64)
-        pos = 0
-        for start in range(0, len(packed), _UNPACK_BYTES):
-            flags = np.unpackbits(
-                packed[start : start + _UNPACK_BYTES], bitorder="little"
-            )[: span - 8 * start]
-            found = np.flatnonzero(flags)
-            found += self.lo + 8 * start
-            out[pos : pos + len(found)] = found
-            pos += len(found)
+        """All primes in [lo, hi], increasing, as a fresh int64 array."""
+        out = np.flatnonzero(self.flags)
+        out += self.lo
         return out
 
     def primes_mod8(self, r: int) -> list[int]:
@@ -119,9 +91,9 @@ class PrimeTable:
 def sieve(lo: int, hi: int) -> PrimeTable:
     """Segmented sieve of [lo, hi] inclusive.
 
-    Internally processes SEGMENT_SIZE entries at a time, so hi may far
-    exceed the square-root worktable.  Raises when the requested span
-    exceeds the memory budget.
+    Crosses off SEGMENT_SIZE entries of the table at a time, with base
+    primes from a recursive sieve of [2, isqrt(hi)].  Raises when the
+    requested span exceeds the memory budget.
     """
     if lo < 2 or hi < lo:
         raise ValueError("sieve requires 2 <= lo <= hi")
@@ -130,21 +102,17 @@ def sieve(lo: int, hi: int) -> PrimeTable:
         raise ValueError(
             f"sieve range of {span} entries exceeds the budget of {DEFAULT_MAX_SPAN}"
         )
-    base = _simple_sieve(math.isqrt(hi))
-    base_primes = [int(p) for p in np.flatnonzero(base)]
-
-    packed = bytearray()
-    pos = lo
-    while pos <= hi:
-        end = min(pos + SEGMENT_SIZE, hi + 1)
-        seg = np.ones(end - pos, dtype=bool)
+    root = math.isqrt(hi)
+    base_primes = sieve(2, root).primes().tolist() if root >= 2 else []
+    flags = np.ones(span, dtype=bool)
+    for start in range(0, span, SEGMENT_SIZE):
+        seg = flags[start : start + SEGMENT_SIZE]
+        pos, end = lo + start, lo + start + len(seg)
         for p in base_primes:
-            start = max(p * p, (pos + p - 1) // p * p)
-            if start < end:
-                seg[start - pos :: p] = False
-        packed += np.packbits(seg, bitorder="little").tobytes()
-        pos = end
-    return PrimeTable(lo, hi, bytes(packed))
+            first = max(p * p, (pos + p - 1) // p * p)
+            if first < end:
+                seg[first - pos :: p] = False
+    return PrimeTable(lo, hi, flags)
 
 
 def jacobi(a: int, n: int) -> int:

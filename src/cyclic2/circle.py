@@ -307,21 +307,24 @@ def restricted_singular_series(
 
 
 @lru_cache(maxsize=4)
-def _restricted_primes(table: PrimeTable):
+def _restricted_primes(table: PrimeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The primes 3 and 5 mod 8 of `table`, for the window sum.
 
-    Returns them increasing with their math.log values, the same split
-    into the 3 class and the 5 class, and one bool per table entry (index
-    n - table.lo) flagging them.  Nothing is indexed by value over
-    [0, hi] beyond those flags.
+    Maps each class r in (3, 5) to its primes, increasing, and their
+    math.log values.  Primality of n - p is read from table.flags, so
+    nothing here is indexed by value.
     """
     primes = table.primes()
-    primes = primes[(primes % 8 == 3) | (primes % 8 == 5)]
-    logs = np.fromiter(map(math.log, primes.tolist()), dtype=np.float64, count=len(primes))
-    classes = [(primes[primes % 8 == r], logs[primes % 8 == r]) for r in (3, 5)]
-    flag = np.zeros(table.hi - table.lo + 1, dtype=bool)
-    flag[primes - table.lo] = True
-    return primes, logs, classes, flag
+    classes = {}
+    for r in (3, 5):
+        cls = primes[primes % 8 == r]
+        # math.log per prime; chunks bound the transient list of Python ints
+        logs = np.empty(len(cls))
+        for start in range(0, len(cls), _SERIES_CHUNK):
+            chunk = cls[start : start + _SERIES_CHUNK].tolist()
+            logs[start : start + len(chunk)] = list(map(math.log, chunk))
+        classes[r] = cls, logs
+    return classes
 
 
 def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
@@ -338,16 +341,21 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
         raise ValueError(
             f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
         )
-    primes, logs, classes, flag = _restricted_primes(table)
-    cuts = [np.searchsorted(cls, n // 2, side="right") for cls, _ in classes]
-    p = np.concatenate([cls[:k] for (cls, _), k in zip(classes, cuts)])
-    log_p = np.concatenate([cls_logs[:k] for (_, cls_logs), k in zip(classes, cuts)])
-    hit = flag[n - p - table.lo]
-    p, log_p = p[hit], log_p[hit]
-    q = n - p
-    terms = log_p * logs[np.searchsorted(primes, q)]
-    terms = np.where(p == q, terms, 2 * terms)
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    classes = _restricted_primes(table)
+    total = 0.0
+    for r, (cls, cls_logs) in classes.items():
+        # n - p lies in the class (n - r) % 8 for every p of class r
+        if (n - r) % 8 not in classes:
+            continue
+        q_cls, q_logs = classes[(n - r) % 8]
+        k = np.searchsorted(cls, n // 2, side="right")
+        p, log_p = cls[:k], cls_logs[:k]
+        hit = table.flags[n - p - table.lo]
+        p, log_p = p[hit], log_p[hit]
+        q = n - p
+        terms = log_p * q_logs[np.searchsorted(q_cls, q)]
+        total = _add_terms(total, np.where(p == q, terms, 2 * terms))
+    return total
 
 
 # Largest compare window, as rows * n_hi: each row walks about pi(n)/4

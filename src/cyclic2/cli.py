@@ -18,7 +18,7 @@ import json
 import logging
 import sys
 
-from . import arith, circle, criteria, factory, forms
+from . import arith, circle, factory, forms
 
 CERT_COLUMNS = ["k", "M", "w", "x", "p1", "p2", "d", "symbol_ok", "h", "two_part", "cyclic"]
 GROUP_COLUMNS = ["d", "h", "two_part", "cyclic", "ambiguous"]

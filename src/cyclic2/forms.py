@@ -75,10 +75,6 @@ def principal_form(disc: int) -> Form:
     return Form(1, b, (b - disc) // 4)
 
 
-def inverse(f: Form) -> Form:
-    return Form(f.a, -f.b, f.c)
-
-
 def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     if -a < b <= a:
         return a, b, c

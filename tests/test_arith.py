@@ -71,11 +71,15 @@ def test_sieve_matches_trial_division():
 
 
 def test_sieve_offset_window():
-    lo, hi = 10**6, 10**6 + 10**4
-    table = arith.sieve(lo, hi)
-    assert table.primes().tolist() == [
-        n for n in range(lo, hi + 1) if trial_is_prime(n)
-    ]
+    spans = [(10**6, 10**6 + 10**4), (2, 9), (5, 12), (3, 3),
+             (10**6 + 1, 10**6 + 77_777), (10**9, 10**9 + 12_345)]
+    for lo, hi in spans:
+        # trial_is_prime steps by 1, too slow near 1e9: is_prime there
+        oracle = trial_is_prime if hi < 10**7 else arith.is_prime
+        table = arith.sieve(lo, hi)
+        assert table.primes().tolist() == [
+            n for n in range(lo, hi + 1) if oracle(n)
+        ], (lo, hi)
 
 
 def test_sieve_segment_boundaries(monkeypatch):
@@ -103,33 +107,8 @@ def test_prime_views_types():
     for r in range(8):
         assert all(type(p) is int for p in table.primes_mod8(r))
     assert all(arith.is_prime(p) for p in table.primes_mod8(5))
-    assert sorted(vars(table)) == ["bits", "hi", "lo"]
-
-
-def unpacked_primes(table):
-    """primes() as one whole-bitmap unpack: the expression it replaced."""
-    flags = np.unpackbits(
-        np.frombuffer(table.bits, dtype=np.uint8), bitorder="little"
-    )[: table.hi - table.lo + 1]
-    return np.flatnonzero(flags).astype(np.int64, copy=False) + table.lo
-
-
-def test_primes_match_whole_unpack(monkeypatch):
-    wide = arith.sieve(2, 10_000)
-    # a table cut from a wider bitmap keeps bits past hi in its last
-    # byte; primes() must not read them
-    trimmed = [arith.PrimeTable(2, hi, wide.bits[: (hi - 1 + 7) // 8])
-               for hi in (2, 3, 9, 10, 97, 100, 1001)]
-    spans = [(2, 2), (2, 9), (5, 12), (3, 3), (90, 100), (2, 10**5),
-             (10**6 + 1, 10**6 + 77_777), (10**9, 10**9 + 12_345)]
-    tables = [arith.sieve(lo, hi) for lo, hi in spans] + trimmed
-    for slice_bytes in (arith._UNPACK_BYTES, 1, 3):
-        monkeypatch.setattr(arith, "_UNPACK_BYTES", slice_bytes)
-        for table in tables:
-            primes = table.primes()
-            assert primes.dtype == np.int64
-            assert primes.tolist() == unpacked_primes(table).tolist(), (
-                table.lo, table.hi, slice_bytes)
+    assert sorted(vars(table)) == ["flags", "hi", "lo"]
+    assert table.flags.dtype == bool and not table.flags.flags.writeable
 
 
 def test_primes_peak_memory():
@@ -140,7 +119,9 @@ def test_primes_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(primes, unpacked_primes(table))
+    assert len(primes) == 295_947  # pi(2**22)
+    assert primes[0] == 2 and primes[-1] == 4_194_301
+    assert all(arith.is_prime(p) for p in primes[::997].tolist())
     assert peak < 1.5 * primes.nbytes, (peak, primes.nbytes)
 
 
@@ -154,6 +135,15 @@ def test_sieve_validation():
     table = arith.sieve(2, 50)
     with pytest.raises(ValueError):
         51 in table
+
+
+@pytest.mark.parametrize("flags", [
+    np.ones(48, dtype=bool), np.ones(50, dtype=bool),
+    np.ones(49, dtype=np.uint8), np.ones((7, 7), dtype=bool), [True] * 49,
+])
+def test_prime_table_rejects_bad_flags(flags):
+    with pytest.raises(ValueError):
+        arith.PrimeTable(2, 50, flags)
 
 
 # ------------------------------------------------------------------ jacobi
