@@ -50,8 +50,9 @@ class PrimeTable:
     """Primality over an inclusive range [lo, hi], one bool per value.
 
     flags[i] is True iff lo + i is prime; the array is read-only.
-    `primes()` is an int64 array and `primes_mod8(r)` a list of Python
-    ints, both increasing and recomputed on each call.
+    `primes()` and `primes_mod8(r)` are fresh, increasing int64 arrays,
+    recomputed on each call; `primes_mod8` reads only the strided view
+    flags[(r - lo) % 8 :: 8].
     """
 
     def __init__(self, lo: int, hi: int, flags: np.ndarray):
@@ -80,12 +81,16 @@ class PrimeTable:
         out += self.lo
         return out
 
-    def primes_mod8(self, r: int) -> list[int]:
-        """Primes in range with p % 8 == r, increasing, as Python ints."""
+    def primes_mod8(self, r: int) -> np.ndarray:
+        """Primes in range with p % 8 == r, increasing, as a fresh int64 array."""
         if not 0 <= r <= 7:
             raise ValueError("residue must be in 0..7")
-        primes = self.primes()
-        return primes[primes % 8 == r].tolist()
+        first = (r - self.lo) % 8
+        # nonzero, not flatnonzero: ravel would copy the strided view
+        out = np.nonzero(self.flags[first::8])[0]
+        out *= 8
+        out += self.lo + first
+        return out
 
 
 def sieve(lo: int, hi: int) -> PrimeTable:

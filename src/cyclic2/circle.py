@@ -12,17 +12,18 @@ in the +-1 classes when q0 = +-3 (mod 8).  The module also provides
 mu2's defining exponential sum over residues +-3 mod 8, the residue counts
 phi2/phi3 with phi2(2**j q) = phi3(2**j q) = 2**(j-2) phi(q), restricted
 Gauss sums, Ramanujan sums c_q(m) = mu(q/(q,m)) phi(q) / phi(q/(q,m)),
-and two singular series:
+and two singular series, each returned as a float:
 
     S1(m) = sum_q mu(q)**2 / phi(q)**2 * c_q(m)     (all primes)
     S2(m) = sum_q mu2(q)**2 / phi(q)**2 * c_q(m)    (restricted)
           = (S1(m)/4) * (1 + c_8(m)/4)
 
-S2 vanishes exactly for m odd or m = 4 (mod 8); sums of two primes that
-are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The restricted
-representation count weighs ordered pairs by log p1 * log p2, and
-compare_window tabulates its ratio against the predicted main term
-n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.
+S2 vanishes exactly for m odd or m = 4 (mod 8) (vanishing_reason); sums
+of two primes that are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The
+restricted representation count weighs ordered pairs by log p1 * log p2,
+over the two classes read by PrimeTable.primes_mod8, and compare_window
+tabulates its ratio against the predicted main term n * S2(n), for
+windows of at most MAX_WINDOW_WORK = rows * n_hi.
 
 The truncated series and the window sum are numpy expressions that add
 their terms left to right in increasing q (resp. p, 3 class first), the
@@ -47,20 +48,6 @@ from .arith import PrimeTable
 # Truncating the defining product at P only converges like 1/(P log P)
 # (about 7 digits at P = 1e6), hence the pinned literature value.
 TWIN_PRIME_CONSTANT = 0.66016181584686957393
-
-
-@dataclass(frozen=True)
-class SingularValue:
-    """A singular-series evaluation and how it was obtained.
-
-    mode is "series" (Dirichlet series truncated at q <= truncation_q)
-    or "product" (closed Euler-product form, truncation_q is None).
-    """
-
-    m: int
-    value: float
-    mode: str
-    truncation_q: int | None
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,7 @@ def ramanujan_sum(q: int, m: int) -> int:
 
 # Largest series truncation Q.  `_mult_tables(Q)` holds an int8 and an
 # int64 array of Q + 1 entries, 90 MB at this cap.  Q < 2**24 also keeps
-# the limb arithmetic of `_series_sum` inside int64.
+# the limb arithmetic of `_series_sums` inside int64.
 MAX_TRUNCATION_Q = 10**7
 
 _SERIES_CHUNK = 1 << 16   # q values per numpy step of the series sum
@@ -187,11 +174,6 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
         phi[multiples] -= phi[multiples] // p
     mu[0] = 0
     return mu, phi
-
-
-def _series_sum(m: int, Q: int, restricted: bool) -> float:
-    """S2(m) truncated at Q when restricted, else S1(m)."""
-    return _series_sums(m, Q)[restricted]
 
 
 @lru_cache(maxsize=8)
@@ -258,32 +240,39 @@ def _product_full(m: int) -> float:
     return value
 
 
-def singular_series(
-    m: int, mode: str = "product", truncation_q: int = 10_000
-) -> SingularValue:
+def vanishing_reason(m: int) -> str:
+    """Why S2(m) vanishes: "odd", "4mod8", or "none" when it does not."""
+    if m % 2:
+        return "odd"
+    return "4mod8" if m % 8 == 4 else "none"
+
+
+def _singular(name: str, m: int, mode: str, truncation_q: int, restricted: bool) -> float:
+    # S2(m) when restricted, else S1(m), in the given mode
+    if m < 1:
+        raise ValueError(f"{name} requires m >= 1")
+    if mode == "series":
+        return _series_sums(m, truncation_q)[restricted]
+    if mode != "product":
+        raise ValueError(f"unknown mode {mode!r}")
+    if restricted:
+        return _product_full(m) / 4 * _C8_FACTOR.get(m % 8, 1.0)
+    return _product_full(m)
+
+
+def singular_series(m: int, mode: str = "product", truncation_q: int = 10_000) -> float:
     """Unrestricted binary Goldbach singular series S1(m).
 
     Series mode truncates the Dirichlet series at q <= truncation_q, which
     must lie in [2, MAX_TRUNCATION_Q]; product mode uses the closed Euler
     product (exact vanishing on odd m).  The two agree within roughly 1/sqrt(truncation_q).
     """
-    if m < 1:
-        raise ValueError("singular_series requires m >= 1")
-    if mode == "product":
-        return SingularValue(m=m, value=_product_full(m), mode=mode, truncation_q=None)
-    if mode == "series":
-        return SingularValue(
-            m=m,
-            value=_series_sum(m, truncation_q, restricted=False),
-            mode=mode,
-            truncation_q=truncation_q,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _singular("singular_series", m, mode, truncation_q, False)
 
 
 def restricted_singular_series(
     m: int, mode: str = "product", truncation_q: int = 10_000
-) -> SingularValue:
+) -> float:
     """Singular series S2(m) for pairs of primes congruent to 3, 5 mod 8.
 
     Product mode applies the identity S2 = (S1/4) * (1 + c_8(m)/4) on top
@@ -291,33 +280,21 @@ def restricted_singular_series(
     or m = 4 (mod 8).  Series mode sums mu2(q)**2 / phi(q)**2 * c_q(m)
     up to the truncation bound.
     """
-    if m < 1:
-        raise ValueError("restricted_singular_series requires m >= 1")
-    if mode == "product":
-        value = _product_full(m) / 4 * _C8_FACTOR.get(m % 8, 1.0)
-        return SingularValue(m=m, value=value, mode=mode, truncation_q=None)
-    if mode == "series":
-        return SingularValue(
-            m=m,
-            value=_series_sum(m, truncation_q, restricted=True),
-            mode=mode,
-            truncation_q=truncation_q,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _singular("restricted_singular_series", m, mode, truncation_q, True)
 
 
 @lru_cache(maxsize=4)
 def _restricted_primes(table: PrimeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The primes 3 and 5 mod 8 of `table`, for the window sum.
 
-    Maps each class r in (3, 5) to its primes, increasing, and their
-    math.log values.  Primality of n - p is read from table.flags, so
+    Maps each class r in (3, 5) to its primes, increasing, as read by
+    `table.primes_mod8(r)`, and their math.log values.  The full prime
+    list is never built.  Primality of n - p is read from table.flags, so
     nothing here is indexed by value.
     """
-    primes = table.primes()
     classes = {}
     for r in (3, 5):
-        cls = primes[primes % 8 == r]
+        cls = table.primes_mod8(r)
         # math.log per prime; chunks bound the transient list of Python ints
         logs = np.empty(len(cls))
         for start in range(0, len(cls), _SERIES_CHUNK):
@@ -394,12 +371,12 @@ def compare_window(
     """
     rows = []
     for n in window_range(n_lo, n_hi, step):
-        if n % 2 or n % 8 == 4:
+        if vanishing_reason(n) != "none":
             raise ValueError(
                 f"n={n} is rejected: the restricted singular series vanishes "
                 f"(n mod 8 = {n % 8})"
             )
-        s2 = restricted_singular_series(n, mode="product").value
+        s2 = restricted_singular_series(n, mode="product")
         main = n * s2
         r2 = goldbach_restricted_sum(n, table)
         rows.append(CompareRow(n=n, restricted_sum=r2, main_term=main, ratio=r2 / main))

@@ -124,20 +124,14 @@ def cmd_classgroup(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
 
 def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     m, q = args.m, args.truncation_q
-    if m % 2:
-        reason = "odd"
-    elif m % 8 == 4:
-        reason = "4mod8"
-    else:
-        reason = "none"
     row = {
         "m": m,
-        "full_series": circle.singular_series(m, "series", q).value,
-        "full_product": circle.singular_series(m, "product").value,
-        "restricted_series": circle.restricted_singular_series(m, "series", q).value,
-        "restricted_product": circle.restricted_singular_series(m, "product").value,
+        "full_series": circle.singular_series(m, "series", q),
+        "full_product": circle.singular_series(m, "product"),
+        "restricted_series": circle.restricted_singular_series(m, "series", q),
+        "restricted_product": circle.restricted_singular_series(m, "product"),
         "truncation_q": q,
-        "vanishing_reason": reason,
+        "vanishing_reason": circle.vanishing_reason(m),
     }
     return list(row.keys()), [row]
 

@@ -1,7 +1,7 @@
 """Scalar reference versions of the circle-layer sums, for tests only.
 
 These are the plain Python loops that `circle._mult_tables`,
-`circle._series_sum` and `circle.goldbach_restricted_sum` replaced with
+`circle._series_sums` and `circle.goldbach_restricted_sum` replaced with
 numpy versions, kept here, outside the package, so that the
 differential tests compare every output bit for bit against code that
 shares nothing with the vectorised one but the prime table.  The
@@ -66,7 +66,7 @@ def reference_series_sum(m: int, Q: int, restricted: bool) -> float:
 def restricted_prime_pairs(n: int, table: PrimeTable):
     """Yield (p, n - p) with p <= n - p, both prime and 3 or 5 mod 8."""
     for r in (3, 5):
-        for p in table.primes_mod8(r):
+        for p in table.primes_mod8(r).tolist():
             if 2 * p > n:
                 break
             q = n - p

@@ -23,7 +23,7 @@ def table_pairs(
         )
     r1, r2 = (1, 7) if negative else (5, 3)
     pairs = []
-    for p1 in table.primes_mod8(r1):
+    for p1 in table.primes_mod8(r1).tolist():
         if p1 > n - 3:
             break
         p2 = n - p1

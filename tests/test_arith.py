@@ -92,21 +92,37 @@ def test_sieve_residue_views():
     table = arith.sieve(2, 3000)
     all_primes = table.primes().tolist()
     for r in range(8):
-        assert table.primes_mod8(r) == [p for p in all_primes if p % 8 == r]
-    merged = sorted(p for r in (1, 3, 5, 7) for p in table.primes_mod8(r))
+        assert table.primes_mod8(r).tolist() == [p for p in all_primes if p % 8 == r]
+    merged = sorted(p for r in (1, 3, 5, 7) for p in table.primes_mod8(r).tolist())
     assert merged == [p for p in all_primes if p % 2]
+    # lo in each residue mod 8, tiny tables with empty classes, and a
+    # window near 1e9: each class is the filter of primes() by p % 8
+    spans = [(lo, lo + 500) for lo in range(1000, 1008)]
+    spans += [(2, 2), (3, 3), (9, 10), (10**9, 10**9 + 12_345)]
+    for lo, hi in spans:
+        table = arith.sieve(lo, hi)
+        p = table.primes()
+        for r in range(8):
+            cls = table.primes_mod8(r)
+            assert cls.dtype == np.int64, (lo, hi, r)
+            assert cls.tolist() == p[p % 8 == r].tolist(), (lo, hi, r)
+    with pytest.raises(ValueError):
+        table.primes_mod8(8)
 
 
 def test_prime_views_types():
-    # numpy out, Python ints for the scalar consumers (is_prime rejects
-    # numpy ints), and nothing memoised on the table
+    # fresh int64 arrays out (scalar consumers call .tolist(), since
+    # is_prime rejects numpy ints), and nothing memoised on the table
     table = arith.sieve(90, 3000)
     primes = table.primes()
     assert isinstance(primes, np.ndarray) and primes.dtype == np.int64
     assert primes is not table.primes()
     for r in range(8):
-        assert all(type(p) is int for p in table.primes_mod8(r))
-    assert all(arith.is_prime(p) for p in table.primes_mod8(5))
+        cls = table.primes_mod8(r)
+        assert isinstance(cls, np.ndarray) and cls.dtype == np.int64
+        assert cls.flags.writeable and not np.shares_memory(cls, table.flags)
+        assert not np.shares_memory(cls, table.primes_mod8(r))
+    assert all(arith.is_prime(p) for p in table.primes_mod8(5).tolist())
     assert sorted(vars(table)) == ["flags", "hi", "lo"]
     assert table.flags.dtype == bool and not table.flags.flags.writeable
 
@@ -123,6 +139,21 @@ def test_primes_peak_memory():
     assert primes[0] == 2 and primes[-1] == 4_194_301
     assert all(arith.is_prime(p) for p in primes[::997].tolist())
     assert peak < 1.5 * primes.nbytes, (peak, primes.nbytes)
+
+
+def test_primes_mod8_peak_memory():
+    # read from the strided view flags[first::8]: no full prime array,
+    # no copy of the view
+    table = arith.sieve(2, 2**22)
+    tracemalloc.start()
+    try:
+        cls = table.primes_mod8(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    p = table.primes()
+    assert cls.tolist() == p[p % 8 == 3].tolist()
+    assert peak < 1.5 * cls.nbytes, (peak, cls.nbytes)
 
 
 def test_sieve_validation():

@@ -206,30 +206,30 @@ def test_product_c8_factor_matches_ramanujan_sum():
     ms = list(range(1, 5000)) + [rng.randrange(2, 2**62) for _ in range(200)]
     for m in ms:
         want = circle._product_full(m) / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
-        assert circle.restricted_singular_series(m, "product").value == want, m
+        assert circle.restricted_singular_series(m, "product") == want, m
 
 
 def test_singular_product_vanishing():
     for m in range(1, 600):
-        s2 = circle.restricted_singular_series(m, "product").value
+        s2 = circle.restricted_singular_series(m, "product")
         if m % 2 or m % 8 == 4:
             assert s2 == 0.0, m
         else:
             assert s2 > 0.33, m
-        s1 = circle.singular_series(m, "product").value
+        s1 = circle.singular_series(m, "product")
         assert (s1 == 0.0) == (m % 2 == 1)
 
 
 def test_singular_product_examples():
     # m = 16 has no odd prime factors: S1 = 2*C2 and S2 = C2 exactly
-    assert circle.singular_series(16, "product").value == pytest.approx(
+    assert circle.singular_series(16, "product") == pytest.approx(
         2 * circle.TWIN_PRIME_CONSTANT, abs=1e-15
     )
-    assert circle.restricted_singular_series(16, "product").value == pytest.approx(
+    assert circle.restricted_singular_series(16, "product") == pytest.approx(
         circle.TWIN_PRIME_CONSTANT, abs=1e-15
     )
     # odd prime factors scale by (p-1)/(p-2)
-    assert circle.singular_series(6, "product").value == pytest.approx(
+    assert circle.singular_series(6, "product") == pytest.approx(
         2 * circle.TWIN_PRIME_CONSTANT * 2, abs=1e-12
     )
 
@@ -238,11 +238,11 @@ def test_singular_series_vs_product():
     rng = random.Random(19)
     for _ in range(60):
         m = 2 * rng.randrange(1, 5001)
-        series = circle.singular_series(m, "series", 10_000).value
-        product = circle.singular_series(m, "product").value
+        series = circle.singular_series(m, "series", 10_000)
+        product = circle.singular_series(m, "product")
         assert abs(series - product) < 1e-2, m
-        series2 = circle.restricted_singular_series(m, "series", 10_000).value
-        product2 = circle.restricted_singular_series(m, "product").value
+        series2 = circle.restricted_singular_series(m, "series", 10_000)
+        product2 = circle.restricted_singular_series(m, "product")
         assert abs(series2 - product2) < 1e-2, m
 
 
@@ -250,17 +250,17 @@ def test_restricted_series_identity():
     rng = random.Random(29)
     for _ in range(40):
         m = 2 * rng.randrange(1, 5001)
-        s1 = circle.singular_series(m, "series", 10_000).value
-        s2 = circle.restricted_singular_series(m, "series", 10_000).value
+        s1 = circle.singular_series(m, "series", 10_000)
+        s2 = circle.restricted_singular_series(m, "series", 10_000)
         predicted = s1 / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
         assert abs(s2 - predicted) < 1e-2, m
 
 
 def test_singular_value_metadata():
-    v = circle.singular_series(10, "series", 500)
-    assert (v.mode, v.truncation_q, v.m) == ("series", 500, 10)
-    v = circle.restricted_singular_series(10, "product")
-    assert (v.mode, v.truncation_q) == ("product", None)
+    # both series return a plain float in both modes
+    for fn in (circle.singular_series, circle.restricted_singular_series):
+        assert type(fn(10, "series", 500)) is float
+        assert type(fn(10, "product")) is float
     with pytest.raises(ValueError):
         circle.singular_series(10, "euler")
     with pytest.raises(ValueError):
@@ -299,7 +299,7 @@ def test_series_sum_matches_reference(monkeypatch, chunk):
     for m in SERIES_MS:
         for Q in SERIES_QS:
             for restricted in (False, True):
-                value = circle._series_sum(m, Q, restricted)
+                value = circle._series_sums(m, Q)[restricted]
                 assert type(value) is float
                 assert value == reference_series_sum(m, Q, restricted), (m, Q, restricted)
 
@@ -307,7 +307,7 @@ def test_series_sum_matches_reference(monkeypatch, chunk):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 2**80), st.integers(2, 2 * 10**4), st.booleans())
 def test_series_sum_property(m, Q, restricted):
-    assert circle._series_sum(m, Q, restricted) == reference_series_sum(m, Q, restricted)
+    assert circle._series_sums(m, Q)[restricted] == reference_series_sum(m, Q, restricted)
 
 
 @pytest.fixture(scope="module")
@@ -425,10 +425,24 @@ def test_compare_window_single_row(table):
     assert len(rows) == 1
     row = rows[0]
     r2 = circle.goldbach_restricted_sum(16, table)
-    s2 = circle.restricted_singular_series(16, "product").value
+    s2 = circle.restricted_singular_series(16, "product")
     assert row.restricted_sum == r2
     assert row.main_term == 16 * s2
     assert row.ratio == pytest.approx(r2 / (16 * s2), rel=1e-12)
+
+
+def test_window_sum_never_lists_all_primes(monkeypatch):
+    # the window sum reads each class with primes_mod8; it never builds
+    # the full prime array (the sieve itself does, so tables come first)
+    want = circle.compare_window(1000, 1100, 8, arith.sieve(2, 1100))
+    fresh = arith.sieve(2, 1100)
+    circle._restricted_primes.cache_clear()
+
+    def refuse(self):
+        raise AssertionError("PrimeTable.primes called")
+
+    monkeypatch.setattr(arith.PrimeTable, "primes", refuse)
+    assert circle.compare_window(1000, 1100, 8, fresh) == want
 
 
 def test_compare_window_rejects_vanishing(table):
