@@ -2,7 +2,9 @@
 
 Deterministic 64-bit primality, a segmented prime sieve whose table is
 one bool per value with residue-class views mod 8, Jacobi/Kronecker
-symbols, and factorization helpers.  Everything here is pure; values are
+symbols, square roots modulo primes and the roots of t*t + e*t + N
+modulo prime powers that the form enumeration builds on, and
+factorization helpers.  Everything here is pure; values are
 immutable once built, so concurrent use is safe.
 """
 
@@ -159,6 +161,80 @@ def kronecker(a: int, n: int) -> int:
         if a % 8 in (3, 5):
             result = -result
     return result * jacobi(a, n)
+
+
+def sqrt_mod_p(n: int, p: int) -> int | None:
+    """A square root of n modulo the prime p, or None for a non-residue.
+
+    Tonelli-Shanks (Cohen, Algorithm 1.5.1), with the direct power
+    n**((p + 1)/4) when p = 3 (mod 4).
+    """
+    n %= p
+    if n < 2:
+        return n
+    if pow(n, (p - 1) >> 1, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    if s == 1:
+        return pow(n, (p + 1) >> 2, p)
+    z = 2
+    while pow(z, (p - 1) >> 1, p) == 1:
+        z += 1
+    # invariants: r*r = n*t, c has order 2**m, t has order dividing 2**(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) >> 1, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, list[int]]]]]:
+    """Roots of f(t) = t*t + e*t + N modulo the prime powers up to top.
+
+    For d = 0 or 3 (mod 4), e = d mod 2 and N = (d + e)/4, 4*f(t) =
+    (2t + e)**2 + d, so a root t mod m gives b = 2t + e with
+    b*b = -d (mod 4m).  Returns, for each prime p <= top at which f has
+    a root, (p, [(p**j, the roots of f mod p**j) for p**j <= top]).
+    For odd p not dividing d the roots mod p are (-e +- sqrt(-d))/2 and
+    lift by Newton's step, f'(t) = 2t + e being a unit; at p = 2 and at
+    odd p | d they lift by search among the r + i*p**(j-1).
+    """
+    e = d & 1
+    n = (d + e) >> 2
+    out = []
+    for p in sieve(2, top).primes().tolist() if top >= 2 else []:
+        half = (p + 1) >> 1  # 1/2 mod odd p
+        newton = p > 2 and d % p
+        if p == 2:
+            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
+        elif not newton:
+            roots = [-e * half % p]  # the double root 2t + e = 0 (mod p)
+        else:
+            s = sqrt_mod_p(-d, p)
+            if s is None:
+                continue
+            roots = [(s - e) * half % p, (-s - e) * half % p]
+        q, levels = p, []
+        while roots:
+            levels.append((q, roots))
+            if q * p > top:
+                break
+            q *= p
+            if newton:
+                roots = [(t - (t * t + e * t + n) * pow(2 * t + e, -1, q)) % q for t in roots]
+            else:
+                step = q // p
+                roots = [u for t in roots for u in range(t, q, step)
+                         if (u * u + e * u + n) % q == 0]
+        if levels:
+            out.append((p, levels))
+    return out
 
 
 def _pollard_brent(n: int) -> int:

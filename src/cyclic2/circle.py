@@ -229,6 +229,7 @@ def _add_terms(total: float, terms: np.ndarray) -> float:
 _C8_FACTOR = {0: 2.0, 4: 0.0}
 
 
+@lru_cache(maxsize=8)
 def _product_full(m: int) -> float:
     # 0 for odd m; else 2*C2 * prod over odd p | m of (p-1)/(p-2)
     if m % 2:

@@ -23,6 +23,8 @@ from . import arith, circle, factory, forms
 CERT_COLUMNS = ["k", "M", "w", "x", "p1", "p2", "d", "symbol_ok", "h", "two_part", "cyclic"]
 GROUP_COLUMNS = ["d", "h", "two_part", "cyclic", "ambiguous"]
 
+MAX_SINGULAR_M = 1 << 64
+
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
@@ -118,12 +120,15 @@ def cmd_classgroup(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     columns = list(GROUP_COLUMNS)
     if args.forms:
         columns.append("forms")
-        row["forms"] = ";".join(str(f) for f in group)
+        row["forms"] = ";".join(",".join(map(str, f)) for f in group)
     return columns, [row]
 
 
 def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     m, q = args.m, args.truncation_q
+    if m >= MAX_SINGULAR_M:
+        # the product columns factorise m, which arith.factorize bounds
+        raise ValueError(f"--m must be below 2**64, got {m}")
     row = {
         "m": m,
         "full_series": circle.singular_series(m, "series", q),
@@ -195,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_classgroup)
 
     p = sub.add_parser("singular", help="singular series in both modes")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help="argument of S1 and S2, below 2**64")
     p.add_argument("--truncation-q", type=int, default=10_000,
                    help=f"series truncation, at most {circle.MAX_TRUNCATION_Q}")
     common(p, cmd_singular)

@@ -3,8 +3,11 @@
 Gauss reduction, classical composition, exhaustive class-number
 enumeration, element orders, and the 2-Sylow structure summary.  This
 module is the unconditional oracle the certificate pipeline checks its
-symbol criteria against.  Enumeration is still exhaustive (every
-candidate a is tried for every b), but vectorised with numpy over a.
+symbol criteria against.  Enumeration is exhaustive but O(sqrt(d)): for
+each a <= sqrt(d/3) it takes the square roots of -d mod 4a, built from
+Tonelli-Shanks roots mod each prime, rather than trying every a for
+every b.  Reduced forms are listed as plain (a, b, c) tuples; a `Form`
+is built only where one is composed.
 
 `class_number` reaches the number of classes of order <= 2 by three
 routes: the shape of the reduced forms, genus theory, and composition
@@ -16,15 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import starmap
 
 from . import arith
 
+# the oracle's stated input bound; nothing in it needs int64 any more, and
+# arith.sieve's span budget refuses the primes to sqrt(d/3) once d is
+# above about 3 * 2**56
 _I63 = 1 << 63
-# candidate a values tested per numpy call; bounds the arrays of one
-# enumeration step however large d is
-_A_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -167,46 +169,61 @@ def element_order(f: Form) -> int:
     return n
 
 
-def is_ambiguous(f: Form) -> bool:
-    """Whether the reduced form f is its own inverse (class order <= 2).
+def is_ambiguous(a: int, b: int, c: int) -> bool:
+    """Whether the reduced form (a, b, c) is its own inverse (class order <= 2).
 
     That holds exactly when (a, -b, c) reduces back to (a, b, c), which
     for a reduced form means b = 0, b = a or a = c.
     """
-    return f.b == 0 or f.b == f.a or f.a == f.c
+    return b == 0 or b == a or a == c
 
 
-def enumerate_reduced(d: int) -> list[Form]:
-    """All primitive reduced forms of discriminant -d, sorted by (a, b, c).
+def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
+    """All primitive reduced forms of discriminant -d, as (a, b, c) sorted.
 
     -d must be a valid discriminant, i.e. d = 3 (mod 4) or d = 0 (mod 4).
     Imprimitive forms do not belong to the class group and are skipped.
+    A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
+    a*c = f(t) = t*t + e*t + (d + e)/4.  So each a comes with the roots
+    of f mod a, combined by CRT from the roots modulo its prime powers
+    (`arith.roots_mod_prime_powers`) on a depth-first walk over the
+    primes up to sqrt(d/3); each root gives one b in (-a, a].  The work
+    is O(sqrt(d)) up to logarithmic factors.
     """
     if d < 3 or d % 4 not in (0, 3):
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
     if d >= _I63:
         raise ValueError(f"discriminant bound exceeded: d={d} >= 2**63")
-    # d < 2**63 keeps m = (b*b + d) // 4 <= d // 3 < 2**62 below, so m and
-    # every candidate a fit in int64 and `m % cand` cannot overflow.  Only
-    # the few divisors found leave numpy; the rest of each step is exact
-    # Python integer arithmetic.
-    out = []
-    b = d & 1
-    while 3 * b * b <= d:
-        m = (b * b + d) // 4
-        top = math.isqrt(m) + 1
-        for lo in range(max(b, 1), top, _A_CHUNK):
-            cand = np.arange(lo, min(lo + _A_CHUNK, top), dtype=np.int64)
-            for a in cand[m % cand == 0].tolist():
-                c = m // a
-                if math.gcd(math.gcd(a, b), c) != 1:
-                    continue
-                out.append(Form(a, b, c))
-                if b and b != a and a != c:
-                    out.append(Form(a, -b, c))
-        b += 2
-    out.sort(key=lambda f: (f.a, f.b, f.c))
-    return out
+    e = d & 1
+    top = math.isqrt(d // 3)
+    table = arith.roots_mod_prime_powers(d, top)
+    # depth-first over the primes: a node (a, roots of f mod a, index of
+    # the next prime a may take) is extended by each power of a later prime
+    rows = []  # per a, its forms sorted by b; rows sort by their first form
+    stack = [(1, [0], 0)]
+    while stack:
+        a, roots, start = stack.pop()
+        two_a, four_a = 2 * a, 4 * a
+        row = []
+        for b in sorted((2 * t + e + a - 1) % two_a - a + 1 for t in roots):
+            c = (b * b + d) // four_a
+            if (c > a or c == a and b >= 0) and math.gcd(a, b, c) == 1:
+                row.append((a, b, c))
+        if row:
+            rows.append(row)
+        for i in range(start, len(table)):
+            p, levels = table[i]
+            if a * p > top:
+                break
+            for q, qroots in levels:
+                aq = a * q
+                if aq > top:
+                    break
+                inv = pow(a, -1, q)
+                combined = [r + a * ((s - r) * inv % q) for r in roots for s in qroots]
+                stack.append((aq, combined, i + 1))
+    rows.sort()
+    return [f for row in rows for f in row]
 
 
 def _genus_ambiguous_count(d: int) -> int:
@@ -226,7 +243,9 @@ def _genus_ambiguous_count(d: int) -> int:
     return 1 << (mu - 1)
 
 
-def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
+def class_number(
+    d: int, group: list[tuple[int, int, int]] | None = None
+) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
     Three routes reach the number of classes of order <= 2, and any
@@ -243,7 +262,7 @@ def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
         group = enumerate_reduced(d)
     h = len(group)
     two_part = h & -h
-    ambiguous = sum(map(is_ambiguous, group))
+    ambiguous = sum(starmap(is_ambiguous, group))
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
         raise ArithmeticError(
@@ -252,7 +271,7 @@ def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
         )
     cyclic = ambiguous <= 2
     if not cyclic:
-        squares = len({compose(f, f) for f in group})
+        squares = len({compose(f, f) for f in starmap(Form, group)})
         if squares * ambiguous != h:
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
@@ -263,7 +282,7 @@ def class_number(d: int, group: list[Form] | None = None) -> ClassGroup2Summary:
         # subgroup of order two_part; such g exists iff the 2-Sylow
         # subgroup is cyclic.
         ident = principal_form(-d)
-        if not any(form_pow(f, h // 2) != ident for f in group):
+        if not any(form_pow(f, h // 2) != ident for f in starmap(Form, group)):
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: "
                 f"ambiguous_count={ambiguous}, but no element of order {two_part}"

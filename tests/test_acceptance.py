@@ -110,7 +110,7 @@ def test_criterion_5_product_formula():
     for d in range(3, 10_001, 4):
         if any(e > 1 for _, e in arith.factorize(d)):
             continue
-        norms = {f.a for f in forms.enumerate_reduced(d) if math.gcd(f.a, d) == 1}
+        norms = {a for a, _, _ in forms.enumerate_reduced(d) if math.gcd(a, d) == 1}
         for w in sorted(norms):
             report = criteria.square_class_report(w, d)
             assert math.prod(s for _, s in report.symbols) == 1, (w, d)
@@ -197,3 +197,18 @@ def test_criterion_9_determinism(tmp_path):
                          "--step", "8", "--output", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@criterion("10 level k=6 instance with two_part 64, by verify (runtime < 10 s)")
+def test_criterion_10_k6_instance(capsys):
+    t0 = time.monotonic()
+    code = cli.main(["verify", "--k", "6", "--m", "1", "--p1", "17179869053",
+                     "--p2", "131", "--d-max", "3000000000000"])
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == [
+        ",".join(cli.CERT_COLUMNS),
+        "6,1,2,8589934461,17179869053,131,2250562845943,true,570304,64,true",
+    ]
+    assert elapsed < 10, f"took {elapsed:.1f}s"

@@ -319,3 +319,16 @@ def test_mobius_phi_against_sieved_tables():
     for n in range(1, limit + 1):
         assert arith.mobius(n) == mu[n], n
         assert arith.euler_phi(n) == phi[n], n
+
+
+def test_sqrt_mod_p_every_residue():
+    # primes p = 1 (mod 8) run the Tonelli loop for more than one step
+    for p in arith.sieve(2, 2_000).primes().tolist():
+        squares = {x * x % p for x in range(p)}
+        for n in range(p):
+            r = arith.sqrt_mod_p(n, p)
+            if n in squares:
+                assert r is not None and 0 <= r < p and r * r % p == n, (n, p)
+            else:
+                assert r is None, (n, p)
+            assert arith.sqrt_mod_p(n - 3 * p, p) == r  # -d arrives negative

@@ -50,6 +50,34 @@ def test_singular_vanishing_reason(capsys):
     assert fields["restricted_product"] == "0"
 
 
+def test_singular_factorizes_m_once(capsys, monkeypatch):
+    # both product columns need the odd primes of m = 2 * (2**31 - 1) * 4294967291
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    circle._product_full.cache_clear()
+    code, _, _ = run(capsys, "singular", "--m", "18446744043644780554", "--truncation-q", "2")
+    assert code == 0
+    assert calls == [18446744043644780554]
+
+
+def test_singular_m_bound_refused_before_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work ran for an over-bound --m")
+
+    monkeypatch.setattr(circle, "singular_series", no_work)
+    monkeypatch.setattr(circle, "restricted_singular_series", no_work)
+    code, out, err = run(capsys, "singular", "--m", str(2**64 + 6))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.strip().splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "--m" in diag["message"] and "2**64" in diag["message"]
+    with pytest.raises(SystemExit):
+        cli.main(["singular", "--help"])
+    assert "below 2**64" in capsys.readouterr().out
+
+
 def test_verify_by_discriminant(capsys):
     code, out, _ = run(capsys, "verify", "--d", "39")
     assert code == 0

@@ -122,10 +122,10 @@ def test_square_class_product_formula_sweep():
     for d in range(3, 2000, 4):
         if any(e > 1 for _, e in arith.factorize(d)):
             continue
-        for f in forms.enumerate_reduced(d):
-            if math.gcd(f.a, d) != 1 or f.a == 1:
+        for a, _, _ in forms.enumerate_reduced(d):
+            if math.gcd(a, d) != 1 or a == 1:
                 continue
-            r = criteria.square_class_report(f.a, d)
+            r = criteria.square_class_report(a, d)
             assert math.prod(s for _, s in r.symbols) == 1
             count += 1
     assert count > 500

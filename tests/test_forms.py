@@ -16,6 +16,11 @@ def valid_discriminants(limit, start=3):
     return [d for d in range(start, limit + 1) if d % 4 in (0, 3)]
 
 
+def enumerated_forms(d):
+    """The reduced forms of discriminant -d as `Form`s, for composing."""
+    return [Form(*t) for t in forms.enumerate_reduced(d)]
+
+
 def is_reduced(f: Form) -> bool:
     """-a < b <= a <= c, with b >= 0 when a == c."""
     return -f.a < f.b <= f.a <= f.c and (f.b >= 0 or f.a != f.c)
@@ -84,7 +89,7 @@ def test_reduce_idempotent_and_reduced():
 def test_reduce_recovers_class_along_orbits():
     rng = random.Random(9)
     for d in rng.sample(valid_discriminants(400), 30):
-        for f in forms.enumerate_reduced(d):
+        for f in enumerated_forms(d):
             g = f
             for _ in range(6):
                 k = rng.randrange(-3, 4)
@@ -147,7 +152,7 @@ def test_compose_discriminant_mismatch():
 def test_group_laws_small_discriminants():
     rng = random.Random(17)
     for d in valid_discriminants(1000):
-        group = forms.enumerate_reduced(d)
+        group = enumerated_forms(d)
         ident = forms.principal_form(-d)
         assert ident in group
         for f in group:
@@ -223,7 +228,7 @@ def test_genus_count_law():
     # count of the enumerated forms and against class_number
     cases = set()
     for d in valid_discriminants(10_000):
-        shape = sum(map(forms.is_ambiguous, forms.enumerate_reduced(d)))
+        shape = sum(forms.is_ambiguous(*t) for t in forms.enumerate_reduced(d))
         assert forms._genus_ambiguous_count(d) == shape, d
         assert forms.class_number(d).ambiguous_count == shape, d
         odd_part = d >> ((d & -d).bit_length() - 1)
@@ -254,7 +259,7 @@ def test_class_number_rejects_disagreeing_genus(monkeypatch):
 
 def compose_ambiguous_count(d, group):
     ident = forms.principal_form(-d)
-    return sum(forms.compose(f, f) == ident for f in group)
+    return sum(forms.compose(f, f) == ident for f in (Form(*t) for t in group))
 
 
 def sampled_discriminants():
@@ -283,18 +288,36 @@ def test_enumerate_matches_reference(ds, witness_scan):
     for d in ds:
         group = forms.enumerate_reduced(d)
         assert group == reference_enumerate(d), d
-        shape = sum(forms.is_ambiguous(f) for f in group)
+        shape = sum(forms.is_ambiguous(*t) for t in group)
         assert shape == compose_ambiguous_count(d, group), d
         if witness_scan:
             verdict = forms.class_number(d, group).cyclic_2sylow
             assert verdict == reference_witness_cyclic(group, len(group)), d
 
 
-def test_enumerate_chunked_candidates_match_reference(monkeypatch):
-    # a tiny chunk splits the candidate range of every b several times
-    monkeypatch.setattr(forms, "_A_CHUNK", 7)
-    for d in valid_discriminants(3_000) + [999_999, 1_000_000]:
-        assert forms.enumerate_reduced(d) == reference_enumerate(d), d
+def is_fundamental(d):
+    """-d is a fundamental discriminant."""
+    if d % 4 == 3:
+        return all(e == 1 for _, e in arith.factorize(d))
+    return d % 16 in (4, 8) and all(e == 1 for _, e in arith.factorize(d // 4))
+
+
+def test_enumerate_non_fundamental_matches_reference():
+    # d = f**2 * d0: roots mod 2**j and mod p**j with p**2 | d are found
+    # by lifting with a search, not by Newton's step
+    fundamental = [d0 for d0 in valid_discriminants(120) if is_fundamental(d0)]
+    assert {d0 % 4 for d0 in fundamental} == {0, 3}
+    cases = 0
+    for f in (2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64):
+        for d0 in fundamental:
+            d = f * f * d0
+            if d >= 10**6:
+                continue
+            group = forms.enumerate_reduced(d)
+            assert group == reference_enumerate(d), d
+            assert forms.class_number(d, group).h == len(group), d
+            cases += 1
+    assert cases > 200
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -319,7 +342,7 @@ def test_element_order_examples():
 def test_element_order_divides_class_number():
     for d in (39, 47, 71, 95, 183):
         h = forms.class_number(d).h
-        for f in forms.enumerate_reduced(d):
+        for f in enumerated_forms(d):
             assert h % forms.element_order(f) == 0
 
 
