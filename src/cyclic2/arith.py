@@ -1,7 +1,7 @@
 """Integer and multiplicative-function primitives.
 
 Deterministic 64-bit primality, a segmented prime sieve whose table is
-one bool per value with residue-class views mod 8, Jacobi/Kronecker
+one byte per value with residue-class views mod 8, Jacobi/Kronecker
 symbols, square roots modulo primes and the roots of t*t + e*t + N
 modulo prime powers that the form enumeration builds on, and
 factorization helpers.  Everything here is pure; values are
@@ -11,15 +11,14 @@ immutable once built, so concurrent use is safe.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import compress
 
 _U64 = 1 << 64
 
 # First twelve primes: a witness set proven deterministic far beyond 2**64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-SEGMENT_SIZE = 1 << 22       # sieve segment, in table entries
+SEGMENT_SIZE = 1 << 20       # sieve segment, in table entries
 DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries of one byte
 
 
@@ -49,22 +48,22 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeTable:
-    """Primality over an inclusive range [lo, hi], one bool per value.
+    """Primality over an inclusive range [lo, hi], one byte per value.
 
-    flags[i] is True iff lo + i is prime; the array is read-only.
-    `primes()` and `primes_mod8(r)` are fresh, increasing int64 arrays,
-    recomputed on each call; `primes_mod8` reads only the strided view
-    flags[(r - lo) % 8 :: 8].
+    flags is a read-only memoryview of unsigned bytes; flags[i] is 1 iff
+    lo + i is prime, else 0.  `primes()` and `primes_mod8(r)` are fresh,
+    increasing lists of ints, recomputed on each call; `primes_mod8`
+    reads only the strided view flags[(r - lo) % 8 :: 8].
     """
 
-    def __init__(self, lo: int, hi: int, flags: np.ndarray):
+    def __init__(self, lo: int, hi: int, flags: memoryview):
         if lo < 2 or hi < lo:
             raise ValueError("PrimeTable requires 2 <= lo <= hi")
-        if not isinstance(flags, np.ndarray) or flags.dtype != bool:
-            raise ValueError("PrimeTable flags must be a bool ndarray")
-        if flags.shape != (hi - lo + 1,):
+        if not (isinstance(flags, memoryview) and flags.readonly
+                and flags.format == "B" and flags.ndim == 1):
+            raise ValueError("PrimeTable flags must be a read-only memoryview of bytes")
+        if len(flags) != hi - lo + 1:
             raise ValueError("flags length does not match range")
-        flags.setflags(write=False)
         self.lo = lo
         self.hi = hi
         self.flags = flags
@@ -72,35 +71,27 @@ class PrimeTable:
     def covers(self, lo: int, hi: int) -> bool:
         return self.lo <= lo and hi <= self.hi
 
-    def __contains__(self, n: int) -> bool:
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"{n} outside table range [{self.lo}, {self.hi}]")
-        return bool(self.flags[n - self.lo])
+    def primes(self) -> list[int]:
+        """All primes in [lo, hi], increasing, as a fresh list."""
+        return list(compress(range(self.lo, self.hi + 1), self.flags))
 
-    def primes(self) -> np.ndarray:
-        """All primes in [lo, hi], increasing, as a fresh int64 array."""
-        out = np.flatnonzero(self.flags)
-        out += self.lo
-        return out
-
-    def primes_mod8(self, r: int) -> np.ndarray:
-        """Primes in range with p % 8 == r, increasing, as a fresh int64 array."""
+    def primes_mod8(self, r: int) -> list[int]:
+        """Primes in range with p % 8 == r, increasing, as a fresh list."""
         if not 0 <= r <= 7:
             raise ValueError("residue must be in 0..7")
         first = (r - self.lo) % 8
-        # nonzero, not flatnonzero: ravel would copy the strided view
-        out = np.nonzero(self.flags[first::8])[0]
-        out *= 8
-        out += self.lo + first
-        return out
+        return list(compress(range(self.lo + first, self.hi + 1, 8), self.flags[first::8]))
 
 
 def sieve(lo: int, hi: int) -> PrimeTable:
-    """Segmented sieve of [lo, hi] inclusive.
+    """Segmented sieve of [lo, hi] inclusive, into one byte per value.
 
     Crosses off SEGMENT_SIZE entries of the table at a time, with base
-    primes from a recursive sieve of [2, isqrt(hi)].  Raises when the
-    requested span exceeds the memory budget.
+    primes from a recursive sieve of [2, isqrt(hi)].  Every crossing-off
+    reads a slice of one shared zero buffer; CPython still copies that
+    slice before a strided store, so the transient per prime is at most
+    SEGMENT_SIZE / 2 bytes.  Raises when the requested span exceeds the
+    memory budget.
     """
     if lo < 2 or hi < lo:
         raise ValueError("sieve requires 2 <= lo <= hi")
@@ -110,16 +101,16 @@ def sieve(lo: int, hi: int) -> PrimeTable:
             f"sieve range of {span} entries exceeds the budget of {DEFAULT_MAX_SPAN}"
         )
     root = math.isqrt(hi)
-    base_primes = sieve(2, root).primes().tolist() if root >= 2 else []
-    flags = np.ones(span, dtype=bool)
-    for start in range(0, span, SEGMENT_SIZE):
-        seg = flags[start : start + SEGMENT_SIZE]
-        pos, end = lo + start, lo + start + len(seg)
+    base_primes = sieve(2, root).primes() if root >= 2 else []
+    flags = bytearray(b"\x01") * span
+    zeros = memoryview(bytes((min(span, SEGMENT_SIZE) + 1) // 2))
+    for start in range(lo, hi + 1, SEGMENT_SIZE):
+        end = min(start + SEGMENT_SIZE, hi + 1)
         for p in base_primes:
-            first = max(p * p, (pos + p - 1) // p * p)
+            first = max(p * p, (start + p - 1) // p * p)
             if first < end:
-                seg[first - pos :: p] = False
-    return PrimeTable(lo, hi, flags)
+                flags[first - lo : end - lo : p] = zeros[: (end - 1 - first) // p + 1]
+    return PrimeTable(lo, hi, memoryview(flags).toreadonly())
 
 
 def jacobi(a: int, n: int) -> int:
@@ -208,7 +199,7 @@ def roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, 
     e = d & 1
     n = (d + e) >> 2
     out = []
-    for p in sieve(2, top).primes().tolist() if top >= 2 else []:
+    for p in sieve(2, top).primes() if top >= 2 else []:
         half = (p + 1) >> 1  # 1/2 mod odd p
         newton = p > 2 and d % p
         if p == 2:

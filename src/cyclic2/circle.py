@@ -21,15 +21,18 @@ and two singular series, each returned as a float:
 S2 vanishes exactly for m odd or m = 4 (mod 8) (vanishing_reason); sums
 of two primes that are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The
 restricted representation count weighs ordered pairs by log p1 * log p2,
-over the two classes read by PrimeTable.primes_mod8, and compare_window
-tabulates its ratio against the predicted main term n * S2(n), for
-windows of at most MAX_WINDOW_WORK = rows * n_hi.
+over the two classes read from strided views of PrimeTable.flags, and
+compare_window tabulates its ratio against the predicted main term
+n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.
 
 The truncated series and the window sum are numpy expressions that add
 their terms left to right in increasing q (resp. p, 3 class first), the
 order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
-(tests/reference_circle.py keeps them as the test oracle).
+(tests/reference_circle.py keeps them as the test oracle).  This is the
+only module that uses numpy.  It imports numpy inside the functions that
+build arrays, so importing the module (the CLI reads its bounds) does not
+load numpy.
 """
 
 from __future__ import annotations
@@ -38,11 +41,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import arith
 from .arith import PrimeTable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # prod over odd primes of (1 - (p-1)**-2), 20 significant digits.
 # Truncating the defining product at P only converges like 1/(P log P)
@@ -157,10 +162,13 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     # only i*p with i <= limit // p < sqrt(limit), so those updates run per
     # cofactor i for all such p at once (Bertrand: at least one p exists).
     # The updates commute: sign flips do, and phi -= phi // p is exact
-    # whatever primes of the index came before.
+    # whatever primes of the index came before.  The prime table is
+    # dropped before mu and phi are allocated.
+    import numpy as np
+    primes = np.flatnonzero(np.frombuffer(arith.sieve(2, limit).flags, dtype=bool))
+    primes += 2
     mu = np.ones(limit + 1, dtype=np.int8)
     phi = np.arange(limit + 1, dtype=np.int64)
-    primes = arith.sieve(2, limit).primes()
     split = np.searchsorted(primes, math.isqrt(limit), side="right")
     for p in primes[:split].tolist():
         mu[p::p] *= -1
@@ -187,6 +195,7 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         raise ValueError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
+    import numpy as np
     mu, phi = _mult_tables(Q)
     # gcd(q, m) = gcd(q, m mod q); m mod q is built from m's 32-bit limbs,
     # most significant first, and r < q < 2**24 keeps r * 2**32 in int64.
@@ -208,8 +217,8 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         live = mq != 0
         # mu2(q)**2 is 2 at q = 8*q0 with q0 odd and squarefree, 0 at
         # other multiples of 8, and mu(q)**2 / 4 elsewhere.
-        q0, residue = np.divmod(q, 8)
-        eighth = residue == 0
+        q0 = q >> 3
+        eighth = (q & 7) == 0
         keep = np.where(eighth, (q0 % 2 == 1) & (mu[q0] != 0), squarefree) & live
         coeff = np.where(eighth, 2.0, 0.25)
         full = _add_terms(full, (c / sq)[squarefree & live])
@@ -219,6 +228,7 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
 
 def _add_terms(total: float, terms: np.ndarray) -> float:
     # total + terms[0] + terms[1] + ..., left to right
+    import numpy as np
     if not terms.size:
         return total
     return float(np.cumsum(np.concatenate(([total], terms)))[-1])
@@ -284,18 +294,34 @@ def restricted_singular_series(
     return _singular("restricted_singular_series", m, mode, truncation_q, True)
 
 
+def _class_primes(table: PrimeTable, r: int) -> np.ndarray:
+    """The primes p = r (mod 8) of `table`, increasing, as an int64 array.
+
+    Read from the strided view flags[(r - lo) % 8 :: 8] of the table's
+    bytes, which is never copied, and no list of Python ints is built.
+    """
+    import numpy as np
+    first = (r - table.lo) % 8
+    # nonzero, not flatnonzero: ravel would copy the strided view
+    out = np.nonzero(np.frombuffer(table.flags, dtype=bool)[first::8])[0]
+    out *= 8
+    out += table.lo + first
+    return out
+
+
 @lru_cache(maxsize=4)
 def _restricted_primes(table: PrimeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The primes 3 and 5 mod 8 of `table`, for the window sum.
 
     Maps each class r in (3, 5) to its primes, increasing, as read by
-    `table.primes_mod8(r)`, and their math.log values.  The full prime
-    list is never built.  Primality of n - p is read from table.flags, so
-    nothing here is indexed by value.
+    `_class_primes`, and their math.log values.  The full prime list is
+    never built.  Primality of n - p is read from table.flags, so nothing
+    here is indexed by value.
     """
+    import numpy as np
     classes = {}
     for r in (3, 5):
-        cls = table.primes_mod8(r)
+        cls = _class_primes(table, r)
         # math.log per prime; chunks bound the transient list of Python ints
         logs = np.empty(len(cls))
         for start in range(0, len(cls), _SERIES_CHUNK):
@@ -319,7 +345,9 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
         raise ValueError(
             f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
         )
+    import numpy as np
     classes = _restricted_primes(table)
+    flags = np.frombuffer(table.flags, dtype=bool)
     total = 0.0
     for r, (cls, cls_logs) in classes.items():
         # n - p lies in the class (n - r) % 8 for every p of class r
@@ -328,7 +356,7 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
         q_cls, q_logs = classes[(n - r) % 8]
         k = np.searchsorted(cls, n // 2, side="right")
         p, log_p = cls[:k], cls_logs[:k]
-        hit = table.flags[n - p - table.lo]
+        hit = flags[n - p - table.lo]
         p, log_p = p[hit], log_p[hit]
         q = n - p
         terms = log_p * q_logs[np.searchsorted(q_cls, q)]

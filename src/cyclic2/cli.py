@@ -83,7 +83,7 @@ def _cert_row(cert: factory.Certificate) -> dict:
 def cmd_search(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
-    certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=args.d_max)
+    certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=_d_budget(args))
     return CERT_COLUMNS, [_cert_row(c) for c in certs]
 
 
@@ -97,9 +97,16 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
     }
 
 
+def _d_budget(args: argparse.Namespace) -> int:
+    """--d-max, refused above the oracle's own bound before any work."""
+    if args.d_max > forms.MAX_D:
+        raise ValueError(f"--d-max {args.d_max} exceeds the oracle bound {forms.MAX_D}")
+    return args.d_max
+
+
 def _budgeted_d(args: argparse.Namespace) -> int:
     """--d for the oracle, refused before any enumeration above --d-max."""
-    if args.d > args.d_max:
+    if args.d > _d_budget(args):
         raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
     return args.d
 
@@ -109,7 +116,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
         return GROUP_COLUMNS, [_group_row(forms.class_number(_budgeted_d(args)))]
     if None in (args.k, args.m, args.p1, args.p2):
         raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
-    cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=args.d_max)
+    cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
     return CERT_COLUMNS, [_cert_row(cert)]
 
 
@@ -174,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def d_max(p):
         p.add_argument("--d-max", type=int, default=factory.DEFAULT_D_BUDGET,
-                       help="largest discriminant the enumeration oracle will accept")
+                       help="largest discriminant the enumeration oracle will accept, "
+                       f"at most {forms.MAX_D}")
 
     p = sub.add_parser("search", help="emit certificates for a multiplier range")
     p.add_argument("--k", type=int, required=True)

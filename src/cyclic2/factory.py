@@ -99,7 +99,7 @@ def find_pairs(
     pairs = [
         (p, n - p) if r == r1 else (n - p, p)
         for r in (r1, r2)
-        for p in table.primes_mod8(r).tolist()
+        for p in table.primes_mod8(r)
         if arith.is_prime(n - p)
     ]
     return sorted(pairs)

@@ -23,10 +23,13 @@ from itertools import starmap
 
 from . import arith
 
-# the oracle's stated input bound; nothing in it needs int64 any more, and
-# arith.sieve's span budget refuses the primes to sqrt(d/3) once d is
-# above about 3 * 2**56
-_I63 = 1 << 63
+# The oracle's input bound.  Memory grows with h, about 160 bytes per
+# reduced form, and h reaches about 2.3 * sqrt(d) when -d is a square
+# modulo many small primes.  Near the bound, d = 2,898,422,567,039
+# (h = 3,836,444, non-cyclic) peaks at 754 MB RSS as a `verify --d`
+# child; at d = 9,626,903,526,239 (h = 7,154,574) the peak was 1.1 GB.
+# The bound admits the k = 6 certificate, d = 2,250,562,845,943.
+MAX_D = 3 * 10**12
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,8 @@ def is_ambiguous(a: int, b: int, c: int) -> bool:
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms of discriminant -d, as (a, b, c) sorted.
 
-    -d must be a valid discriminant, i.e. d = 3 (mod 4) or d = 0 (mod 4).
+    -d must be a valid discriminant, i.e. d = 3 (mod 4) or d = 0 (mod 4),
+    and d at most MAX_D, which is checked before any prime is sieved.
     Imprimitive forms do not belong to the class group and are skipped.
     A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
     a*c = f(t) = t*t + e*t + (d + e)/4.  So each a comes with the roots
@@ -192,8 +196,8 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """
     if d < 3 or d % 4 not in (0, 3):
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
-    if d >= _I63:
-        raise ValueError(f"discriminant bound exceeded: d={d} >= 2**63")
+    if d > MAX_D:
+        raise ValueError(f"discriminant bound exceeded: d={d} > {MAX_D}")
     e = d & 1
     top = math.isqrt(d // 3)
     table = arith.roots_mod_prime_powers(d, top)

@@ -23,7 +23,7 @@ def reference_mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Mobius and totient arrays for 0..limit, one slice update per prime."""
     mu = np.ones(limit + 1, dtype=np.int64)
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in arith.sieve(2, max(limit, 2)).primes().tolist():
+    for p in arith.sieve(2, max(limit, 2)).primes():
         if p > limit:
             break
         mu[p::p] *= -1
@@ -66,11 +66,11 @@ def reference_series_sum(m: int, Q: int, restricted: bool) -> float:
 def restricted_prime_pairs(n: int, table: PrimeTable):
     """Yield (p, n - p) with p <= n - p, both prime and 3 or 5 mod 8."""
     for r in (3, 5):
-        for p in table.primes_mod8(r).tolist():
+        for p in table.primes_mod8(r):
             if 2 * p > n:
                 break
             q = n - p
-            if q % 8 in (3, 5) and q in table:
+            if q % 8 in (3, 5) and table.flags[q - table.lo]:
                 yield p, q
 
 
@@ -111,7 +111,7 @@ def goldbach_lambda_sum(d: int, table: PrimeTable) -> float:
             f"prime table [{table.lo}, {table.hi}] does not cover [2, {d}]"
         )
     weights: dict[int, float] = {}
-    for p in table.primes().tolist():
+    for p in table.primes():
         if p > d - 2:
             break
         lp = math.log(p)

@@ -23,10 +23,10 @@ def table_pairs(
         )
     r1, r2 = (1, 7) if negative else (5, 3)
     pairs = []
-    for p1 in table.primes_mod8(r1).tolist():
+    for p1 in table.primes_mod8(r1):
         if p1 > n - 3:
             break
         p2 = n - p1
-        if p2 % 8 == r2 and p2 != p1 and p2 in table:
+        if p2 % 8 == r2 and p2 != p1 and table.flags[p2 - table.lo]:
             pairs.append((p1, p2))
     return pairs

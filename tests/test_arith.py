@@ -2,9 +2,9 @@
 
 import math
 import random
+import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from cyclic2 import arith
@@ -57,17 +57,17 @@ def test_is_prime_domain():
 
 
 def test_sieve_examples():
-    assert arith.sieve(2, 20).primes().tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert arith.sieve(2, 2).primes().tolist() == [2]
-    assert arith.sieve(90, 100).primes().tolist() == [97]
+    assert arith.sieve(2, 20).primes() == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert arith.sieve(2, 2).primes() == [2]
+    assert arith.sieve(90, 100).primes() == [97]
 
 
 def test_sieve_matches_trial_division():
     table = arith.sieve(2, 100_000)
     expected = [n for n in range(2, 100_001) if trial_is_prime(n)]
-    assert table.primes().tolist() == expected
-    for n in (2, 3, 4, 9973, 99990, 99991):
-        assert (n in table) == trial_is_prime(n)
+    assert table.primes() == expected
+    # one byte per value, exactly 0 or 1
+    assert bytes(table.flags) == bytes(trial_is_prime(n) for n in range(2, 100_001))
 
 
 def test_sieve_offset_window():
@@ -77,23 +77,23 @@ def test_sieve_offset_window():
         # trial_is_prime steps by 1, too slow near 1e9: is_prime there
         oracle = trial_is_prime if hi < 10**7 else arith.is_prime
         table = arith.sieve(lo, hi)
-        assert table.primes().tolist() == [
+        assert table.primes() == [
             n for n in range(lo, hi + 1) if oracle(n)
         ], (lo, hi)
 
 
 def test_sieve_segment_boundaries(monkeypatch):
-    reference = arith.sieve(2, 5000).primes().tolist()
+    reference = arith.sieve(2, 5000).primes()
     monkeypatch.setattr(arith, "SEGMENT_SIZE", 64)
-    assert arith.sieve(2, 5000).primes().tolist() == reference
+    assert arith.sieve(2, 5000).primes() == reference
 
 
 def test_sieve_residue_views():
     table = arith.sieve(2, 3000)
-    all_primes = table.primes().tolist()
+    all_primes = table.primes()
     for r in range(8):
-        assert table.primes_mod8(r).tolist() == [p for p in all_primes if p % 8 == r]
-    merged = sorted(p for r in (1, 3, 5, 7) for p in table.primes_mod8(r).tolist())
+        assert table.primes_mod8(r) == [p for p in all_primes if p % 8 == r]
+    merged = sorted(p for r in (1, 3, 5, 7) for p in table.primes_mod8(r))
     assert merged == [p for p in all_primes if p % 2]
     # lo in each residue mod 8, tiny tables with empty classes, and a
     # window near 1e9: each class is the filter of primes() by p % 8
@@ -103,31 +103,35 @@ def test_sieve_residue_views():
         table = arith.sieve(lo, hi)
         p = table.primes()
         for r in range(8):
-            cls = table.primes_mod8(r)
-            assert cls.dtype == np.int64, (lo, hi, r)
-            assert cls.tolist() == p[p % 8 == r].tolist(), (lo, hi, r)
+            assert table.primes_mod8(r) == [q for q in p if q % 8 == r], (lo, hi, r)
     with pytest.raises(ValueError):
         table.primes_mod8(8)
 
 
 def test_prime_views_types():
-    # fresh int64 arrays out (scalar consumers call .tolist(), since
-    # is_prime rejects numpy ints), and nothing memoised on the table
+    # fresh lists of ints out, nothing memoised on the table, and the
+    # table itself a read-only memoryview of bytes
     table = arith.sieve(90, 3000)
     primes = table.primes()
-    assert isinstance(primes, np.ndarray) and primes.dtype == np.int64
+    assert type(primes) is list and all(type(p) is int for p in primes)
     assert primes is not table.primes()
+    primes.append(0)
+    assert table.primes()[-1] == 2999
     for r in range(8):
         cls = table.primes_mod8(r)
-        assert isinstance(cls, np.ndarray) and cls.dtype == np.int64
-        assert cls.flags.writeable and not np.shares_memory(cls, table.flags)
-        assert not np.shares_memory(cls, table.primes_mod8(r))
-    assert all(arith.is_prime(p) for p in table.primes_mod8(5).tolist())
+        assert type(cls) is list and all(type(p) is int for p in cls)
+        assert cls is not table.primes_mod8(r)
+    assert all(arith.is_prime(p) for p in table.primes_mod8(5))
     assert sorted(vars(table)) == ["flags", "hi", "lo"]
-    assert table.flags.dtype == bool and not table.flags.flags.writeable
+    flags = table.flags
+    assert isinstance(flags, memoryview) and flags.readonly
+    assert flags.format == "B" and flags.ndim == 1 and len(flags) == 3000 - 90 + 1
+    with pytest.raises(TypeError):
+        flags[7] = 1
 
 
 def test_primes_peak_memory():
+    # the list and its ints are the only allocation of any size
     table = arith.sieve(2, 2**22)
     tracemalloc.start()
     try:
@@ -137,23 +141,23 @@ def test_primes_peak_memory():
         tracemalloc.stop()
     assert len(primes) == 295_947  # pi(2**22)
     assert primes[0] == 2 and primes[-1] == 4_194_301
-    assert all(arith.is_prime(p) for p in primes[::997].tolist())
-    assert peak < 1.5 * primes.nbytes, (peak, primes.nbytes)
+    assert all(arith.is_prime(p) for p in primes[::997])
+    size = sys.getsizeof(primes) + sum(map(sys.getsizeof, primes))
+    assert peak < 1.5 * size, (peak, size)
 
 
-def test_primes_mod8_peak_memory():
-    # read from the strided view flags[first::8]: no full prime array,
-    # no copy of the view
-    table = arith.sieve(2, 2**22)
+def test_sieve_peak_memory():
+    # one byte per value; the segments bound the crossing-off transients,
+    # so no per-prime temporary of the table's size is ever alive
+    span = 2**22 - 1
     tracemalloc.start()
     try:
-        cls = table.primes_mod8(3)
+        table = arith.sieve(2, 2**22)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    p = table.primes()
-    assert cls.tolist() == p[p % 8 == 3].tolist()
-    assert peak < 1.5 * cls.nbytes, (peak, cls.nbytes)
+    assert len(table.flags) == span
+    assert peak < 1.6 * span, (peak, span)
 
 
 def test_sieve_validation():
@@ -163,18 +167,19 @@ def test_sieve_validation():
         arith.sieve(10, 5)
     with pytest.raises(ValueError):
         arith.sieve(2, arith.DEFAULT_MAX_SPAN + 2)
-    table = arith.sieve(2, 50)
-    with pytest.raises(ValueError):
-        51 in table
 
 
 @pytest.mark.parametrize("flags", [
-    np.ones(48, dtype=bool), np.ones(50, dtype=bool),
-    np.ones(49, dtype=np.uint8), np.ones((7, 7), dtype=bool), [True] * 49,
+    memoryview(bytes(48)), memoryview(bytes(50)),            # wrong length
+    memoryview(bytearray(49)),                               # writable
+    memoryview(bytes(98)).cast("H"),                         # not bytes
+    memoryview(bytes(49)).cast("B", (7, 7)),                 # two-dimensional
+    bytes(49), [1] * 49,                                     # not a memoryview
 ])
 def test_prime_table_rejects_bad_flags(flags):
     with pytest.raises(ValueError):
         arith.PrimeTable(2, 50, flags)
+    assert arith.PrimeTable(2, 50, memoryview(bytes(49))).hi == 50
 
 
 # ------------------------------------------------------------------ jacobi
@@ -188,7 +193,7 @@ def test_jacobi_examples():
 
 
 def test_jacobi_euler_criterion():
-    for p in arith.sieve(3, 499).primes().tolist():
+    for p in arith.sieve(3, 499).primes():
         for a in range(p):
             e = pow(a, (p - 1) // 2, p)
             expected = 0 if e == 0 else (1 if e == 1 else -1)
@@ -310,7 +315,7 @@ def test_mobius_phi_against_sieved_tables():
     limit = 3000
     mu = [1] * (limit + 1)
     phi = list(range(limit + 1))
-    for p in arith.sieve(2, limit).primes().tolist():
+    for p in arith.sieve(2, limit).primes():
         for k in range(p, limit + 1, p):
             mu[k] *= -1
             phi[k] -= phi[k] // p
@@ -323,7 +328,7 @@ def test_mobius_phi_against_sieved_tables():
 
 def test_sqrt_mod_p_every_residue():
     # primes p = 1 (mod 8) run the Tonelli loop for more than one step
-    for p in arith.sieve(2, 2_000).primes().tolist():
+    for p in arith.sieve(2, 2_000).primes():
         squares = {x * x % p for x in range(p)}
         for n in range(p):
             r = arith.sqrt_mod_p(n, p)

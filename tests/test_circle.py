@@ -4,7 +4,9 @@ and representation counters, each against a direct-evaluation oracle."""
 import cmath
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,7 +195,7 @@ def test_ramanujan_multiplicative():
 
 def test_twin_prime_constant_against_partial_product():
     partial = 1.0
-    for p in arith.sieve(3, 1_000_000).primes().tolist():
+    for p in arith.sieve(3, 1_000_000).primes():
         partial *= 1 - 1 / (p - 1) ** 2
     # the truncated product converges like 1/(P log P)
     assert abs(partial - circle.TWIN_PRIME_CONSTANT) < 1e-6
@@ -432,17 +434,46 @@ def test_compare_window_single_row(table):
 
 
 def test_window_sum_never_lists_all_primes(monkeypatch):
-    # the window sum reads each class with primes_mod8; it never builds
-    # the full prime array (the sieve itself does, so tables come first)
+    # the window sum reads each class from the table's bytes as an array;
+    # it never builds a list of primes (the sieve itself does, for its
+    # base primes, so tables come first)
     want = circle.compare_window(1000, 1100, 8, arith.sieve(2, 1100))
     fresh = arith.sieve(2, 1100)
     circle._restricted_primes.cache_clear()
 
-    def refuse(self):
-        raise AssertionError("PrimeTable.primes called")
+    def refuse(*args):
+        raise AssertionError("a prime list was built")
 
     monkeypatch.setattr(arith.PrimeTable, "primes", refuse)
+    monkeypatch.setattr(arith.PrimeTable, "primes_mod8", refuse)
     assert circle.compare_window(1000, 1100, 8, fresh) == want
+
+
+def test_class_primes_match_table():
+    # int64 arrays, equal to the table's own lists, for lo in each
+    # residue mod 8, tiny tables with empty classes and a window near 1e9
+    spans = [(lo, lo + 500) for lo in range(1000, 1008)]
+    spans += [(2, 2), (3, 3), (9, 10), (2, 3000), (10**9, 10**9 + 12_345)]
+    for lo, hi in spans:
+        table = arith.sieve(lo, hi)
+        for r in range(8):
+            cls = circle._class_primes(table, r)
+            assert cls.dtype == np.int64 and cls.flags.writeable, (lo, hi, r)
+            assert cls.tolist() == table.primes_mod8(r), (lo, hi, r)
+
+
+def test_class_primes_peak_memory():
+    # read from the strided view flags[first::8]: no full prime array,
+    # no copy of the view
+    table = arith.sieve(2, 2**22)
+    tracemalloc.start()
+    try:
+        cls = circle._class_primes(table, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cls.tolist() == table.primes_mod8(3)
+    assert peak < 1.5 * cls.nbytes, (peak, cls.nbytes)
 
 
 def test_compare_window_rejects_vanishing(table):

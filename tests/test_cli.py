@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +134,74 @@ def test_verify_d_respects_d_max(capsys, monkeypatch):
 
 def test_classgroup_respects_d_max(capsys, monkeypatch):
     _assert_refused_before_enumeration(capsys, monkeypatch, "classgroup")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--k", "2", "--m-max", "1"],
+    ["verify", "--d", "39"],
+    ["verify", "--k", "2", "--m", "1", "--p1", "13", "--p2", "3"],
+    ["classgroup", "--d", "39"],
+])
+def test_d_max_above_the_oracle_bound_refused(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran past an over-bound --d-max")
+
+    for owner, name in ((arith, "sieve"), (forms, "enumerate_reduced"),
+                        (factory, "find_pairs"), (factory, "certify")):
+        monkeypatch.setattr(owner, name, no_work)
+    code, out, err = run(capsys, *argv, "--d-max", str(forms.MAX_D + 1))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "--d-max" in diag["message"] and str(forms.MAX_D) in diag["message"]
+
+
+def test_d_max_help_names_the_oracle_bound(capsys):
+    for subcommand in ("search", "verify", "classgroup"):
+        with pytest.raises(SystemExit):
+            cli.main([subcommand, "--help"])
+        assert f"at most {forms.MAX_D}" in capsys.readouterr().out
+
+
+# The certificate commands run on integers alone; only compare and
+# singular build arrays.  Each child starts without numpy loaded, and the
+# probe records whether it is loaded after each command.
+_NUMPY_PROBE = """
+import json, os, sys
+from cyclic2 import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv + ["--output", os.devnull])
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _numpy_loaded_after(*argvs):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(list(argvs))],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_certificate_commands_never_load_numpy():
+    seen = _numpy_loaded_after(
+        ["verify", "--d", "39"],
+        ["verify", "--k", "3", "--m", "2", "--p1", "8861", "--p2", "7523"],
+        ["search", "--k", "2", "--m-max", "1"],
+        ["classgroup", "--d", "39"],
+    )
+    assert seen == [[0, False]] * 4
+
+
+def test_compare_and_singular_load_numpy():
+    assert _numpy_loaded_after(["compare", "--n-lo", "200", "--n-hi", "208"]) == [[0, True]]
+    assert _numpy_loaded_after(["singular", "--m", "16"]) == [[0, True]]
 
 
 def _record_sieve_his(monkeypatch):

@@ -204,6 +204,23 @@ def test_class_number_validation():
         forms.class_number(2**63 + 3)
 
 
+def test_enumerate_bound_checked_before_any_sieve(monkeypatch):
+    # MAX_D = 3e12 is divisible by 4 and so a discriminant; one above it,
+    # 3e12 + 3 = 3 (mod 4), is refused before the primes are sieved
+    assert forms.MAX_D % 4 == 0
+    assert forms.MAX_D >= 2_250_562_845_943  # the k = 6 certificate
+
+    def no_sieve(lo, hi):
+        raise AssertionError("sieved past the oracle bound")
+
+    monkeypatch.setattr(arith, "sieve", no_sieve)
+    for d in (forms.MAX_D + 3, forms.MAX_D + 4, 3 * 2**56 + 15):
+        with pytest.raises(ValueError, match="bound"):
+            forms.enumerate_reduced(d)
+        with pytest.raises(ValueError, match="bound"):
+            forms.class_number(d)
+
+
 def genus_case(d):
     """Which of the genus-theory rules for mu applies to d."""
     if d % 4 == 3:
