@@ -178,9 +178,10 @@ def search(
     still goes through `certify`.  Per-pair rejections are logged and
     skipped; overflow and internal errors propagate.
 
-    The target grows with M, so the 63-bit bound is checked once, at the
-    largest M, before anything is built per M; for an increasing range
-    that M is read in O(1).
+    The target grows with M, so `target` checks its 63-bit bound once, at
+    the largest M, before anything is built per M; for an increasing
+    range that M is read in O(1).  No d needs a bound of its own: every
+    enumerated d is at most d_budget.
     """
     if isinstance(m_values, range) and m_values.step > 0:
         ms = m_values
@@ -188,10 +189,7 @@ def search(
         ms = sorted(set(int(m) for m in m_values))
     if not ms:
         return
-    if (target(k, ms[-1]) // 2) ** 2 >= _I63:
-        raise ValueError(
-            f"derived discriminants overflow the 63-bit bound at k={k}, M={ms[-1]}"
-        )
+    target(k, ms[-1])
     for m in ms:
         for p1, p2 in find_pairs(k, m, d_budget):
             try:

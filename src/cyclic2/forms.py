@@ -6,8 +6,9 @@ module is the unconditional oracle the certificate pipeline checks its
 symbol criteria against.  Enumeration is exhaustive but O(sqrt(d)): for
 each a <= sqrt(d/3) it takes the square roots of -d mod 4a, built from
 Tonelli-Shanks roots mod each prime, rather than trying every a for
-every b.  Reduced forms are listed as plain (a, b, c) tuples; a `Form`
-is built only where one is composed.
+every b.  A form a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) from
+enumeration through composition; `reduce` refuses one that is not
+positive definite.
 
 `class_number` reaches the number of classes of order <= 2 by three
 routes: the shape of the reduced forms, genus theory, and composition
@@ -26,30 +27,11 @@ from . import arith
 # The oracle's input bound.  Memory grows with h, about 160 bytes per
 # reduced form, and h reaches about 2.3 * sqrt(d) when -d is a square
 # modulo many small primes.  Near the bound, d = 2,898,422,567,039
-# (h = 3,836,444, non-cyclic) peaks at 754 MB RSS as a `verify --d`
-# child; at d = 9,626,903,526,239 (h = 7,154,574) the peak was 1.1 GB.
+# (h = 3,836,444, non-cyclic) takes about 50 s at 710 MB peak RSS as a
+# `verify --d` child on a 2-core machine; at d = 9,626,903,526,239
+# (h = 7,154,574) the peak was 1.1 GB.
 # The bound admits the k = 6 certificate, d = 2,250,562,845,943.
 MAX_D = 3 * 10**12
-
-
-@dataclass(frozen=True)
-class Form:
-    """Positive definite integral form a*x**2 + b*x*y + c*y**2."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"form must have a > 0, got a={self.a}")
-        if self.b * self.b - 4 * self.a * self.c >= 0:
-            raise ValueError(
-                f"form ({self.a},{self.b},{self.c}) is not positive definite"
-            )
-
-    def __str__(self):
-        return f"{self.a},{self.b},{self.c}"
 
 
 @dataclass(frozen=True)
@@ -68,16 +50,17 @@ class ClassGroup2Summary:
     ambiguous_count: int
 
 
-def discriminant(f: Form) -> int:
-    return f.b * f.b - 4 * f.a * f.c
+def discriminant(f: tuple[int, int, int]) -> int:
+    a, b, c = f
+    return b * b - 4 * a * c
 
 
-def principal_form(disc: int) -> Form:
+def principal_form(disc: int) -> tuple[int, int, int]:
     """Identity class of a negative discriminant (0 or 1 mod 4)."""
     if disc >= 0 or disc % 4 not in (0, 1):
         raise ValueError(f"{disc} is not a negative quadratic discriminant")
     b = disc % 2
-    return Form(1, b, (b - disc) // 4)
+    return 1, b, (b - disc) // 4
 
 
 def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -87,14 +70,22 @@ def _normalize(a: int, b: int, c: int) -> tuple[int, int, int]:
     return a, b + 2 * r * a, a * r * r + b * r + c
 
 
-def reduce(f: Form) -> Form:
-    """The unique reduced representative of the class of f (idempotent)."""
-    a, b, c = _normalize(f.a, f.b, f.c)
+def reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The unique reduced representative of the class of f (idempotent).
+
+    Every composed form passes through here, so this is where a form
+    that is not positive definite (a <= 0 or b*b - 4ac >= 0) is refused,
+    with ValueError.
+    """
+    a, b, c = f
+    if a <= 0 or b * b - 4 * a * c >= 0:
+        raise ValueError(f"form {f} is not positive definite")
+    a, b, c = _normalize(a, b, c)
     while a > c or (a == c and b < 0):
         s = (c + b) // (2 * c)
         a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
         a, b, c = _normalize(a, b, c)
-    return Form(a, b, c)
+    return a, b, c
 
 
 def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
@@ -107,11 +98,14 @@ def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
     return x0, step
 
 
-def compose(f: Form, g: Form) -> Form:
+def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gauss composition of classes, returned reduced.
 
     Classical algorithm built on two linear congruences; commutative,
-    with the principal form as identity and (a,-b,c) as inverse.
+    with the principal form as identity and (a,-b,c) as inverse.  The
+    congruences are taken modulo the leading coefficients, so f and g
+    need a > 0; `reduce` refuses the result if their discriminant is not
+    negative.
     """
     if discriminant(f) != discriminant(g):
         raise ValueError(
@@ -119,10 +113,10 @@ def compose(f: Form, g: Form) -> Form:
             f"{discriminant(f)} and {discriminant(g)}"
         )
     for q in (f, g):
-        if math.gcd(math.gcd(q.a, q.b), q.c) != 1:
-            raise ValueError(f"form {q} is imprimitive and has no class")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
+        if q[0] <= 0 or math.gcd(*q) != 1:
+            raise ValueError(f"form {q} has a <= 0 or is imprimitive, and has no class")
+    a1, b1, c1 = f
+    a2, b2, c2 = g
     s = (b2 + b1) // 2
     h = (b2 - b1) // 2
     w = math.gcd(math.gcd(a1, a2), s)
@@ -137,10 +131,10 @@ def compose(f: Form, g: Form) -> Form:
     a3 = t1 * t2
     b3 = w * u - (k * t2 + ell * t1)
     c3 = k * ell - w * m
-    return reduce(Form(a3, b3, c3))
+    return reduce((a3, b3, c3))
 
 
-def form_pow(f: Form, e: int) -> Form:
+def form_pow(f: tuple[int, int, int], e: int) -> tuple[int, int, int]:
     """e-th power of the class of f, e >= 0, by repeated squaring."""
     if e < 0:
         raise ValueError("form_pow requires e >= 0")
@@ -154,7 +148,7 @@ def form_pow(f: Form, e: int) -> Form:
     return result
 
 
-def element_order(f: Form) -> int:
+def element_order(f: tuple[int, int, int]) -> int:
     """Least n >= 1 with f**n principal, by repeated composition."""
     ident = principal_form(discriminant(f))
     g = reduce(f)
@@ -275,7 +269,7 @@ def class_number(
         )
     cyclic = ambiguous <= 2
     if not cyclic:
-        squares = len({compose(f, f) for f in starmap(Form, group)})
+        squares = len({compose(f, f) for f in group})
         if squares * ambiguous != h:
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
@@ -286,7 +280,7 @@ def class_number(
         # subgroup of order two_part; such g exists iff the 2-Sylow
         # subgroup is cyclic.
         ident = principal_form(-d)
-        if not any(form_pow(f, h // 2) != ident for f in starmap(Form, group)):
+        if not any(form_pow(f, h // 2) != ident for f in group):
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: "
                 f"ambiguous_count={ambiguous}, but no element of order {two_part}"
@@ -300,7 +294,7 @@ def class_number(
     )
 
 
-def order_2m_form(w: int, x: int, m: int) -> Form:
+def order_2m_form(w: int, x: int, m: int) -> tuple[int, int, int]:
     """The form (w, x, w**(2m-1)), whose class has order divisible by 2m.
 
     Requires w even and positive, 0 < x <= 2*w**m - 2, and gcd(x, w) = 1;
@@ -317,4 +311,4 @@ def order_2m_form(w: int, x: int, m: int) -> Form:
         )
     if math.gcd(x, w) != 1:
         raise ValueError("hypothesis failed: x and w must be coprime")
-    return Form(w, x, w ** (2 * m - 1))
+    return w, x, w ** (2 * m - 1)

@@ -12,7 +12,6 @@ compositions when no witness exists.
 import math
 
 from cyclic2 import forms
-from cyclic2.forms import Form
 
 
 def reference_enumerate(d: int) -> list[tuple[int, int, int]]:
@@ -42,4 +41,4 @@ def reference_witness_cyclic(group: list[tuple[int, int, int]], h: int) -> bool:
         return True
     a, b, c = group[0]
     ident = forms.principal_form(b * b - 4 * a * c)
-    return any(forms.form_pow(Form(*t), h // 2) != ident for t in group)
+    return any(forms.form_pow(f, h // 2) != ident for f in group)

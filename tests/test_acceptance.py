@@ -60,14 +60,21 @@ def test_criterion_2_k4_instance():
     assert elapsed < 120, f"took {elapsed:.1f}s"
 
 
-@criterion("3 symbol test matches oracle on every pair, d <= 1e6, zero exceptions")
+@criterion("3 symbol test matches oracle on every pair, k <= 5, d <= 1e7, zero exceptions")
 def test_criterion_3_biconditional():
-    cases = [(1, m) for m in range(1, 9)] + [(2, 1), (2, 2), (2, 3), (3, 1), (4, 1)]
+    # every target with a pair in budget: the smallest d of a target n
+    # is 3*(n - 3), and n grows with m
+    cases = []
+    for k in range(1, 6):
+        m = 1
+        while 3 * (factory.target(k, m) - 3) <= 10**7:
+            cases.append((k, m))
+            m += 1
     examined = 0
     for k, m in cases:
         w = 2 * m * m
         for negative in (False, True):
-            for p1, p2 in factory.find_pairs(k, m, 10**6, negative=negative):
+            for p1, p2 in factory.find_pairs(k, m, 10**7, negative=negative):
                 d = p1 * p2
                 verdict = criteria.exact_order_test(p1, p2, w, k)
                 oracle = forms.class_number(d)
@@ -76,7 +83,7 @@ def test_criterion_3_biconditional():
                 if negative:
                     assert not verdict and oracle.two_part > 1 << k
                 examined += 1
-    assert examined >= 60, f"only {examined} pairs examined"
+    assert examined == 3101, f"{examined} pairs examined"
 
 
 @criterion("4 constructed classes have order divisible by 2m, exact under the symbol test")

@@ -224,16 +224,29 @@ def test_search_past_the_old_sieve_wall(capsys, monkeypatch):
 
 
 def test_search_far_target_sieves_nothing_large(capsys, monkeypatch):
-    # n ~ 4.4e10: the derived discriminants overflow 63 bits, which is
-    # refused before any sieve, instead of a sieve of [2, n].
+    # n ~ 4.4e10: even p = 3 gives d = 3*(n - 3) above the default
+    # --d-max, so no pair is in budget; nothing near [2, n] is sieved.
     his = _record_sieve_his(monkeypatch)
     code, out, err = run(capsys, "search", "--k", "4", "--m-min", "3", "--m-max", "3")
     assert code == 2
     assert out == ""
     diag = json.loads(err.splitlines()[-1])
     assert diag["error"] == "validation"
-    assert "overflow" in diag["message"]
+    assert diag["message"] == "no output rows produced"
     assert all(hi <= math.isqrt(factory.DEFAULT_D_BUDGET) for hi in his)
+
+
+def test_search_k6_certificate(capsys, monkeypatch):
+    # n = 2**34: the one pair with d <= 3e12 is certified with a cyclic
+    # 2-part of 64, and only primes up to isqrt(--d-max) are sieved
+    his = _record_sieve_his(monkeypatch)
+    code, out, _ = run(capsys, "search", "--k", "6", "--m-max", "1",
+                       "--d-max", "3000000000000")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "6,1,2,8589934461,17179869053,131,2250562845943,true,570304,64,true"
+    ]
+    assert his and max(his) <= math.isqrt(3 * 10**12)
 
 
 def test_singular_truncation_q_is_capped(capsys, monkeypatch):

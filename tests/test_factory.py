@@ -198,16 +198,17 @@ def test_search_deterministic():
 
 
 def test_search_overflow():
+    # n = 4 * 2 * (2**31)**2 = 2**65: the target itself passes 2**63
     with pytest.raises(ValueError, match="overflow"):
-        list(factory.search(5, [2]))
+        list(factory.search(1, [2**31]))
 
 
 def test_search_overflow_checked_before_per_m_work():
-    # a million multipliers: the bound is checked at the largest M alone
+    # two billion multipliers: the bound is checked at the largest M alone
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="overflow"):
-            next(factory.search(1, range(1, 10**6 + 1)))
+            next(factory.search(1, range(1, 2**31)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

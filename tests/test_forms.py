@@ -9,53 +9,50 @@ from hypothesis import strategies as st
 from reference_forms import reference_enumerate, reference_witness_cyclic
 
 from cyclic2 import arith, forms
-from cyclic2.forms import Form
 
 
 def valid_discriminants(limit, start=3):
     return [d for d in range(start, limit + 1) if d % 4 in (0, 3)]
 
 
-def enumerated_forms(d):
-    """The reduced forms of discriminant -d as `Form`s, for composing."""
-    return [Form(*t) for t in forms.enumerate_reduced(d)]
-
-
-def is_reduced(f: Form) -> bool:
+def is_reduced(f) -> bool:
     """-a < b <= a <= c, with b >= 0 when a == c."""
-    return -f.a < f.b <= f.a <= f.c and (f.b >= 0 or f.a != f.c)
+    a, b, c = f
+    return -a < b <= a <= c and (b >= 0 or a != c)
 
 
-def transform(f: Form, m11, m12, m21, m22) -> Form:
-    """Act on f by an SL2(Z) matrix; preserves the class."""
+def transform(f, m11, m12, m21, m22):
+    """Act on f = (a, b, c) by an SL2(Z) matrix; preserves the class."""
     assert m11 * m22 - m12 * m21 == 1
-    a = f.a * m11 * m11 + f.b * m11 * m21 + f.c * m21 * m21
-    b = 2 * f.a * m11 * m12 + f.b * (m11 * m22 + m12 * m21) + 2 * f.c * m21 * m22
-    c = f.a * m12 * m12 + f.b * m12 * m22 + f.c * m22 * m22
-    return Form(a, b, c)
+    fa, fb, fc = f
+    a = fa * m11 * m11 + fb * m11 * m21 + fc * m21 * m21
+    b = 2 * fa * m11 * m12 + fb * (m11 * m22 + m12 * m21) + 2 * fc * m21 * m22
+    c = fa * m12 * m12 + fb * m12 * m22 + fc * m22 * m22
+    return a, b, c
 
 
 # ----------------------------------------------------------- basic shapes
 
 
 def test_discriminant_examples():
-    assert forms.discriminant(Form(1, 1, 4)) == -15
-    assert forms.discriminant(Form(2, 1, 5)) == -39
-    assert forms.discriminant(Form(2, 5, 8)) == -39
+    assert forms.discriminant((1, 1, 4)) == -15
+    assert forms.discriminant((2, 1, 5)) == -39
+    assert forms.discriminant((2, 5, 8)) == -39
 
 
 def test_form_validation():
-    with pytest.raises(ValueError):
-        Form(0, 1, 4)
-    with pytest.raises(ValueError):
-        Form(-2, 1, 5)
-    with pytest.raises(ValueError):
-        Form(1, 5, 2)  # discriminant 17 > 0
+    # reduce, which every composed form passes through, refuses these
+    with pytest.raises(ValueError, match="positive definite"):
+        forms.reduce((0, 1, 4))
+    with pytest.raises(ValueError, match="positive definite"):
+        forms.reduce((-2, 1, 5))
+    with pytest.raises(ValueError, match="positive definite"):
+        forms.reduce((1, 5, 2))  # discriminant 17 > 0
 
 
 def test_principal_form():
-    assert forms.principal_form(-15) == Form(1, 1, 4)
-    assert forms.principal_form(-4) == Form(1, 0, 1)
+    assert forms.principal_form(-15) == (1, 1, 4)
+    assert forms.principal_form(-4) == (1, 0, 1)
     with pytest.raises(ValueError):
         forms.principal_form(-5)
     with pytest.raises(ValueError):
@@ -66,10 +63,10 @@ def test_principal_form():
 
 
 def test_reduce_examples():
-    assert forms.reduce(Form(1, 1, 4)) == Form(1, 1, 4)
-    assert forms.reduce(Form(2, 5, 8)) == Form(2, 1, 5)
+    assert forms.reduce((1, 1, 4)) == (1, 1, 4)
+    assert forms.reduce((2, 5, 8)) == (2, 1, 5)
     # (4,3,1) has discriminant -7; its reduction is the principal form
-    assert forms.reduce(Form(4, 3, 1)) == Form(1, 1, 2)
+    assert forms.reduce((4, 3, 1)) == (1, 1, 2)
 
 
 def test_reduce_idempotent_and_reduced():
@@ -80,7 +77,7 @@ def test_reduce_idempotent_and_reduced():
         c = rng.randrange(1, 40)
         if b * b - 4 * a * c >= 0:
             continue
-        r = forms.reduce(Form(a, b, c))
+        r = forms.reduce((a, b, c))
         assert is_reduced(r)
         assert forms.reduce(r) == r
         assert forms.discriminant(r) == b * b - 4 * a * c
@@ -89,14 +86,14 @@ def test_reduce_idempotent_and_reduced():
 def test_reduce_recovers_class_along_orbits():
     rng = random.Random(9)
     for d in rng.sample(valid_discriminants(400), 30):
-        for f in enumerated_forms(d):
+        for f in forms.enumerate_reduced(d):
             g = f
             for _ in range(6):
                 k = rng.randrange(-3, 4)
                 g = transform(g, 1, k, 0, 1)
                 if rng.random() < 0.5:
                     g = transform(g, 0, -1, 1, 0)
-                if abs(g.a) > 200 or abs(g.b) > 200 or abs(g.c) > 200:
+                if max(map(abs, g)) > 200:
                     break
                 assert forms.reduce(g) == f, (d, f, g)
 
@@ -108,7 +105,7 @@ def test_reduce_canonical_within_small_orbits():
         for b in range(-15, 16):
             for c in range(1, 16):
                 if b * b - 4 * a * c < 0:
-                    small.append(Form(a, b, c))
+                    small.append((a, b, c))
     by_class = {}
     for f in small:
         by_class.setdefault((forms.discriminant(f), forms.reduce(f)), []).append(f)
@@ -128,7 +125,7 @@ def test_reduce_canonical_within_small_orbits():
         f = rng.choice(members)
         images = {transform(f, *m) for m in mats}
         assert any(forms.reduce(g) == reduced for g in images)
-        for g in rng.sample(sorted(images, key=str), min(6, len(images))):
+        for g in rng.sample(sorted(images), min(6, len(images))):
             assert forms.reduce(g) == reduced
 
 
@@ -137,27 +134,44 @@ def test_reduce_canonical_within_small_orbits():
 
 def test_compose_identity_and_inverse():
     e = forms.principal_form(-39)
-    g = Form(2, 1, 5)
+    g = (2, 1, 5)
     assert forms.compose(e, g) == g
-    assert forms.compose(g, Form(g.a, -g.b, g.c)) == Form(1, 1, 10)
-    assert forms.compose(g, g) == Form(3, 3, 4)
-    assert forms.element_order(Form(3, 3, 4)) == 2
+    assert forms.compose(g, (2, -1, 5)) == (1, 1, 10)
+    assert forms.compose(g, g) == (3, 3, 4)
+    assert forms.element_order((3, 3, 4)) == 2
 
 
 def test_compose_discriminant_mismatch():
-    with pytest.raises(ValueError):
-        forms.compose(Form(1, 1, 4), Form(2, 1, 5))
+    with pytest.raises(ValueError, match="discriminants -15 and -39"):
+        forms.compose((1, 1, 4), (2, 1, 5))
+
+
+def test_compose_refuses_forms_without_a_class():
+    # (2, 2, 4) has discriminant -28, as (1, 0, 7) has, but content 2
+    with pytest.raises(ValueError, match="imprimitive"):
+        forms.compose((2, 2, 4), (1, 0, 7))
+    with pytest.raises(ValueError, match="imprimitive"):
+        forms.compose((1, 0, 7), (2, 2, 4))
+    # a <= 0: the congruences are taken modulo a1*a2; two negative
+    # definite forms would otherwise compose to a positive definite one
+    with pytest.raises(ValueError, match="a <= 0"):
+        forms.compose((-1, 1, -4), (-1, 1, -4))
+    with pytest.raises(ValueError, match="a <= 0"):
+        forms.compose((0, 1, 4), (0, 1, 4))
+    # a > 0 but indefinite: refused by the reduce of the result
+    with pytest.raises(ValueError, match="positive definite"):
+        forms.compose((1, 5, 2), (1, 5, 2))
 
 
 def test_group_laws_small_discriminants():
     rng = random.Random(17)
     for d in valid_discriminants(1000):
-        group = enumerated_forms(d)
+        group = forms.enumerate_reduced(d)
         ident = forms.principal_form(-d)
         assert ident in group
-        for f in group:
-            assert forms.compose(ident, f) == f
-            assert forms.compose(f, Form(f.a, -f.b, f.c)) == ident
+        for a, b, c in group:
+            assert forms.compose(ident, (a, b, c)) == (a, b, c)
+            assert forms.compose((a, b, c), (a, -b, c)) == ident
         for f in group:
             for g in group:
                 fg = forms.compose(f, g)
@@ -276,7 +290,7 @@ def test_class_number_rejects_disagreeing_genus(monkeypatch):
 
 def compose_ambiguous_count(d, group):
     ident = forms.principal_form(-d)
-    return sum(forms.compose(f, f) == ident for f in (Form(*t) for t in group))
+    return sum(forms.compose(f, f) == ident for f in group)
 
 
 def sampled_discriminants():
@@ -352,14 +366,14 @@ def test_class_number_properties(d):
 
 def test_element_order_examples():
     assert forms.element_order(forms.principal_form(-39)) == 1
-    assert forms.element_order(Form(2, 1, 5)) == 4
-    assert forms.element_order(Form(2, 1, 2)) == 2
+    assert forms.element_order((2, 1, 5)) == 4
+    assert forms.element_order((2, 1, 2)) == 2
 
 
 def test_element_order_divides_class_number():
     for d in (39, 47, 71, 95, 183):
         h = forms.class_number(d).h
-        for f in enumerated_forms(d):
+        for f in forms.enumerate_reduced(d):
             assert h % forms.element_order(f) == 0
 
 
@@ -368,11 +382,11 @@ def test_element_order_divides_class_number():
 
 def test_order_2m_form_examples():
     f = forms.order_2m_form(2, 5, 2)
-    assert f == Form(2, 5, 8)
+    assert f == (2, 5, 8)
     assert forms.discriminant(f) == -39
     assert forms.element_order(f) == 4
     g = forms.order_2m_form(2, 1, 1)
-    assert g == Form(2, 1, 2)
+    assert g == (2, 1, 2)
     assert forms.discriminant(g) == -15
     assert forms.element_order(g) == 2
 
