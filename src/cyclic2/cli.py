@@ -1,7 +1,7 @@
 """Command-line front end.
 
 The only module with I/O side effects: it reads the command line and
-writes rows to stdout or --output, and error lines and logs to stderr.
+writes rows to stdout or --output, and error lines to stderr.
 Output is bit-exact and reproducible: CSV with LF line endings, reals at
 12 significant digits, booleans as true/false, no timestamps in data
 files.  JSON mirrors the CSV fields one-to-one.  Exit codes: 0 success
@@ -13,15 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import logging
 import sys
 
 from . import arith, circle, factory, forms
-
-CERT_COLUMNS = ["k", "M", "w", "x", "p1", "p2", "d", "symbol_ok", "h", "two_part", "cyclic"]
-GROUP_COLUMNS = ["d", "h", "two_part", "cyclic", "ambiguous"]
 
 MAX_SINGULAR_M = 1 << 64
 
@@ -38,16 +35,16 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[dict]) -> None:
+def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
+    """Each row names its columns; the CSV header is the first row's keys."""
     if args.format == "json":
-        payload = [{c: row[c] for c in columns} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt_value(row[c]) for c in columns])
+            writer.writerow(map(_fmt_value, row.values()))
         text = buf.getvalue()
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -56,9 +53,9 @@ def _write_rows(args: argparse.Namespace, columns: list[str], rows: list[dict]) 
             fh.write(text)
 
 
-def _error_line(kind: str, exc: BaseException) -> None:
+def _error_line(kind: str, exc: BaseException, message: str | None = None) -> None:
     reason = getattr(exc, "reason", None)
-    payload = {"error": kind, "message": str(exc)}
+    payload = {"error": kind, "message": str(exc) if message is None else message}
     if reason:
         payload["reason"] = reason
     print(json.dumps(payload), file=sys.stderr)
@@ -80,11 +77,11 @@ def _cert_row(cert: factory.Certificate) -> dict:
     }
 
 
-def cmd_search(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+def cmd_search(args: argparse.Namespace) -> list[dict]:
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
     certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=_d_budget(args))
-    return CERT_COLUMNS, [_cert_row(c) for c in certs]
+    return [_cert_row(c) for c in certs]
 
 
 def _group_row(summary: forms.ClassGroup2Summary) -> dict:
@@ -104,34 +101,24 @@ def _d_budget(args: argparse.Namespace) -> int:
     return args.d_max
 
 
-def _budgeted_d(args: argparse.Namespace) -> int:
-    """--d for the oracle, refused before any enumeration above --d-max."""
-    if args.d > _d_budget(args):
+def cmd_verify(args: argparse.Namespace) -> list[dict]:
+    if args.d is None:
+        if args.forms:
+            raise ValueError("--forms requires --d")
+        if None in (args.k, args.m, args.p1, args.p2):
+            raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
+        cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
+        return [_cert_row(cert)]
+    if args.d > _d_budget(args):  # refused before any enumeration
         raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
-    return args.d
-
-
-def cmd_verify(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    if args.d is not None:
-        return GROUP_COLUMNS, [_group_row(forms.class_number(_budgeted_d(args)))]
-    if None in (args.k, args.m, args.p1, args.p2):
-        raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
-    cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
-    return CERT_COLUMNS, [_cert_row(cert)]
-
-
-def cmd_classgroup(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
-    d = _budgeted_d(args)
-    group = forms.enumerate_reduced(d) if args.forms else None
-    row = _group_row(forms.class_number(d, group))
-    columns = list(GROUP_COLUMNS)
+    group = forms.enumerate_reduced(args.d) if args.forms else None
+    row = _group_row(forms.class_number(args.d, group))
     if args.forms:
-        columns.append("forms")
         row["forms"] = ";".join(",".join(map(str, f)) for f in group)
-    return columns, [row]
+    return [row]
 
 
-def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+def cmd_singular(args: argparse.Namespace) -> list[dict]:
     m, q = args.m, args.truncation_q
     if m >= MAX_SINGULAR_M:
         # the product columns factorise m, which arith.factorize bounds
@@ -145,23 +132,14 @@ def cmd_singular(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
         "truncation_q": q,
         "vanishing_reason": circle.vanishing_reason(m),
     }
-    return list(row.keys()), [row]
+    return [row]
 
 
-def cmd_compare(args: argparse.Namespace) -> tuple[list[str], list[dict]]:
+def cmd_compare(args: argparse.Namespace) -> list[dict]:
     circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
     table = arith.sieve(2, max(args.n_hi, 2))
     rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
-    out = [
-        {
-            "n": r.n,
-            "restricted_sum": r.restricted_sum,
-            "main_term": r.main_term,
-            "ratio": r.ratio,
-        }
-        for r in rows
-    ]
-    return ["n", "restricted_sum", "main_term", "ratio"], out
+    return [dataclasses.asdict(r) for r in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified cyclic 2-class group construction and "
         "restricted Goldbach arithmetic.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log per-pair rejections to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, run):
@@ -198,14 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--p1", type=int)
     p.add_argument("--p2", type=int)
+    p.add_argument("--forms", action="store_true",
+                   help="with --d, include the reduced forms")
     d_max(p)
     common(p, cmd_verify)
-
-    p = sub.add_parser("classgroup", help="class number and 2-Sylow structure")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--forms", action="store_true", help="include the reduced forms")
-    d_max(p)
-    common(p, cmd_classgroup)
 
     p = sub.add_parser("singular", help="singular series in both modes")
     p.add_argument("--m", type=int, required=True, help="argument of S1 and S2, below 2**64")
@@ -225,22 +197,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        columns, rows = args.run(args)
+        rows = args.run(args)
         if not rows:
             raise ValueError("no output rows produced")
-        _write_rows(args, columns, rows)
+        _write_rows(args, rows)
         return EXIT_OK
     except (ValueError, OSError) as exc:
         _error_line("validation", exc)
         return EXIT_VALIDATION
     except ArithmeticError as exc:
         _error_line("internal", exc)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug; its type is named, as str(exc) may be empty
+        _error_line("internal", exc, f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
 

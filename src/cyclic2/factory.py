@@ -15,15 +15,12 @@ certifiable pairs, not with n.
 from __future__ import annotations
 
 import bisect
-import logging
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from . import arith, criteria, forms
 from .forms import ClassGroup2Summary
-
-log = logging.getLogger(__name__)
 
 _I63 = 1 << 63
 DEFAULT_D_BUDGET = 10**9
@@ -62,7 +59,7 @@ def target(k: int, M: int) -> int:
     if M < 1:
         raise ValueError("target requires M >= 1")
     w = 2 * M * M
-    e = 1 << (k - 1)
+    e = 1 << min(k - 1, 6)  # w >= 2, so every k >= 7 fails the bound below
     if e * w.bit_length() > 64:
         raise ValueError(f"target overflows the 63-bit bound at k={k}, M={M}")
     n = 4 * w**e
@@ -175,8 +172,11 @@ def search(
     Emits in deterministic order: M ascending, then p1 ascending.  Only
     pairs with d <= d_budget are enumerated (`find_pairs`), so the cost
     grows with the certifiable pairs, not with the target n; each one
-    still goes through `certify`.  Per-pair rejections are logged and
-    skipped; overflow and internal errors propagate.
+    still goes through `certify`, which accepts every one of them:
+    `find_pairs` already fixes the sum, the residues mod 8, both
+    primalities and d <= d_budget, and (p1/w) = (p1/2) = -1 for
+    p1 = 5 (mod 8), since p1 | M would give p1 | n and so p1 | p2.  A
+    rejection, an overflow or an internal error therefore propagates.
 
     The target grows with M, so `target` checks its 63-bit bound once, at
     the largest M, before anything is built per M; for an increasing
@@ -192,12 +192,7 @@ def search(
     target(k, ms[-1])
     for m in ms:
         for p1, p2 in find_pairs(k, m, d_budget):
-            try:
-                yield certify(k, m, p1, p2, d_budget=d_budget)
-            except CertificationError as exc:
-                log.info(
-                    "rejected k=%d M=%d p1=%d p2=%d: %s", k, m, p1, p2, exc.reason
-                )
+            yield certify(k, m, p1, p2, d_budget=d_budget)
 
 
 def validate_certificate(cert: Certificate) -> None:

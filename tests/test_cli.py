@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -115,12 +116,12 @@ def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
     assert calls == [39]
 
 
-def _assert_refused_before_enumeration(capsys, monkeypatch, subcommand):
+def _assert_refused_before_enumeration(capsys, monkeypatch, *flags):
     def no_enumeration(d):
         raise AssertionError("the oracle ran on an over-budget d")
 
     monkeypatch.setattr(forms, "enumerate_reduced", no_enumeration)
-    code, out, err = run(capsys, subcommand, "--d-max", "100", "--d", "103")
+    code, out, err = run(capsys, "verify", *flags, "--d-max", "100", "--d", "103")
     assert code == 2
     assert out == ""
     diag = json.loads(err.splitlines()[-1])
@@ -129,18 +130,18 @@ def _assert_refused_before_enumeration(capsys, monkeypatch, subcommand):
 
 
 def test_verify_d_respects_d_max(capsys, monkeypatch):
-    _assert_refused_before_enumeration(capsys, monkeypatch, "verify")
+    _assert_refused_before_enumeration(capsys, monkeypatch)
 
 
-def test_classgroup_respects_d_max(capsys, monkeypatch):
-    _assert_refused_before_enumeration(capsys, monkeypatch, "classgroup")
+def test_verify_forms_respects_d_max(capsys, monkeypatch):
+    _assert_refused_before_enumeration(capsys, monkeypatch, "--forms")
 
 
 @pytest.mark.parametrize("argv", [
     ["search", "--k", "2", "--m-max", "1"],
     ["verify", "--d", "39"],
     ["verify", "--k", "2", "--m", "1", "--p1", "13", "--p2", "3"],
-    ["classgroup", "--d", "39"],
+    ["verify", "--d", "39", "--forms"],
 ])
 def test_d_max_above_the_oracle_bound_refused(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
@@ -158,7 +159,7 @@ def test_d_max_above_the_oracle_bound_refused(capsys, monkeypatch, argv):
 
 
 def test_d_max_help_names_the_oracle_bound(capsys):
-    for subcommand in ("search", "verify", "classgroup"):
+    for subcommand in ("search", "verify"):
         with pytest.raises(SystemExit):
             cli.main([subcommand, "--help"])
         assert f"at most {forms.MAX_D}" in capsys.readouterr().out
@@ -194,7 +195,7 @@ def test_certificate_commands_never_load_numpy():
         ["verify", "--d", "39"],
         ["verify", "--k", "3", "--m", "2", "--p1", "8861", "--p2", "7523"],
         ["search", "--k", "2", "--m-max", "1"],
-        ["classgroup", "--d", "39"],
+        ["verify", "--d", "39", "--forms"],
     )
     assert seen == [[0, False]] * 4
 
@@ -236,6 +237,22 @@ def test_search_far_target_sieves_nothing_large(capsys, monkeypatch):
     assert all(hi <= math.isqrt(factory.DEFAULT_D_BUDGET) for hi in his)
 
 
+def test_search_huge_k_refused_before_allocating(capsys):
+    # w >= 2, so k >= 7 overflows; 1 << (k - 1) is never built
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "search", "--k", "8000000000", "--m-max", "1")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "validation" and "overflows" in diag["message"]
+    assert peak < 1 << 20
+
+
 def test_search_k6_certificate(capsys, monkeypatch):
     # n = 2**34: the one pair with d <= 3e12 is certified with a cyclic
     # 2-part of 64, and only primes up to isqrt(--d-max) are sieved
@@ -263,23 +280,47 @@ def test_singular_truncation_q_is_capped(capsys, monkeypatch):
     assert "truncation_q" in diag["message"]
 
 
-def test_classgroup_forms_listing(capsys):
-    code, out, _ = run(capsys, "classgroup", "--d", "39", "--forms")
+def test_verify_forms_listing(capsys):
+    code, out, _ = run(capsys, "verify", "--d", "39", "--forms")
     assert code == 0
     header, row = out.splitlines()
     assert header == "d,h,two_part,cyclic,ambiguous,forms"
     assert row.endswith('"1,1,10;2,-1,5;2,1,5;3,3,4"')
 
 
-def test_classgroup_forms_enumerates_once(capsys, monkeypatch):
+def test_verify_forms_enumerates_once(capsys, monkeypatch):
     calls = []
     enumerate_reduced = forms.enumerate_reduced
     monkeypatch.setattr(forms, "enumerate_reduced",
                         lambda d: calls.append(d) or enumerate_reduced(d))
-    code, out, _ = run(capsys, "classgroup", "--d", "39", "--forms")
+    code, out, _ = run(capsys, "verify", "--d", "39", "--forms")
     assert code == 0
     assert out == 'd,h,two_part,cyclic,ambiguous,forms\n39,4,4,true,2,"1,1,10;2,-1,5;2,1,5;3,3,4"\n'
     assert calls == [39]
+
+
+def test_verify_forms_requires_d(capsys):
+    code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
+                         "--p1", "13", "--p2", "3", "--forms")
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.strip())
+    assert diag["error"] == "validation" and "--d" in diag["message"]
+
+
+def test_verify_forms_json_lists_the_forms(capsys):
+    code, out, _ = run(capsys, "verify", "--d", "39", "--forms", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"d": 39, "h": 4, "two_part": 4, "cyclic": True,
+                                "ambiguous": 2, "forms": "1,1,10;2,-1,5;2,1,5;3,3,4"}]
+
+
+def test_removed_subcommand_and_flag_exit_2(capsys):
+    for argv in (["classgroup", "--d", "39"], ["-v", "search", "--k", "2", "--m-max", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_over_work_budget_refused_before_sieve(capsys, monkeypatch):
@@ -383,3 +424,19 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err.strip().splitlines()[-1])
     assert error["error"] == "internal" and "oracle-mismatch" in error["message"]
+
+
+def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
+    # a bug that is neither a ValueError nor an ArithmeticError still
+    # exits 1 with one JSON line naming the exception type
+    def broken(f, g):
+        raise TypeError("injected fault")
+
+    monkeypatch.setattr(forms, "compose", broken)
+    code, out, err = run(capsys, "verify", "--d", "86531263")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "internal"
+    assert error["message"] == "TypeError: injected fault"

@@ -59,6 +59,22 @@ def test_target_overflow():
         factory.target(1, 0)
 
 
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overflow|hypothesis"):
+            fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_k_refused_before_the_shift():
+    # w >= 2, so every k >= 7 overflows; 1 << (k - 1) is never built
+    assert _peak_bytes(factory.target, 10**9, 1) < 1 << 20
+    assert _peak_bytes(criteria.exact_order_test, 5, 3, 2, 10**9) < 1 << 20
+
+
 # -------------------------------------------------------------- find_pairs
 
 
@@ -216,7 +232,7 @@ def test_search_overflow_checked_before_per_m_work():
 
 
 def test_search_budget_rejections_not_fatal():
-    # a tiny budget rejects every pair but the stream still completes
+    # a tiny budget admits no pair, and the stream completes empty
     certs = list(factory.search(2, [1], d_budget=30))
     assert certs == []
 
@@ -225,6 +241,38 @@ def test_search_budget_partial():
     # d = 55 for (5, 11) exceeds the budget, d = 39 for (13, 3) does not
     certs = list(factory.search(2, [1], d_budget=45))
     assert [(c.p1, c.p2, c.d) for c in certs] == [(13, 3, 39)]
+
+
+def _budget_targets(budget):
+    """(k, M) with k <= 5 whose smallest candidate, p = 3, fits the d budget."""
+    out = []
+    for k in range(1, 6):
+        m = 1
+        while 3 * (factory.target(k, m) - 3) <= budget:
+            out.append((k, m))
+            m += 1
+    return out
+
+
+def test_search_certifies_every_enumerated_pair():
+    # find_pairs fixes the sum, the residues, both primalities and the
+    # budget, and (p1/2) = -1 for p1 = 5 (mod 8): certify rejects none
+    budget, total = 10**6, 0
+    for k, m in _budget_targets(budget):
+        pairs = factory.find_pairs(k, m, budget)
+        certs = list(factory.search(k, [m], d_budget=budget))
+        assert [(c.p1, c.p2) for c in certs] == pairs
+        total += len(pairs)
+    assert total == 462
+
+
+def test_search_propagates_a_rejection(monkeypatch):
+    def reject(k, m, p1, p2, *, d_budget):
+        raise CertificationError("symbol-test-failed", "injected rejection")
+
+    monkeypatch.setattr(factory, "certify", reject)
+    with pytest.raises(CertificationError, match="injected"):
+        list(factory.search(2, [1]))
 
 
 def test_validate_certificate_catches_tampering():
