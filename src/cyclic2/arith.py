@@ -4,8 +4,10 @@ Deterministic 64-bit primality, a segmented prime sieve whose table is
 one byte per value with residue-class views mod 8, Jacobi/Kronecker
 symbols, square roots modulo primes and the roots of t*t + e*t + N
 modulo prime powers that the form enumeration builds on, and
-factorization helpers.  Everything here is pure; values are
-immutable once built, so concurrent use is safe.
+factorization helpers.  A square root of n mod p costs one pow when n
+is a non-residue or p = 3 (mod 4): Tonelli-Shanks reads Euler's
+criterion off the pow it starts with.  Everything here is pure; values
+are immutable once built, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -157,28 +159,33 @@ def kronecker(a: int, n: int) -> int:
 def sqrt_mod_p(n: int, p: int) -> int | None:
     """A square root of n modulo the prime p, or None for a non-residue.
 
-    Tonelli-Shanks (Cohen, Algorithm 1.5.1), with the direct power
-    n**((p + 1)/4) when p = 3 (mod 4).
+    Tonelli-Shanks (Cohen, Algorithm 1.5.1) with p - 1 = 2**s * q, q odd.
+    One pow gives r = n**((q+1)/2) and t = n**q, with r*r = n*t; n is a
+    residue iff t has order below 2**s (Euler's criterion), so for
+    p = 3 (mod 4), where s = 1, the root is that pow and a check.
     """
     n %= p
     if n < 2:
         return n
-    if pow(n, (p - 1) >> 1, p) != 1:
-        return None
     s = ((p - 1) & (1 - p)).bit_length() - 1
     q = (p - 1) >> s
-    if s == 1:
-        return pow(n, (p + 1) >> 2, p)
-    z = 2
-    while pow(z, (p - 1) >> 1, p) == 1:
-        z += 1
-    # invariants: r*r = n*t, c has order 2**m, t has order dividing 2**(m-1)
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) >> 1, p)
+    x = pow(n, q >> 1, p)
+    r = n * x % p
+    t = r * x % p
+    # invariants: r*r = n*t, c = 0 or of order 2**m, t of order dividing 2**m
+    m, c = s, 0
     while t != 1:
         i, u = 0, t
         while u != 1:
             u = u * u % p
             i += 1
+        if i == m:  # only on the first pass, where it is Euler's criterion
+            return None
+        if not c:
+            z = 2
+            while pow(z, (p - 1) >> 1, p) == 1:
+                z += 1
+            c = pow(z, q, p)
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
@@ -200,17 +207,17 @@ def roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, 
     n = (d + e) >> 2
     out = []
     for p in sieve(2, top).primes() if top >= 2 else []:
-        half = (p + 1) >> 1  # 1/2 mod odd p
         newton = p > 2 and d % p
-        if p == 2:
-            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
-        elif not newton:
-            roots = [-e * half % p]  # the double root 2t + e = 0 (mod p)
-        else:
+        if newton:
             s = sqrt_mod_p(-d, p)
             if s is None:
                 continue
-            roots = [(s - e) * half % p, (-s - e) * half % p]
+            t = (s - e) * ((p + 1) >> 1) % p  # (p + 1)/2 is 1/2 mod p
+            roots = [t, (-e - t) % p]
+        elif p == 2:
+            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
+        else:
+            roots = [-e * ((p + 1) >> 1) % p]  # the double root 2t + e = 0 (mod p)
         q, levels = p, []
         while roots:
             levels.append((q, roots))

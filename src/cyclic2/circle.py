@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import arith
 from .arith import PrimeTable
@@ -55,8 +54,7 @@ if TYPE_CHECKING:
 TWIN_PRIME_CONSTANT = 0.66016181584686957393
 
 
-@dataclass(frozen=True)
-class CompareRow:
+class CompareRow(NamedTuple):
     """One window row: n, the restricted count, n*S2(n), and their ratio."""
 
     n: int

@@ -4,7 +4,9 @@ The only module with I/O side effects: it reads the command line and
 writes rows to stdout or --output, and error lines to stderr.
 Output is bit-exact and reproducible: CSV with LF line endings, reals at
 12 significant digits, booleans as true/false, no timestamps in data
-files.  JSON mirrors the CSV fields one-to-one.  Exit codes: 0 success
+files.  JSON mirrors the CSV fields one-to-one.  Rows are written as
+they come, so `search` shows each certificate as soon as it is issued,
+and rows written before a failure stay written.  Exit codes: 0 success
 with at least one output row, 2 validation failure, 1 internal error;
 failures also emit one machine-readable JSON line on stderr.
 """
@@ -13,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
-import io
 import json
 import sys
+from typing import Iterable
 
 from . import arith, circle, factory, forms
 
@@ -35,22 +36,36 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _write_rows(args: argparse.Namespace, rows: list[dict]) -> None:
-    """Each row names its columns; the CSV header is the first row's keys."""
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(rows[0])
-        for row in rows:
-            writer.writerow(map(_fmt_value, row.values()))
-        text = buf.getvalue()
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+def _write_rows(args: argparse.Namespace, rows: Iterable[dict]) -> int:
+    """Write and flush each row as it comes; return the number of rows.
+
+    Each row names its columns; the CSV header is the first row's keys.
+    The header, or the JSON "[", is written and --output opened only
+    with the first row.  The JSON bytes are json.dumps(rows, indent=2)
+    plus a newline; rows written before a failure stay written, and the
+    JSON then lacks its closing "]".
+    """
+    out, count = None, 0
+    try:
+        for count, row in enumerate(rows, 1):
+            if out is None:
+                to_stdout = args.output is None or args.output == "-"
+                out = sys.stdout if to_stdout else open(args.output, "w", newline="")
+                writer = csv.writer(out, lineterminator="\n")
+                if args.format == "csv":
+                    writer.writerow(row)
+            if args.format == "json":
+                out.write(("[" if count == 1 else ",") + "\n  "
+                          + json.dumps(row, indent=2).replace("\n", "\n  "))
+            else:
+                writer.writerow(map(_fmt_value, row.values()))
+            out.flush()
+        if count and args.format == "json":
+            out.write("\n]\n")
+    finally:
+        if out is not None and out is not sys.stdout:
+            out.close()
+    return count
 
 
 def _error_line(kind: str, exc: BaseException, message: str | None = None) -> None:
@@ -77,11 +92,12 @@ def _cert_row(cert: factory.Certificate) -> dict:
     }
 
 
-def cmd_search(args: argparse.Namespace) -> list[dict]:
+def cmd_search(args: argparse.Namespace) -> Iterable[dict]:
+    """Rows as they are certified, for `_write_rows` to stream."""
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
     certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=_d_budget(args))
-    return [_cert_row(c) for c in certs]
+    return map(_cert_row, certs)
 
 
 def _group_row(summary: forms.ClassGroup2Summary) -> dict:
@@ -139,7 +155,7 @@ def cmd_compare(args: argparse.Namespace) -> list[dict]:
     circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
     table = arith.sieve(2, max(args.n_hi, 2))
     rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
-    return [dataclasses.asdict(r) for r in rows]
+    return [r._asdict() for r in rows]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,10 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        rows = args.run(args)
-        if not rows:
+        if not _write_rows(args, args.run(args)):
             raise ValueError("no output rows produced")
-        _write_rows(args, rows)
         return EXIT_OK
     except (ValueError, OSError) as exc:
         _error_line("validation", exc)

@@ -9,20 +9,19 @@ cyclic 2-class group has exactly the target 2-power order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith
 
 
-@dataclass(frozen=True)
-class SquareClassReport:
+class SquareClassReport(NamedTuple):
     """Outcome of the square-class test for norm w and discriminant -d.
 
     symbols holds one local Hilbert symbol per prime dividing d; their
-    product is +1 (a theorem, enforced here), and the class is a square
-    exactly when every symbol is +1.  exact_order_2k records the
-    complementary verdict: a non-square class of 2-power order generates
-    the full cyclic 2-Sylow subgroup.
+    product is +1 (a theorem, enforced by `square_class_report`), and the
+    class is a square exactly when every symbol is +1.  exact_order_2k
+    records the complementary verdict: a non-square class of 2-power
+    order generates the full cyclic 2-Sylow subgroup.
     """
 
     d: int
@@ -30,15 +29,6 @@ class SquareClassReport:
     symbols: tuple[tuple[int, int], ...]
     is_square: bool
     exact_order_2k: bool
-
-    def __post_init__(self):
-        if math.prod(s for _, s in self.symbols) != 1:
-            raise ArithmeticError(
-                f"Hilbert symbol product over p | {self.d} is not 1 "
-                f"for w={self.w}: internal error"
-            )
-        if self.is_square != all(s == 1 for _, s in self.symbols):
-            raise ArithmeticError("is_square inconsistent with symbols")
 
 
 def _split_valuation(x: int, p: int) -> tuple[int, int]:
@@ -121,6 +111,10 @@ def square_class_report(w: int, d: int) -> SquareClassReport:
             f"w={w} is not the norm of an ideal coprime to the discriminant -{d}"
         )
     symbols = tuple((p, hilbert_symbol(w, -d, p)) for p, _ in fac)
+    if math.prod(s for _, s in symbols) != 1:
+        raise ArithmeticError(
+            f"Hilbert symbol product over p | {d} is not 1 for w={w}: internal error"
+        )
     is_square = all(s == 1 for _, s in symbols)
     return SquareClassReport(
         d=d, w=w, symbols=symbols, is_square=is_square, exact_order_2k=not is_square

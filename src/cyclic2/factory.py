@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import arith, criteria, forms
 from .forms import ClassGroup2Summary
@@ -34,8 +33,7 @@ class CertificationError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A fully verified construction: the 2-class group of Q(sqrt(-d)) is
     cyclic of exact order 2**k, confirmed both by the symbol criterion
     (symbol_ok) and by exhaustive class-group enumeration (oracle)."""
@@ -181,7 +179,9 @@ def search(
     The target grows with M, so `target` checks its 63-bit bound once, at
     the largest M, before anything is built per M; for an increasing
     range that M is read in O(1).  No d needs a bound of its own: every
-    enumerated d is at most d_budget.
+    enumerated d is at most d_budget.  The smallest d a target n admits
+    is 3*(n - 3), so the search stops at the first M where that exceeds
+    d_budget: no later M has a pair.
     """
     if isinstance(m_values, range) and m_values.step > 0:
         ms = m_values
@@ -191,6 +191,8 @@ def search(
         return
     target(k, ms[-1])
     for m in ms:
+        if 3 * (target(k, m) - 3) > d_budget:
+            return
         for p1, p2 in find_pairs(k, m, d_budget):
             yield certify(k, m, p1, p2, d_budget=d_budget)
 
@@ -206,6 +208,6 @@ def validate_certificate(cert: Certificate) -> None:
         fresh = certify(cert.k, cert.M, cert.p1, cert.p2, d_budget=cert.p1 * cert.p2)
     except CertificationError as exc:
         raise ValueError(f"certificate invariant violated: {exc.reason}") from exc
-    for field in fields(Certificate):
-        if getattr(fresh, field.name) != getattr(cert, field.name):
-            raise ValueError(f"certificate invariant violated: {field.name}")
+    for name in Certificate._fields:
+        if getattr(fresh, name) != getattr(cert, name):
+            raise ValueError(f"certificate invariant violated: {name}")

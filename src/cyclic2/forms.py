@@ -6,9 +6,11 @@ module is the unconditional oracle the certificate pipeline checks its
 symbol criteria against.  Enumeration is exhaustive but O(sqrt(d)): for
 each a <= sqrt(d/3) it takes the square roots of -d mod 4a, built from
 Tonelli-Shanks roots mod each prime, rather than trying every a for
-every b.  A form a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) from
-enumeration through composition; `reduce` refuses one that is not
-positive definite.
+every b, appends the forms to one list and sorts it once.  A form
+a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) from enumeration through
+composition; `reduce` refuses one that is not positive definite.  The
+result types are named tuples, so importing the package loads no
+`dataclasses` (and with it `inspect`).
 
 `class_number` reaches the number of classes of order <= 2 by three
 routes: the shape of the reduced forms, genus theory, and composition
@@ -19,8 +21,7 @@ one), so `compose` stays cross-checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import starmap
+from typing import NamedTuple
 
 from . import arith
 
@@ -34,8 +35,7 @@ from . import arith
 MAX_D = 3 * 10**12
 
 
-@dataclass(frozen=True)
-class ClassGroup2Summary:
+class ClassGroup2Summary(NamedTuple):
     """Class number of discriminant -d and the shape of its 2-Sylow part.
 
     two_part is the largest power of 2 dividing h; ambiguous_count is the
@@ -166,15 +166,6 @@ def element_order(f: tuple[int, int, int]) -> int:
     return n
 
 
-def is_ambiguous(a: int, b: int, c: int) -> bool:
-    """Whether the reduced form (a, b, c) is its own inverse (class order <= 2).
-
-    That holds exactly when (a, -b, c) reduces back to (a, b, c), which
-    for a reduced form means b = 0, b = a or a = c.
-    """
-    return b == 0 or b == a or a == c
-
-
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms of discriminant -d, as (a, b, c) sorted.
 
@@ -186,7 +177,9 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     of f mod a, combined by CRT from the roots modulo its prime powers
     (`arith.roots_mod_prime_powers`) on a depth-first walk over the
     primes up to sqrt(d/3); each root gives one b in (-a, a].  The work
-    is O(sqrt(d)) up to logarithmic factors.
+    is O(sqrt(d)) up to logarithmic factors.  A prime dividing gcd(a, b, c)
+    has its square dividing d and is at most a <= sqrt(d/3), so the gcd
+    is taken only when such a prime exists.
     """
     if d < 3 or d % 4 not in (0, 3):
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
@@ -197,18 +190,18 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     table = arith.roots_mod_prime_powers(d, top)
     # depth-first over the primes: a node (a, roots of f mod a, index of
     # the next prime a may take) is extended by each power of a later prime
-    rows = []  # per a, its forms sorted by b; rows sort by their first form
+    out = []
     stack = [(1, [0], 0)]
     while stack:
         a, roots, start = stack.pop()
         two_a, four_a = 2 * a, 4 * a
-        row = []
-        for b in sorted((2 * t + e + a - 1) % two_a - a + 1 for t in roots):
+        for t in roots:
+            b = 2 * t + e
+            if b > a:
+                b -= two_a
             c = (b * b + d) // four_a
-            if (c > a or c == a and b >= 0) and math.gcd(a, b, c) == 1:
-                row.append((a, b, c))
-        if row:
-            rows.append(row)
+            if c > a or c == a and b >= 0:
+                out.append((a, b, c))
         for i in range(start, len(table)):
             p, levels = table[i]
             if a * p > top:
@@ -217,11 +210,13 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
                 aq = a * q
                 if aq > top:
                     break
-                inv = pow(a, -1, q)
-                combined = [r + a * ((s - r) * inv % q) for r in roots for s in qroots]
-                stack.append((aq, combined, i + 1))
-    rows.sort()
-    return [f for row in rows for f in row]
+                m = a * pow(a, -1, q)  # 1 mod q, 0 mod a
+                stack.append((aq, [(r + m * (s - r)) % aq for r in roots for s in qroots], i + 1))
+    # every prime p <= top that divides d has a root, so it is in the table
+    if any(d % (p * p) == 0 for p, _ in table):
+        out = [f for f in out if math.gcd(*f) == 1]
+    out.sort()
+    return out
 
 
 def _genus_ambiguous_count(d: int) -> int:
@@ -260,7 +255,9 @@ def class_number(
         group = enumerate_reduced(d)
     h = len(group)
     two_part = h & -h
-    ambiguous = sum(starmap(is_ambiguous, group))
+    # a reduced (a, b, c) is its own inverse, (a, -b, c) reducing back to
+    # it, exactly when b = 0, b = a or a = c
+    ambiguous = sum(1 for a, b, c in group if b == 0 or b == a or a == c)
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
         raise ArithmeticError(
@@ -285,13 +282,7 @@ def class_number(
                 f"2-Sylow bookkeeping mismatch for d={d}: "
                 f"ambiguous_count={ambiguous}, but no element of order {two_part}"
             )
-    return ClassGroup2Summary(
-        d=d,
-        h=h,
-        two_part=two_part,
-        cyclic_2sylow=cyclic,
-        ambiguous_count=ambiguous,
-    )
+    return ClassGroup2Summary(d, h, two_part, cyclic, ambiguous)
 
 
 def order_2m_form(w: int, x: int, m: int) -> tuple[int, int, int]:

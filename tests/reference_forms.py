@@ -6,7 +6,8 @@ its O(sqrt(d)) walk over the square roots of -d mod 4a; it shares no
 code with the oracle.  `reference_witness_cyclic` is the full witness
 scan that `forms.class_number` ran on every d before it checked a
 non-cyclic verdict by counting squares; it costs about h*log2(h)
-compositions when no witness exists.
+compositions when no witness exists.  `is_ambiguous` is the per-form
+test that `forms.class_number` counts inline.
 """
 
 import math
@@ -32,6 +33,15 @@ def reference_enumerate(d: int) -> list[tuple[int, int, int]]:
         b += 2
     out.sort()
     return out
+
+
+def is_ambiguous(a: int, b: int, c: int) -> bool:
+    """Whether the reduced form (a, b, c) is its own inverse (class order <= 2).
+
+    That holds exactly when (a, -b, c) reduces back to (a, b, c), which
+    for a reduced form means b = 0, b = a or a = c.
+    """
+    return b == 0 or b == a or a == c
 
 
 def reference_witness_cyclic(group: list[tuple[int, int, int]], h: int) -> bool:

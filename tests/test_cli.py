@@ -1,6 +1,5 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
-import dataclasses
 import json
 import math
 import os
@@ -166,28 +165,33 @@ def test_d_max_help_names_the_oracle_bound(capsys):
 
 
 # The certificate commands run on integers alone; only compare and
-# singular build arrays.  Each child starts without numpy loaded, and the
-# probe records whether it is loaded after each command.
-_NUMPY_PROBE = """
+# singular build arrays.  Each child starts with none of the named modules
+# loaded, and the probe records which of them are loaded after each command.
+_PROBE = """
 import json, os, sys
 from cyclic2 import cli
+names, argvs = json.loads(sys.argv[1])
 seen = []
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     code = cli.main(argv + ["--output", os.devnull])
-    seen.append([code, "numpy" in sys.modules])
+    seen.append([code, [name for name in names if name in sys.modules]])
 print(json.dumps(seen))
 """
 
 
-def _numpy_loaded_after(*argvs):
+def _modules_loaded_after(names, *argvs):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(list(argvs))],
+        [sys.executable, "-c", _PROBE, json.dumps([names, list(argvs)])],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def _numpy_loaded_after(*argvs):
+    return [[code, loaded == ["numpy"]] for code, loaded in _modules_loaded_after(["numpy"], *argvs)]
 
 
 def test_certificate_commands_never_load_numpy():
@@ -203,6 +207,22 @@ def test_certificate_commands_never_load_numpy():
 def test_compare_and_singular_load_numpy():
     assert _numpy_loaded_after(["compare", "--n-lo", "200", "--n-hi", "208"]) == [[0, True]]
     assert _numpy_loaded_after(["singular", "--m", "16"]) == [[0, True]]
+
+
+def test_no_command_loads_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the result
+    # types are named tuples, so the certificate commands load none of it
+    seen = _modules_loaded_after(
+        ["dataclasses", "inspect"],
+        ["verify", "--d", "39"],
+        ["verify", "--k", "3", "--m", "2", "--p1", "8861", "--p2", "7523"],
+        ["search", "--k", "2", "--m-max", "1"],
+    )
+    assert seen == [[0, []]] * 3
+    # numpy's own numpy._core.overrides imports inspect, so compare and
+    # singular are checked for dataclasses alone
+    for argv in (["compare", "--n-lo", "200", "--n-hi", "208"], ["singular", "--m", "16"]):
+        assert _modules_loaded_after(["dataclasses", "numpy"], argv) == [[0, ["numpy"]]]
 
 
 def _record_sieve_his(monkeypatch):
@@ -235,6 +255,85 @@ def test_search_far_target_sieves_nothing_large(capsys, monkeypatch):
     assert diag["error"] == "validation"
     assert diag["message"] == "no output rows produced"
     assert all(hi <= math.isqrt(factory.DEFAULT_D_BUDGET) for hi in his)
+
+
+def test_search_stops_at_the_first_m_past_the_budget(capsys, monkeypatch):
+    # at M = 20000, n = 3.2e9 and even p = 3 gives d = 3*(n - 3) > 1e9;
+    # n grows with M, so no later M is searched
+    calls = []
+    find_pairs = factory.find_pairs
+    monkeypatch.setattr(
+        factory, "find_pairs", lambda *a, **kw: calls.append(a) or find_pairs(*a, **kw)
+    )
+    code, out, err = run(capsys, "search", "--k", "1", "--m-min", "20000",
+                         "--m-max", "1000000")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "no output rows produced"
+    assert len(calls) <= 1
+
+
+SEARCH_HEADER = "k,M,w,x,p1,p2,d,symbol_ok,h,two_part,cyclic"
+SEARCH_K2_M1 = ["2,1,2,3,5,11,55,true,4,4,true", "2,1,2,5,13,3,39,true,4,4,true"]
+
+
+def test_search_writes_each_row_before_the_next_certificate(monkeypatch, tmp_path):
+    # --output is opened with the first row, and each row is flushed
+    # before the next pair is certified
+    path = tmp_path / "rows.csv"
+    certify, seen = factory.certify, []
+
+    def spy(*args, **kwargs):
+        seen.append(path.read_text() if path.exists() else None)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(factory, "certify", spy)
+    assert cli.main(["search", "--k", "2", "--m-max", "1", "--output", str(path)]) == 0
+    assert seen == [None, f"{SEARCH_HEADER}\n{SEARCH_K2_M1[0]}\n"]
+    assert path.read_text().splitlines() == [SEARCH_HEADER, *SEARCH_K2_M1]
+
+
+def test_search_keeps_rows_written_before_a_failure(capsys, monkeypatch):
+    # the two certificates issued before an internal error stay printed
+    certify, calls = factory.certify, []
+
+    def fail_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise ArithmeticError("injected fault")
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(factory, "certify", fail_third)
+    code, out, err = run(capsys, "search", "--k", "2", "--m-max", "2")
+    assert code == 1
+    assert len(calls) == 3
+    assert out.splitlines() == [SEARCH_HEADER, *SEARCH_K2_M1]
+    (line,) = err.splitlines()
+    assert json.loads(line) == {"error": "internal", "message": "injected fault"}
+
+
+def test_zero_row_search_opens_no_output(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    code, out, err = run(capsys, "search", "--k", "1", "--m-max", "3", "--d-max", "2",
+                         "--format", "json", "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["message"] == "no output rows produced"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["search", "--k", "2", "--m-max", "1", "--d-max", "39"], 1),
+    (["verify", "--d", "39", "--forms"], 1),
+    (["search", "--k", "2", "--m-max", "3"], 34),
+    (["compare", "--n-lo", "200", "--n-hi", "240"], 6),
+])
+def test_streamed_json_equals_one_dump(capsys, argv, count):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == count
+    assert out == json.dumps(rows, indent=2) + "\n"
 
 
 def test_search_huge_k_refused_before_allocating(capsys):
@@ -416,7 +515,7 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     # reports 8 contradicts it, which is a bug and not a rejection
     real = forms.class_number
     monkeypatch.setattr(
-        forms, "class_number", lambda d: dataclasses.replace(real(d), two_part=8)
+        forms, "class_number", lambda d: real(d)._replace(two_part=8)
     )
     code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
                          "--p1", "13", "--p2", "3")

@@ -131,6 +131,17 @@ def test_square_class_product_formula_sweep():
     assert count > 500
 
 
+def test_square_class_broken_product_is_internal(monkeypatch):
+    # the symbols over p | d multiply to 1 by a theorem; a symbol that
+    # breaks the product is a bug in this code, not a bad input
+    real = criteria.hilbert_symbol
+    monkeypatch.setattr(
+        criteria, "hilbert_symbol", lambda a, b, p: -real(a, b, p) if p == 3 else real(a, b, p)
+    )
+    with pytest.raises(ArithmeticError, match="Hilbert symbol product"):
+        criteria.square_class_report(2, 39)
+
+
 def test_square_class_principal_is_square():
     # the identity class (norm 1) is trivially a square
     for d in (15, 39, 183, 295, 455):

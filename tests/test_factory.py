@@ -1,6 +1,5 @@
 """Tests for the pair search and certification pipeline."""
 
-import dataclasses
 import math
 import random
 import tracemalloc
@@ -254,6 +253,19 @@ def _budget_targets(budget):
     return out
 
 
+def test_search_stops_where_no_pair_fits_the_budget(monkeypatch):
+    # k = 1: n = 8*M**2.  A budget of 15 = 3*(8 - 3) admits (5, 3) at
+    # M = 1; at M = 2, 3*(32 - 3) = 87 > 15, so the search ends there
+    calls = []
+    find_pairs = factory.find_pairs
+    monkeypatch.setattr(
+        factory, "find_pairs", lambda *a, **kw: calls.append(a[1]) or find_pairs(*a, **kw)
+    )
+    certs = list(factory.search(1, range(1, 10**9), d_budget=15))
+    assert [(c.M, c.p1, c.p2) for c in certs] == [(1, 5, 3)]
+    assert calls == [1]
+
+
 def test_search_certifies_every_enumerated_pair():
     # find_pairs fixes the sum, the residues, both primalities and the
     # budget, and (p1/2) = -1 for p1 = 5 (mod 8): certify rejects none
@@ -278,28 +290,26 @@ def test_search_propagates_a_rejection(monkeypatch):
 def test_validate_certificate_catches_tampering():
     cert = factory.certify(2, 1, 13, 3)
     factory.validate_certificate(cert)
-    bad = dataclasses.replace(cert, d=55)
+    bad = cert._replace(d=55)
     with pytest.raises(ValueError, match="invariant"):
         factory.validate_certificate(bad)
-    bad = dataclasses.replace(cert, x=3)
+    bad = cert._replace(x=3)
     with pytest.raises(ValueError, match="invariant"):
         factory.validate_certificate(bad)
-    bad = dataclasses.replace(
-        cert, oracle=dataclasses.replace(cert.oracle, two_part=8)
-    )
+    bad = cert._replace(oracle=cert.oracle._replace(two_part=8))
     with pytest.raises(ValueError, match="invariant"):
         factory.validate_certificate(bad)
 
 
 def test_validate_certificate_names_the_failure():
     cert = factory.certify(2, 1, 13, 3)
-    bad = dataclasses.replace(cert, symbol_ok=False)
+    bad = cert._replace(symbol_ok=False)
     with pytest.raises(ValueError, match="invariant violated: symbol_ok"):
         factory.validate_certificate(bad)
-    bad = dataclasses.replace(cert, p1=5, p2=11)
+    bad = cert._replace(p1=5, p2=11)
     with pytest.raises(ValueError, match="invariant violated: x"):
         factory.validate_certificate(bad)
-    bad = dataclasses.replace(cert, p1=1, p2=15)
+    bad = cert._replace(p1=1, p2=15)
     with pytest.raises(ValueError, match="invariant violated: prime-too-small"):
         factory.validate_certificate(bad)
 

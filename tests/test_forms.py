@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_forms import reference_enumerate, reference_witness_cyclic
+from reference_forms import is_ambiguous, reference_enumerate, reference_witness_cyclic
 
 from cyclic2 import arith, forms
 
@@ -259,7 +259,7 @@ def test_genus_count_law():
     # count of the enumerated forms and against class_number
     cases = set()
     for d in valid_discriminants(10_000):
-        shape = sum(forms.is_ambiguous(*t) for t in forms.enumerate_reduced(d))
+        shape = sum(is_ambiguous(*t) for t in forms.enumerate_reduced(d))
         assert forms._genus_ambiguous_count(d) == shape, d
         assert forms.class_number(d).ambiguous_count == shape, d
         odd_part = d >> ((d & -d).bit_length() - 1)
@@ -319,7 +319,7 @@ def test_enumerate_matches_reference(ds, witness_scan):
     for d in ds:
         group = forms.enumerate_reduced(d)
         assert group == reference_enumerate(d), d
-        shape = sum(forms.is_ambiguous(*t) for t in group)
+        shape = sum(is_ambiguous(*t) for t in group)
         assert shape == compose_ambiguous_count(d, group), d
         if witness_scan:
             verdict = forms.class_number(d, group).cyclic_2sylow
@@ -349,6 +349,35 @@ def test_enumerate_non_fundamental_matches_reference():
             assert forms.class_number(d, group).h == len(group), d
             cases += 1
     assert cases > 200
+
+
+def assert_oracle_matches_reference(d):
+    group = reference_enumerate(d)
+    assert forms.enumerate_reduced(d) == group, d
+    s = forms.class_number(d)
+    assert s.h == len(group), d
+    assert s.ambiguous_count == sum(is_ambiguous(*f) for f in group), d
+    assert s.cyclic_2sylow == reference_witness_cyclic(group, len(group)), d
+
+
+@pytest.mark.parametrize("d0", [3, 4, 7, 8])
+def test_enumerate_square_prime_factor_matches_reference(d0):
+    # p*p | d is what lets a reduced form be imprimitive, so only these d
+    # filter by gcd; at d0 = 3 the top a = isqrt(d/3) is p itself, and
+    # (p, p, p) is the imprimitive form there
+    for p in (2, 3, 5, 7, 11, 101, 331, 997):
+        assert_oracle_matches_reference(p * p * d0)
+    assert (997, 997, 997) not in forms.enumerate_reduced(3 * 997 * 997)
+
+
+def test_enumerate_d_divisible_by_4_matches_reference():
+    # d = 4m with m = 1, 2, 3 (mod 4), so 16 does not divide d, and d = 16m
+    rng = random.Random(4)
+    ms = [rng.randrange(10**4, 10**6) for _ in range(40)]
+    ds = [4 * m for m in ms if m % 4] + [16 * m for m in ms[:12]]
+    assert {4 * m % 16 for m in ms if m % 4} == {4, 8, 12}
+    for d in ds:
+        assert_oracle_matches_reference(d)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
