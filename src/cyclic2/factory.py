@@ -3,9 +3,10 @@
 For a level k and multiplier M, the target sum is n = 4*(2*M**2)**(2**(k-1)).
 Prime pairs p1 + p2 = n with p1 = 5 and p2 = 3 (mod 8) pass the symbol
 criterion automatically; each candidate is still run through the full
-criterion and then confirmed against the form-enumeration oracle before
-a certificate is emitted.  A disagreement between the two routes is an
-internal error, never a rejection.
+criterion, its class of order 2**k is checked by composition, and it is
+confirmed against the form-enumeration oracle before a certificate is
+emitted.  A disagreement between the two routes is an internal error,
+never a rejection.
 
 The search enumerates only the pairs whose d = p1*p2 fits the oracle
 budget (`find_pairs`), so its cost grows with the number of
@@ -100,6 +101,22 @@ def find_pairs(
     return sorted(pairs)
 
 
+def _order_2k_witness(w: int, x: int, k: int, d: int) -> tuple[int, int, int]:
+    """The reduced class g of (w, x, w**(2**k - 1)), the ideal of norm w,
+    checked in k compositions to have order exactly 2**k.  The inputs are
+    already validated, so any failure, a ValueError from `reduce` too, is
+    an ArithmeticError."""
+    try:
+        g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
+        half = forms.form_pow(g, 1 << (k - 1))
+        ident = forms.principal_form(-d)
+        if half != ident and forms.compose(half, half) == ident:
+            return g
+    except ValueError as exc:
+        raise ArithmeticError(f"witness check failed for d={d}: {exc}") from exc
+    raise ArithmeticError(f"witness check failed for d={d}: {g} does not have order 2**{k}")
+
+
 def certify(
     k: int, M: int, p1: int, p2: int, *, d_budget: int = DEFAULT_D_BUDGET
 ) -> Certificate:
@@ -107,8 +124,10 @@ def certify(
 
     Raises CertificationError naming the first failed requirement.
     Violations of provable invariants (coprimality of x and w, the
-    discriminant identity, criterion/oracle agreement) raise
-    ArithmeticError instead, an internal error.
+    discriminant identity, the order of the witness, criterion/oracle
+    agreement) raise ArithmeticError instead, an internal error.  The
+    oracle gets the witness, so it counts the class group and keeps no
+    form list.
     """
     n = target(k, M)
     w = 2 * M * M
@@ -146,7 +165,7 @@ def certify(
         raise CertificationError(
             "symbol-test-failed", f"(p1={p1}/w={w}) is not -1"
         )
-    oracle = forms.class_number(d)
+    oracle = forms.class_number(d, witness=_order_2k_witness(w, x, k, d))
     if oracle.two_part != 1 << k or not oracle.cyclic_2sylow:
         raise ArithmeticError(
             f"oracle-mismatch: symbol test passed but enumeration of d={d} "

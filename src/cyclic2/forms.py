@@ -3,19 +3,24 @@
 Gauss reduction, classical composition, exhaustive class-number
 enumeration, element orders, and the 2-Sylow structure summary.  This
 module is the unconditional oracle the certificate pipeline checks its
-symbol criteria against.  Enumeration is exhaustive but O(sqrt(d)): for
-each a <= sqrt(d/3) it takes the square roots of -d mod 4a, built from
-Tonelli-Shanks roots mod each prime, rather than trying every a for
-every b, appends the forms to one list and sorts it once.  A form
-a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) from enumeration through
-composition; `reduce` refuses one that is not positive definite.  The
-result types are named tuples, so importing the package loads no
-`dataclasses` (and with it `inspect`).
+symbol criteria against.  A form a*x**2 + b*x*y + c*y**2 is the tuple
+(a, b, c) throughout; `reduce` refuses one that is not positive definite.
+The result types are named tuples, so no `dataclasses` is loaded.
 
-`class_number` reaches the number of classes of order <= 2 by three
-routes: the shape of the reduced forms, genus theory, and composition
-(a square count for a non-cyclic verdict, a witness scan for a cyclic
-one), so `compose` stays cross-checked.
+Enumeration is exhaustive but O(sqrt(d)): every oracle route goes through
+one walk, `_blocks`, over the square roots of -d mod 4a, a <= sqrt(d/3),
+yielding each a's roots as a block: the parent's roots and one prime
+power's roots, left uncombined.  A block is plain when a > 1, 4*a*a < d
+and gcd(a, d) = 1.  Each of its roots then gives one b in (-a, a] and
+c = (b*b + d)/4a > a: a reduced form, not ambiguous (b = 0 or b = a
+would make a divide d, and c > a rules out a = c), and primitive (a prime
+dividing a, b and c divides d).  So `class_number` counts a plain block
+by the product of its root-list lengths, and expands and checks only the
+others.  Given a witness, the certificate's class of order 2**k, a cyclic
+verdict keeps no form list.  `class_number` reaches the number of classes
+of order <= 2 by three routes: the shape of the reduced forms, genus
+theory, and composition (a square count for a non-cyclic verdict, a
+witness check for a cyclic one), so `compose` stays cross-checked.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from typing import NamedTuple
 
 from . import arith
 
-# The oracle's input bound.  Memory grows with h, about 160 bytes per
-# reduced form, and h reaches about 2.3 * sqrt(d) when -d is a square
+# The oracle's input bound.  A certificate's oracle keeps no form list,
+# but `verify --d` without a witness holds every reduced form: about 160
+# bytes each, and h reaches about 2.3 * sqrt(d) when -d is a square
 # modulo many small primes.  Near the bound, d = 2,898,422,567,039
 # (h = 3,836,444, non-cyclic) takes about 50 s at 710 MB peak RSS as a
 # `verify --d` child on a 2-core machine; at d = 9,626,903,526,239
@@ -135,16 +141,19 @@ def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int,
 
 
 def form_pow(f: tuple[int, int, int], e: int) -> tuple[int, int, int]:
-    """e-th power of the class of f, e >= 0, by repeated squaring."""
+    """e-th power of the class of f, e >= 0, by repeated squaring; f**(2**j)
+    costs j compositions (none with the identity, none after the top bit)."""
     if e < 0:
         raise ValueError("form_pow requires e >= 0")
     result = principal_form(discriminant(f))
-    base = reduce(f)
+    base, first = reduce(f), True
     while e:
         if e & 1:
-            result = compose(result, base)
-        base = compose(base, base)
+            result = base if first else compose(result, base)
+            first = False
         e >>= 1
+        if e:
+            base = compose(base, base)
     return result
 
 
@@ -166,57 +175,98 @@ def element_order(f: tuple[int, int, int]) -> int:
     return n
 
 
-def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
-    """All primitive reduced forms of discriminant -d, as (a, b, c) sorted.
+def _crt(a0: int, roots0: list[int], q: int, qroots: list[int]) -> list[int]:
+    """Roots mod a0*q from roots mod a0 and mod q, gcd(a0, q) = 1 (q = 1 too)."""
+    a = a0 * q
+    m = a0 * pow(a0, -1, q)  # 1 mod q, 0 mod a0
+    return [(r + m * (s - r)) % a for r in roots0 for s in qroots]
+
+
+def _blocks(d: int):
+    """The walk behind every oracle route: (plain, a0, roots0, q, qroots).
 
     -d must be a valid discriminant, i.e. d = 3 (mod 4) or d = 0 (mod 4),
     and d at most MAX_D, which is checked before any prime is sieved.
-    Imprimitive forms do not belong to the class group and are skipped.
     A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
-    a*c = f(t) = t*t + e*t + (d + e)/4.  So each a comes with the roots
-    of f mod a, combined by CRT from the roots modulo its prime powers
-    (`arith.roots_mod_prime_powers`) on a depth-first walk over the
-    primes up to sqrt(d/3); each root gives one b in (-a, a].  The work
-    is O(sqrt(d)) up to logarithmic factors.  A prime dividing gcd(a, b, c)
-    has its square dividing d and is at most a <= sqrt(d/3), so the gcd
-    is taken only when such a prime exists.
+    a*c = f(t) = t*t + e*t + (d + e)/4.  So a = a0*q comes with the roots
+    of f mod a, the CRT combinations of those mod a0 and mod the prime
+    power q (`arith.roots_mod_prime_powers`), on a depth-first walk over
+    the primes up to sqrt(d/3); each root gives one b in (-a, a].  Only a
+    node with children combines its roots, and is yielded with q = 1.
+    `plain` is the test stated in the module docstring.
     """
     if d < 3 or d % 4 not in (0, 3):
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
     if d > MAX_D:
         raise ValueError(f"discriminant bound exceeded: d={d} > {MAX_D}")
-    e = d & 1
     top = math.isqrt(d // 3)
     table = arith.roots_mod_prime_powers(d, top)
-    # depth-first over the primes: a node (a, roots of f mod a, index of
-    # the next prime a may take) is extended by each power of a later prime
-    out = []
-    stack = [(1, [0], 0)]
+    last = len(table)
+    # a node also holds the index of the next prime a may take
+    stack = [(1, [0], 1, [0], 0)]
     while stack:
-        a, roots, start = stack.pop()
-        two_a, four_a = 2 * a, 4 * a
-        for t in roots:
-            b = 2 * t + e
-            if b > a:
-                b -= two_a
-            c = (b * b + d) // four_a
-            if c > a or c == a and b >= 0:
-                out.append((a, b, c))
-        for i in range(start, len(table)):
+        a0, roots0, q, qroots, start = stack.pop()
+        a = a0 * q
+        plain = a > 1 and 4 * a * a < d and math.gcd(a, d) == 1
+        if start == last or a * table[start][0] > top:
+            yield plain, a0, roots0, q, qroots
+            continue
+        roots = _crt(a0, roots0, q, qroots)
+        yield plain, a, roots, 1, [0]
+        for i in range(start, last):
             p, levels = table[i]
             if a * p > top:
                 break
             for q, qroots in levels:
-                aq = a * q
-                if aq > top:
+                if a * q > top:
                     break
-                m = a * pow(a, -1, q)  # 1 mod q, 0 mod a
-                stack.append((aq, [(r + m * (s - r)) % aq for r in roots for s in qroots], i + 1))
-    # every prime p <= top that divides d has a root, so it is in the table
-    if any(d % (p * p) == 0 for p, _ in table):
-        out = [f for f in out if math.gcd(*f) == 1]
-    out.sort()
+                stack.append((a, roots, q, qroots, i + 1))
+
+
+def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms of one block of `_blocks(d)`; only a
+    block that is not plain is checked form by form."""
+    plain, a0, roots0, q, qroots = block
+    a, e = a0 * q, d & 1
+    out = []
+    for t in _crt(a0, roots0, q, qroots):
+        b = 2 * t + e
+        if b > a:
+            b -= 2 * a
+        c = (b * b + d) // (4 * a)
+        if plain or (c > a or c == a and b >= 0) and math.gcd(a, b, c) == 1:
+            out.append((a, b, c))
     return out
+
+
+def _all_forms(d: int) -> list[tuple[int, int, int]]:
+    return [f for block in _blocks(d) for f in _expand(d, block)]
+
+
+def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
+    """All primitive reduced forms (a, b, c) of discriminant -d, sorted;
+    -d must be a valid discriminant with d <= MAX_D (see `_blocks`)."""
+    return sorted(_all_forms(d))
+
+
+def _ambiguous_count(group: list[tuple[int, int, int]]) -> int:
+    """Reduced forms that are their own inverse: b = 0, b = a or a = c."""
+    return sum(1 for a, b, c in group if b == 0 or b == a or a == c)
+
+
+def _count(d: int) -> tuple[int, int]:
+    """h and the shape count of ambiguous forms, with each plain block
+    counted and not expanded (module docstring)."""
+    h = ambiguous = 0
+    for block in _blocks(d):
+        plain, _, roots0, _, qroots = block
+        if plain:
+            h += len(roots0) * len(qroots)
+        else:
+            expanded = _expand(d, block)
+            h += len(expanded)
+            ambiguous += _ambiguous_count(expanded)
+    return h, ambiguous
 
 
 def _genus_ambiguous_count(d: int) -> int:
@@ -236,9 +286,8 @@ def _genus_ambiguous_count(d: int) -> int:
     return 1 << (mu - 1)
 
 
-def class_number(
-    d: int, group: list[tuple[int, int, int]] | None = None
-) -> ClassGroup2Summary:
+def class_number(d: int, group: list | None = None, witness: tuple | None = None
+                 ) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
     Three routes reach the number of classes of order <= 2, and any
@@ -247,17 +296,17 @@ def class_number(
     Composition runs one of two checks: a non-cyclic count must equal h
     over the number of distinct squares (|G^2| * |G[2]| = |G|, h
     compositions); a cyclic verdict with h even needs a class whose h/2-th
-    power is not principal (a scan that stops at the first such witness).
-    A caller that already holds `enumerate_reduced(d)` passes it as
-    `group`, which is then not enumerated again.
+    power is not principal.  A caller that holds `enumerate_reduced(d)`
+    passes it as `group`.  One that knows a generator of the 2-Sylow
+    subgroup passes it as `witness`: h and the shape count then come from
+    counting blocks, and a cyclic verdict is checked on the witness alone.
+    Otherwise every form is listed, and a cyclic verdict scans them and
+    stops at the first witness.
     """
-    if group is None:
-        group = enumerate_reduced(d)
-    h = len(group)
+    if group is None and witness is None:
+        group = _all_forms(d)
+    h, ambiguous = _count(d) if group is None else (len(group), _ambiguous_count(group))
     two_part = h & -h
-    # a reduced (a, b, c) is its own inverse, (a, -b, c) reducing back to
-    # it, exactly when b = 0, b = a or a = c
-    ambiguous = sum(1 for a, b, c in group if b == 0 or b == a or a == c)
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
         raise ArithmeticError(
@@ -266,7 +315,7 @@ def class_number(
         )
     cyclic = ambiguous <= 2
     if not cyclic:
-        squares = len({compose(f, f) for f in group})
+        squares = len({compose(f, f) for f in group or _all_forms(d)})
         if squares * ambiguous != h:
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
@@ -277,11 +326,10 @@ def class_number(
         # subgroup of order two_part; such g exists iff the 2-Sylow
         # subgroup is cyclic.
         ident = principal_form(-d)
-        if not any(form_pow(f, h // 2) != ident for f in group):
-            raise ArithmeticError(
-                f"2-Sylow bookkeeping mismatch for d={d}: "
-                f"ambiguous_count={ambiguous}, but no element of order {two_part}"
-            )
+        if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else group)):
+            raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
+                                  f"{ambiguous}, but no {'witness' if witness else 'element'} "
+                                  f"of order {two_part}")
     return ClassGroup2Summary(d, h, two_part, cyclic, ambiguous)
 
 

@@ -105,21 +105,28 @@ def test_verify_rejects_bad_pair(capsys):
 
 
 def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
-    calls = []
+    calls, witnesses = [], []
     class_number = forms.class_number
-    monkeypatch.setattr(forms, "class_number",
-                        lambda d: calls.append(d) or class_number(d))
+
+    def counted(d, group=None, witness=None):
+        calls.append(d)
+        witnesses.append(witness)
+        return class_number(d, group, witness)
+
+    monkeypatch.setattr(forms, "class_number", counted)
     code, _, _ = run(capsys, "verify", "--k", "2", "--m", "1",
                      "--p1", "13", "--p2", "3")
     assert code == 0
     assert calls == [39]
+    assert witnesses == [(2, 1, 5)]  # (w, x, w**3) = (2, 5, 8), reduced
 
 
 def _assert_refused_before_enumeration(capsys, monkeypatch, *flags):
     def no_enumeration(d):
         raise AssertionError("the oracle ran on an over-budget d")
 
-    monkeypatch.setattr(forms, "enumerate_reduced", no_enumeration)
+    # every oracle route, enumeration or count, goes through this walk
+    monkeypatch.setattr(forms, "_blocks", no_enumeration)
     code, out, err = run(capsys, "verify", *flags, "--d-max", "100", "--d", "103")
     assert code == 2
     assert out == ""
@@ -146,7 +153,7 @@ def test_d_max_above_the_oracle_bound_refused(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran past an over-bound --d-max")
 
-    for owner, name in ((arith, "sieve"), (forms, "enumerate_reduced"),
+    for owner, name in ((arith, "sieve"), (forms, "_blocks"),
                         (factory, "find_pairs"), (factory, "certify")):
         monkeypatch.setattr(owner, name, no_work)
     code, out, err = run(capsys, *argv, "--d-max", str(forms.MAX_D + 1))
@@ -515,7 +522,8 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     # reports 8 contradicts it, which is a bug and not a rejection
     real = forms.class_number
     monkeypatch.setattr(
-        forms, "class_number", lambda d: real(d)._replace(two_part=8)
+        forms, "class_number",
+        lambda d, group=None, witness=None: real(d, group, witness)._replace(two_part=8),
     )
     code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
                          "--p1", "13", "--p2", "3")
@@ -523,6 +531,29 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     assert out == ""
     error = json.loads(err.strip().splitlines()[-1])
     assert error["error"] == "internal" and "oracle-mismatch" in error["message"]
+
+
+@pytest.mark.parametrize("fault", ["reduce-refuses", "wrong-class"])
+def test_verify_k_reports_a_broken_witness_check_as_internal(capsys, monkeypatch, fault):
+    # certify checks that g = (2, 1, 5) has order exactly 4 by composition
+    # before the oracle runs; a compose whose result reduce refuses (a
+    # ValueError), or that squares to the wrong class, is a bug: exit 1
+    real = forms.compose
+
+    def broken(f, g):
+        a, b, c = real(f, g)
+        if fault == "reduce-refuses":
+            return forms.reduce((a, b, -c))
+        return forms.principal_form(b * b - 4 * a * c)
+
+    monkeypatch.setattr(forms, "compose", broken)
+    code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
+                         "--p1", "13", "--p2", "3")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "internal" and "witness check failed" in error["message"]
 
 
 def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):

@@ -325,6 +325,42 @@ def test_negative_pairs_have_larger_two_part():
     assert seen >= 3
 
 
+# ----------------------------------------------------------------- witness
+
+# (k, largest M) of the pairs checked, both modes, with d <= 10**9
+WITNESS_LEVELS = ((1, 20), (2, 5), (3, 3), (4, 2), (5, 1))
+
+
+def test_witness_has_order_exactly_2k_in_both_modes():
+    # g, the reduced class of (w, x, w**(2**k - 1)), has order exactly 2**k
+    # for every pair; in negative mode the 2-part is larger, so the order
+    # alone does not decide a certificate, the symbol route does
+    seen = {False: 0, True: 0}
+    for k, m_max in WITNESS_LEVELS:
+        for m in range(1, m_max + 1):
+            w, half = 2 * m * m, factory.target(k, m) // 2
+            for negative in (False, True):
+                for p1, p2 in factory.find_pairs(k, m, 10**9, negative=negative):
+                    x = abs(p1 - half)
+                    g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
+                    assert forms.element_order(g) == 1 << k, (k, m, p1, p2)
+                    assert factory._order_2k_witness(w, x, k, p1 * p2) == g
+                    seen[negative] += 1
+    assert seen[False] >= 500 and seen[True] >= 100, seen
+
+
+def test_certify_builds_no_form_list(monkeypatch):
+    # the witness lets the oracle count blocks; no form is listed
+    def no_list(d):
+        raise AssertionError("a form list was built")
+
+    monkeypatch.setattr(forms, "_all_forms", no_list)
+    monkeypatch.setattr(forms, "enumerate_reduced", no_list)
+    certs = list(factory.search(2, range(1, 6)))
+    assert len(certs) == 124
+    assert factory.certify(3, 2, 8861, 7523).oracle.two_part == 8
+
+
 # Largest d = p1*p2 drawn for the two-route agreement test; the smaller
 # prime is at least 3, so every such target n is at most D_CAP // 3 + 3.
 D_CAP = 2 * 10**5

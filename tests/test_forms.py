@@ -210,6 +210,17 @@ def test_class_number_invariants():
         assert s.h == len(forms.enumerate_reduced(d))
 
 
+def test_class_number_takes_a_witness():
+    # (2, 1, 5) generates the cyclic group of -39; the principal form is
+    # no witness, and a caller that passes it gets an internal error
+    assert forms.class_number(39, witness=(2, 1, 5)) == forms.class_number(39)
+    with pytest.raises(ArithmeticError, match="no witness of order 4"):
+        forms.class_number(39, witness=(1, 1, 10))
+    # d = 3*5*7*11 has 8 ambiguous classes: the non-cyclic verdict still
+    # counts squares, over forms listed for that check
+    assert forms.class_number(1155, witness=(1, 1, 289)) == forms.class_number(1155)
+
+
 def test_class_number_validation():
     for d in (0, -15, 1, 2, 5, 6):
         with pytest.raises(ValueError):
@@ -321,6 +332,7 @@ def test_enumerate_matches_reference(ds, witness_scan):
         assert group == reference_enumerate(d), d
         shape = sum(is_ambiguous(*t) for t in group)
         assert shape == compose_ambiguous_count(d, group), d
+        assert forms._count(d) == (len(group), shape), d
         if witness_scan:
             verdict = forms.class_number(d, group).cyclic_2sylow
             assert verdict == reference_witness_cyclic(group, len(group)), d
@@ -378,6 +390,40 @@ def test_enumerate_d_divisible_by_4_matches_reference():
     assert {4 * m % 16 for m in ms if m % 4} == {4, 8, 12}
     for d in ds:
         assert_oracle_matches_reference(d)
+
+
+def counting_discriminants():
+    """Seeded d up to 1e9: d = 0 (mod 4), and d = p*p*d0, where the
+    imprimitive forms have to be filtered (every d <= 20,000 is covered
+    by test_enumerate_matches_reference)."""
+    rng = random.Random(16)
+    ds = [4 * rng.randrange(10**6, 25 * 10**7) for _ in range(10)]
+    for p in (2, 3, 5, 7, 13, 101, 997):
+        for _ in range(2):
+            d0 = rng.randrange(10**9 // (p * p) // 2, 10**9 // (p * p))
+            ds.append(p * p * (d0 - d0 % 4 + rng.choice((0, 3))))
+    return ds
+
+
+def assert_count_matches_enumeration(d):
+    group = forms.enumerate_reduced(d)
+    shape = sum(is_ambiguous(*f) for f in group)
+    assert forms._count(d) == (len(group), shape), d
+    return group
+
+
+def test_count_matches_enumeration():
+    # the count route counts plain blocks without expanding them; it must
+    # give the enumerated h and shape count
+    for d in counting_discriminants():
+        assert_count_matches_enumeration(d)
+
+
+def test_count_matches_enumeration_at_k6():
+    # the d of the k = 6 certificate, h = 570,304
+    d = 2_250_562_845_943
+    group = assert_count_matches_enumeration(d)
+    assert len(group) == 570_304
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
