@@ -127,10 +127,9 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
         return [_cert_row(cert)]
     if args.d > _d_budget(args):  # refused before any enumeration
         raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
-    group = forms.enumerate_reduced(args.d) if args.forms else None
-    row = _group_row(forms.class_number(args.d, group))
+    row = _group_row(forms.class_number(args.d))
     if args.forms:
-        row["forms"] = ";".join(",".join(map(str, f)) for f in group)
+        row["forms"] = ";".join(",".join(map(str, f)) for f in forms.enumerate_reduced(args.d))
     return [row]
 
 

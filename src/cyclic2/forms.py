@@ -16,11 +16,14 @@ c = (b*b + d)/4a > a: a reduced form, not ambiguous (b = 0 or b = a
 would make a divide d, and c > a rules out a = c), and primitive (a prime
 dividing a, b and c divides d).  So `class_number` counts a plain block
 by the product of its root-list lengths, and expands and checks only the
-others.  Given a witness, the certificate's class of order 2**k, a cyclic
-verdict keeps no form list.  `class_number` reaches the number of classes
-of order <= 2 by three routes: the shape of the reduced forms, genus
-theory, and composition (a square count for a non-cyclic verdict, a
-witness check for a cyclic one), so `compose` stays cross-checked.
+others.  No oracle route keeps a form list: the composition checks
+consume the forms as they come, so a non-cyclic verdict keeps only its
+h/ambiguous distinct squares, and a cyclic one stops at its first witness
+(the certificate's class of order 2**k, if given).  `class_number`
+reaches the number of classes of order <= 2 by three routes: the shape
+of the reduced forms, genus theory, and composition (a square count for
+a non-cyclic verdict, a witness check for a cyclic one), so `compose`
+stays cross-checked.
 """
 
 from __future__ import annotations
@@ -30,14 +33,13 @@ from typing import NamedTuple
 
 from . import arith
 
-# The oracle's input bound.  A certificate's oracle keeps no form list,
-# but `verify --d` without a witness holds every reduced form: about 160
-# bytes each, and h reaches about 2.3 * sqrt(d) when -d is a square
-# modulo many small primes.  Near the bound, d = 2,898,422,567,039
-# (h = 3,836,444, non-cyclic) takes about 50 s at 710 MB peak RSS as a
-# `verify --d` child on a 2-core machine; at d = 9,626,903,526,239
-# (h = 7,154,574) the peak was 1.1 GB.
-# The bound admits the k = 6 certificate, d = 2,250,562,845,943.
+# The oracle's input bound.  No oracle route keeps a form list, but a
+# non-cyclic verdict holds its h/ambiguous distinct squares and costs h
+# compositions, and h reaches about 2.3 * sqrt(d) when -d is a square
+# modulo many small primes.  Near the bound, `verify --d 2898422567039`
+# (h = 3,836,444, 4 ambiguous classes) took 53-66 s at 210 MB VmHWM on a
+# 2-core machine (Python 3.11).  The k = 6 discriminant 2,250,562,845,943
+# (cyclic, h = 570,304) takes about 1.4 s at 33 MB.
 MAX_D = 3 * 10**12
 
 
@@ -239,24 +241,22 @@ def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
     return out
 
 
-def _all_forms(d: int) -> list[tuple[int, int, int]]:
-    return [f for block in _blocks(d) for f in _expand(d, block)]
+def _forms(d: int):
+    """The reduced primitive forms of discriminant -d, unsorted, as they come."""
+    for block in _blocks(d):
+        yield from _expand(d, block)
 
 
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms (a, b, c) of discriminant -d, sorted;
     -d must be a valid discriminant with d <= MAX_D (see `_blocks`)."""
-    return sorted(_all_forms(d))
-
-
-def _ambiguous_count(group: list[tuple[int, int, int]]) -> int:
-    """Reduced forms that are their own inverse: b = 0, b = a or a = c."""
-    return sum(1 for a, b, c in group if b == 0 or b == a or a == c)
+    return sorted(_forms(d))
 
 
 def _count(d: int) -> tuple[int, int]:
-    """h and the shape count of ambiguous forms, with each plain block
-    counted and not expanded (module docstring)."""
+    """h and the shape count, the reduced forms that are their own inverse
+    (b = 0, b = a or a = c), with each plain block counted and not
+    expanded (module docstring)."""
     h = ambiguous = 0
     for block in _blocks(d):
         plain, _, roots0, _, qroots = block
@@ -265,7 +265,7 @@ def _count(d: int) -> tuple[int, int]:
         else:
             expanded = _expand(d, block)
             h += len(expanded)
-            ambiguous += _ambiguous_count(expanded)
+            ambiguous += sum(1 for a, b, c in expanded if b == 0 or b == a or a == c)
     return h, ambiguous
 
 
@@ -286,26 +286,23 @@ def _genus_ambiguous_count(d: int) -> int:
     return 1 << (mu - 1)
 
 
-def class_number(d: int, group: list | None = None, witness: tuple | None = None
-                 ) -> ClassGroup2Summary:
+def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
-    Three routes reach the number of classes of order <= 2, and any
+    h and the shape count come from counting blocks (`_count`).  Three
+    routes reach the number of classes of order <= 2, and any
     disagreement raises an internal error.  The shape count decides the
     verdict: cyclic iff it is at most 2.  Genus theory always runs.
-    Composition runs one of two checks: a non-cyclic count must equal h
-    over the number of distinct squares (|G^2| * |G[2]| = |G|, h
-    compositions); a cyclic verdict with h even needs a class whose h/2-th
-    power is not principal.  A caller that holds `enumerate_reduced(d)`
-    passes it as `group`.  One that knows a generator of the 2-Sylow
-    subgroup passes it as `witness`: h and the shape count then come from
-    counting blocks, and a cyclic verdict is checked on the witness alone.
-    Otherwise every form is listed, and a cyclic verdict scans them and
-    stops at the first witness.
+    Composition runs one of two checks, each over the forms as they come:
+    a non-cyclic count must equal h over the number of distinct squares
+    (|G^2| * |G[2]| = |G|, h compositions); a cyclic verdict with h even
+    needs a class whose h/2-th power is not principal, and the scan stops
+    at the first.  A caller that knows a generator of the 2-Sylow subgroup
+    passes it as `witness`, and a cyclic verdict is checked on it alone.
+    d is validated before either check, so a ValueError from composition
+    is a bug: an ArithmeticError.
     """
-    if group is None and witness is None:
-        group = _all_forms(d)
-    h, ambiguous = _count(d) if group is None else (len(group), _ambiguous_count(group))
+    h, ambiguous = _count(d)
     two_part = h & -h
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
@@ -314,22 +311,25 @@ def class_number(d: int, group: list | None = None, witness: tuple | None = None
             f"genus theory ({genus})"
         )
     cyclic = ambiguous <= 2
-    if not cyclic:
-        squares = len({compose(f, f) for f in group or _all_forms(d)})
-        if squares * ambiguous != h:
-            raise ArithmeticError(
-                f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
-                f"times {ambiguous} ambiguous classes is not h={h}"
-            )
-    elif two_part > 1:
-        # g**(h/2) is non-principal iff the 2-part of g generates a
-        # subgroup of order two_part; such g exists iff the 2-Sylow
-        # subgroup is cyclic.
-        ident = principal_form(-d)
-        if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else group)):
-            raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
-                                  f"{ambiguous}, but no {'witness' if witness else 'element'} "
-                                  f"of order {two_part}")
+    try:
+        if not cyclic:
+            squares = len({compose(f, f) for f in _forms(d)})
+            if squares * ambiguous != h:
+                raise ArithmeticError(
+                    f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
+                    f"times {ambiguous} ambiguous classes is not h={h}"
+                )
+        elif two_part > 1:
+            # g**(h/2) is non-principal iff the 2-part of g generates a
+            # subgroup of order two_part; such g exists iff the 2-Sylow
+            # subgroup is cyclic.
+            ident = principal_form(-d)
+            if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else _forms(d))):
+                raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
+                                      f"{ambiguous}, but no {'witness' if witness else 'element'} "
+                                      f"of order {two_part}")
+    except ValueError as exc:
+        raise ArithmeticError(f"composition check failed for d={d}: {exc}") from exc
     return ClassGroup2Summary(d, h, two_part, cyclic, ambiguous)
 
 

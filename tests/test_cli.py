@@ -108,10 +108,10 @@ def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
     calls, witnesses = [], []
     class_number = forms.class_number
 
-    def counted(d, group=None, witness=None):
+    def counted(d, witness=None):
         calls.append(d)
         witnesses.append(witness)
-        return class_number(d, group, witness)
+        return class_number(d, witness)
 
     monkeypatch.setattr(forms, "class_number", counted)
     code, _, _ = run(capsys, "verify", "--k", "2", "--m", "1",
@@ -517,13 +517,32 @@ def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
     assert error["error"] == "internal" and "squares" in error["message"]
 
 
+@pytest.mark.parametrize("d", [86531263, 77154395], ids=["non-cyclic", "cyclic"])
+def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch, d):
+    # d is valid, so a composed form that reduce refuses (a ValueError)
+    # is a bug in the square count or the witness scan, not bad input
+    real = forms.compose
+
+    def broken(f, g):
+        a, b, c = real(f, g)
+        return forms.reduce((a, b, -c))
+
+    monkeypatch.setattr(forms, "compose", broken)
+    code, out, err = run(capsys, "verify", "--d", str(d))
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "internal" and "composition check failed" in error["message"]
+
+
 def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     # the symbol route certifies (13, 3) with 2-part 4; an oracle that
     # reports 8 contradicts it, which is a bug and not a rejection
     real = forms.class_number
     monkeypatch.setattr(
         forms, "class_number",
-        lambda d, group=None, witness=None: real(d, group, witness)._replace(two_part=8),
+        lambda d, witness=None: real(d, witness)._replace(two_part=8),
     )
     code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
                          "--p1", "13", "--p2", "3")

@@ -354,7 +354,7 @@ def test_certify_builds_no_form_list(monkeypatch):
     def no_list(d):
         raise AssertionError("a form list was built")
 
-    monkeypatch.setattr(forms, "_all_forms", no_list)
+    monkeypatch.setattr(forms, "_forms", no_list)
     monkeypatch.setattr(forms, "enumerate_reduced", no_list)
     certs = list(factory.search(2, range(1, 6)))
     assert len(certs) == 124

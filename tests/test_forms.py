@@ -217,8 +217,26 @@ def test_class_number_takes_a_witness():
     with pytest.raises(ArithmeticError, match="no witness of order 4"):
         forms.class_number(39, witness=(1, 1, 10))
     # d = 3*5*7*11 has 8 ambiguous classes: the non-cyclic verdict still
-    # counts squares, over forms listed for that check
+    # counts squares, over the forms as they come
     assert forms.class_number(1155, witness=(1, 1, 289)) == forms.class_number(1155)
+
+
+def test_cyclic_scan_stops_at_the_first_witness(monkeypatch):
+    # d = 72501899 is cyclic with h = 2900; half the classes are
+    # witnesses, so the scan, which consumes the forms as they come,
+    # expands far fewer than h/2 of them (counting and scan together)
+    expanded = []
+    real = forms._expand
+
+    def counted(d, block):
+        out = real(d, block)
+        expanded.append(len(out))
+        return out
+
+    monkeypatch.setattr(forms, "_expand", counted)
+    s = forms.class_number(72501899)
+    assert (s.h, s.cyclic_2sylow) == (2900, True)
+    assert sum(expanded) < s.h // 2
 
 
 def test_class_number_validation():
@@ -334,7 +352,7 @@ def test_enumerate_matches_reference(ds, witness_scan):
         assert shape == compose_ambiguous_count(d, group), d
         assert forms._count(d) == (len(group), shape), d
         if witness_scan:
-            verdict = forms.class_number(d, group).cyclic_2sylow
+            verdict = forms.class_number(d).cyclic_2sylow
             assert verdict == reference_witness_cyclic(group, len(group)), d
 
 
@@ -358,7 +376,7 @@ def test_enumerate_non_fundamental_matches_reference():
                 continue
             group = forms.enumerate_reduced(d)
             assert group == reference_enumerate(d), d
-            assert forms.class_number(d, group).h == len(group), d
+            assert forms.class_number(d).h == len(group), d
             cases += 1
     assert cases > 200
 
