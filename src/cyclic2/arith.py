@@ -13,6 +13,7 @@ are immutable once built, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress
 
 _U64 = 1 << 64
@@ -192,6 +193,7 @@ def sqrt_mod_p(n: int, p: int) -> int | None:
     return r
 
 
+@lru_cache(maxsize=1)
 def roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, list[int]]]]]:
     """Roots of f(t) = t*t + e*t + N modulo the prime powers up to top.
 
@@ -201,7 +203,10 @@ def roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, 
     a root, (p, [(p**j, the roots of f mod p**j) for p**j <= top]).
     For odd p not dividing d the roots mod p are (-e +- sqrt(-d))/2 and
     lift by Newton's step, f'(t) = 2t + e being a unit; at p = 2 and at
-    odd p | d they lift by search among the r + i*p**(j-1).
+    odd p | d they lift by search among the r + i*p**(j-1).  The last
+    table is kept, and shared, not copied: every walk of one d (the count
+    and the composition checks of `verify --d`, and `--forms`) reads the
+    same one, so none may change it.
     """
     e = d & 1
     n = (d + e) >> 2

@@ -1,0 +1,37 @@
+"""The size bounds on user input, each stated once.
+
+The modules that enforce them import them from here, and so does the
+command-line parser for its help text, which therefore loads none of
+the arithmetic behind them.  This module imports nothing.
+"""
+
+# The oracle's input bound (`forms`).  No oracle route keeps a form list,
+# but a non-cyclic verdict holds its h/ambiguous distinct squares and
+# costs h compositions, and h reaches about 2.3 * sqrt(d) when -d is a
+# square modulo many small primes.  Near the bound, `verify --d
+# 2898422567039` (h = 3,836,444, 4 ambiguous classes) took 53-66 s at
+# 210 MB VmHWM on a 2-core machine (Python 3.11).  The k = 6 discriminant
+# 2,250,562,845,943 (cyclic, h = 570,304) takes about 1.4 s at 33 MB.
+MAX_D = 3 * 10**12
+
+# The default d budget of `search` and `verify` (`factory`).
+DEFAULT_D_BUDGET = 10**9
+
+# Largest series truncation Q (`circle`).  `_mult_tables(Q)` holds an
+# int8 and an int64 array of Q + 1 entries, 90 MB at this cap.  Q < 2**24
+# also keeps the limb arithmetic of `_series_sums` inside int64.
+MAX_TRUNCATION_Q = 10**7
+
+# Largest compare window, as rows * n_hi (`circle`): each row walks about
+# pi(n)/4 candidate primes, so a window of 33 million rows near the sieve
+# cap would run for hours.  Two windows of width 5000 at step 8 near 3e5
+# come to about 2e8.  `compare` holds about 2 bytes per sieved integer:
+# the sieve's byte, about 0.45 for its primes 3 and 5 mod 8 and their
+# logs, and 0.5 for the window sum's rank table.  `compare --n-lo
+# 200000000 --n-hi 200000000` peaks at 404 MB VmHWM (323 MB without the
+# rank table) on a 2-core machine, Python 3.11, numpy 2.4.
+MAX_WINDOW_WORK = 10**11
+
+# `singular --m` bound: the product columns factorise m, which
+# `arith.factorize` bounds.
+MAX_SINGULAR_M = 1 << 64

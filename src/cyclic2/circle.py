@@ -23,16 +23,19 @@ of two primes that are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The
 restricted representation count weighs ordered pairs by log p1 * log p2,
 over the two classes read from strided views of PrimeTable.flags, and
 compare_window tabulates its ratio against the predicted main term
-n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.
+n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.  The
+window sum indexes one array by value: an int32 rank table over the
+values 3, 5 (mod 8) up to table.hi/2, which takes hi/2 bytes, half of
+the sieve's own, and maps each prime to its log.
 
 The truncated series and the window sum are numpy expressions that add
 their terms left to right in increasing q (resp. p, 3 class first), the
 order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
-(tests/reference_circle.py keeps them as the test oracle).  This is the
-only module that uses numpy.  It imports numpy inside the functions that
-build arrays, so importing the module (the CLI reads its bounds) does not
-load numpy.
+(tests/reference_circle.py keeps them as the test oracle).  The series
+takes (q, m) from the prime powers of m, not from a gcd per q.  This is
+the only module that uses numpy, and it imports numpy inside the
+functions that build arrays.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import arith
 from .arith import PrimeTable
+from .bounds import MAX_TRUNCATION_Q, MAX_WINDOW_WORK
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,12 +149,7 @@ def ramanujan_sum(q: int, m: int) -> int:
     return mu * arith.euler_phi(q) // arith.euler_phi(qg)
 
 
-# Largest series truncation Q.  `_mult_tables(Q)` holds an int8 and an
-# int64 array of Q + 1 entries, 90 MB at this cap.  Q < 2**24 also keeps
-# the limb arithmetic of `_series_sums` inside int64.
-MAX_TRUNCATION_Q = 10**7
-
-_SERIES_CHUNK = 1 << 16   # q values per numpy step of the series sum
+_SERIES_CHUNK = 1 << 16   # values per numpy step of the series and window sums
 
 
 @lru_cache(maxsize=8)
@@ -185,7 +184,7 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=8)
 def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # S1 and S2 in one pass, so that `singular` pays once for the work
-    # they share (m mod q, the gcd, the mu/phi gathers, c, phi(q)**2).
+    # they share (m mod q, q/(q, m), the mu/phi gathers, c, phi(q)**2).
     # The terms coeff * c / phi(q)**2 are the same IEEE operations as one
     # Python float expression per q (c and phi(q)**2 < 2**53 are exact),
     # and np.cumsum adds them left to right in increasing q.
@@ -195,10 +194,14 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         )
     import numpy as np
     mu, phi = _mult_tables(Q)
-    # gcd(q, m) = gcd(q, m mod q); m mod q is built from m's 32-bit limbs,
-    # most significant first, and r < q < 2**24 keeps r * 2**32 in int64.
+    # m mod q is built from m's 32-bit limbs, most significant first, and
+    # r < q < 2**24 keeps r * 2**32 in int64.  (q, m) is the product of p
+    # over the prime powers p**j <= Q that divide both q and m.  A prime
+    # p | m shows in the chunk holding q = p as m mod p = 0 and phi(p) =
+    # p - 1, before any larger q it divides is reached.
     top = (m.bit_length() - 1) // 32 * 32
     limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
+    powers = []  # (p, p**j) with p**j | m and p**j <= Q, for the p found so far
     full = restricted = 0.0
     for start in range(1, Q + 1, _SERIES_CHUNK):
         end = min(start + _SERIES_CHUNK, Q + 1)
@@ -206,9 +209,17 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         r = np.zeros_like(q)
         for limb in limbs:
             r = ((r << 32) + limb) % q
-        qg = q // np.gcd(q, r)
-        mq = mu[qg]
         phi_q = phi[start:end]
+        for p in q[(r == 0) & (phi_q == q - 1)].tolist():
+            pj = p
+            while pj <= Q and m % pj == 0:
+                powers.append((p, pj))
+                pj *= p
+        g = np.ones_like(q)
+        for p, pj in powers:
+            g[-start % pj :: pj] *= p
+        qg = q // g
+        mq = mu[qg]
         c = mq * phi_q // phi[qg]
         sq = phi_q * phi_q
         squarefree = mu[start:end] != 0
@@ -225,11 +236,11 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
 
 
 def _add_terms(total: float, terms: np.ndarray) -> float:
-    # total + terms[0] + terms[1] + ..., left to right
-    import numpy as np
+    # total + terms[0] + terms[1] + ..., left to right, in place in terms
     if not terms.size:
         return total
-    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+    terms[0] += total
+    return float(terms.cumsum(out=terms)[-1])
 
 
 # 1 + c_8(m)/4 by m mod 8: c_8(m) is 4 when 8 | m, -4 when m = 4 (mod 8),
@@ -308,25 +319,39 @@ def _class_primes(table: PrimeTable, r: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _restricted_primes(table: PrimeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The primes 3 and 5 mod 8 of `table`, for the window sum.
+def _restricted_primes(
+    table: PrimeTable,
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], int, np.ndarray, np.ndarray]:
+    """The primes 3 and 5 mod 8 of `table`, and a rank table, for the window sum.
 
-    Maps each class r in (3, 5) to its primes, increasing, as read by
-    `_class_primes`, and their math.log values.  The full prime list is
-    never built.  Primality of n - p is read from table.flags, so nothing
-    here is indexed by value.
+    Returns (classes, origin, rank, logs).  classes maps each class r in
+    (3, 5) to its primes, increasing, as read by `_class_primes`, and
+    their math.log values, a view of logs; logs[0] = 0.0 is a sentinel.
+    rank numbers the values v = 3, 5 (mod 8) from the table's start up to
+    table.hi/2, v at slot (v - origin) >> 2 with origin = 1 (mod 8), and
+    holds the index in logs of log v for a prime v of the table, else 0.
+    It is int32, so it takes hi/2 bytes, half of the sieve's own.  The
+    full prime list is never built.
     """
     import numpy as np
-    classes = {}
-    for r in (3, 5):
-        cls = _class_primes(table, r)
-        # math.log per prime; chunks bound the transient list of Python ints
-        logs = np.empty(len(cls))
+    primes = {r: _class_primes(table, r) for r in (3, 5)}
+    logs = np.zeros(1 + len(primes[3]) + len(primes[5]))
+    origin = (table.lo - 1) // 8 * 8 + 1
+    rank = np.zeros(max(table.hi // 2 - origin, 0) // 4 + 1, dtype=np.int32)
+    classes, offset = {}, 1
+    for r, cls in primes.items():
+        cls_logs = logs[offset : offset + len(cls)]
+        # math.log per prime, and the ranks of the primes with a slot, a
+        # chunk at a time, which bounds the transient ints and arrays
         for start in range(0, len(cls), _SERIES_CHUNK):
-            chunk = cls[start : start + _SERIES_CHUNK].tolist()
-            logs[start : start + len(chunk)] = list(map(math.log, chunk))
-        classes[r] = cls, logs
-    return classes
+            chunk = cls[start : start + _SERIES_CHUNK]
+            cls_logs[start : start + len(chunk)] = list(map(math.log, chunk.tolist()))
+            slots = chunk[chunk < origin + 4 * len(rank)] - origin
+            slots >>= 2
+            rank[slots] = np.arange(offset + start, offset + start + len(slots), dtype=np.int32)
+        classes[r] = cls, cls_logs
+        offset += len(cls)
+    return classes, origin, rank, logs
 
 
 def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
@@ -336,7 +361,10 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
 
     The smaller prime p runs over the 3 class, then the 5 class, each
     increasing; the terms log p * log(n - p), doubled unless p = n - p,
-    are added left to right in that order."""
+    are added left to right in that order.  The larger prime q = n - p
+    walks down its class, and log p is read through the rank table of
+    `_restricted_primes`: a composite p reads the 0.0 sentinel, and
+    adding +0.0 to the nonnegative total changes no bit."""
     if n < 2:
         raise ValueError("goldbach_restricted_sum requires n >= 2")
     if n > 6 and not table.covers(3, n):
@@ -344,29 +372,27 @@ def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
             f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
         )
     import numpy as np
-    classes = _restricted_primes(table)
-    flags = np.frombuffer(table.flags, dtype=bool)
+    classes, origin, rank, logs = _restricted_primes(table)
     total = 0.0
-    for r, (cls, cls_logs) in classes.items():
-        # n - p lies in the class (n - r) % 8 for every p of class r
+    for r in (3, 5):
+        # q = n - p lies in the class (n - r) % 8 for every p of class r
         if (n - r) % 8 not in classes:
             continue
         q_cls, q_logs = classes[(n - r) % 8]
-        k = np.searchsorted(cls, n // 2, side="right")
-        p, log_p = cls[:k], cls_logs[:k]
-        hit = flags[n - p - table.lo]
-        p, log_p = p[hit], log_p[hit]
-        q = n - p
-        terms = log_p * q_logs[np.searchsorted(q_cls, q)]
-        total = _add_terms(total, np.where(p == q, terms, 2 * terms))
+        # p from max(3, lo) up to n // 2, so q from n - max(3, lo) down,
+        # a chunk at a time, which bounds the transient arrays
+        i, j = np.searchsorted(q_cls, (n - n // 2, n - max(3, table.lo) + 1))
+        for stop in range(j, i, -_SERIES_CHUNK):
+            start = max(stop - _SERIES_CHUNK, i)
+            q = q_cls[start:stop][::-1]
+            slots = (n - origin) - q
+            slots >>= 2
+            terms = logs[rank[slots]]
+            terms *= q_logs[start:stop][::-1]
+            # only the last term, at the smallest q, can have p = q
+            terms[: len(terms) - (2 * int(q[-1]) == n)] *= 2
+            total = _add_terms(total, terms)
     return total
-
-
-# Largest compare window, as rows * n_hi: each row walks about pi(n)/4
-# candidate primes, so a window of 33 million rows near the sieve cap
-# would run for hours.  Two windows of width 5000 at step 8 near 3e5 come
-# to about 2e8.
-MAX_WINDOW_WORK = 10**11
 
 
 def window_range(n_lo: int, n_hi: int, step: int) -> range:

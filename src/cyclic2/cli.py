@@ -8,7 +8,10 @@ files.  JSON mirrors the CSV fields one-to-one.  Rows are written as
 they come, so `search` shows each certificate as soon as it is issued,
 and rows written before a failure stay written.  Exit codes: 0 success
 with at least one output row, 2 validation failure, 1 internal error;
-failures also emit one machine-readable JSON line on stderr.
+failures also emit one machine-readable JSON line on stderr.  The
+parser reads its bounds from `bounds`, and each `cmd_*` imports the
+modules it runs, so `search` and `verify` never load `circle`, and
+`compare` and `singular` never load the form oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import arith, circle, factory, forms
+from . import bounds
 
-MAX_SINGULAR_M = 1 << 64
+if TYPE_CHECKING:
+    from . import factory, forms
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -94,6 +98,7 @@ def _cert_row(cert: factory.Certificate) -> dict:
 
 def cmd_search(args: argparse.Namespace) -> Iterable[dict]:
     """Rows as they are certified, for `_write_rows` to stream."""
+    from . import factory
     if args.m_min < 1 or args.m_max < args.m_min:
         raise ValueError("search requires 1 <= m-min <= m-max")
     certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=_d_budget(args))
@@ -112,19 +117,21 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
 
 def _d_budget(args: argparse.Namespace) -> int:
     """--d-max, refused above the oracle's own bound before any work."""
-    if args.d_max > forms.MAX_D:
-        raise ValueError(f"--d-max {args.d_max} exceeds the oracle bound {forms.MAX_D}")
+    if args.d_max > bounds.MAX_D:
+        raise ValueError(f"--d-max {args.d_max} exceeds the oracle bound {bounds.MAX_D}")
     return args.d_max
 
 
 def cmd_verify(args: argparse.Namespace) -> list[dict]:
     if args.d is None:
+        from . import factory
         if args.forms:
             raise ValueError("--forms requires --d")
         if None in (args.k, args.m, args.p1, args.p2):
             raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
         cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
         return [_cert_row(cert)]
+    from . import forms
     if args.d > _d_budget(args):  # refused before any enumeration
         raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
     row = _group_row(forms.class_number(args.d))
@@ -134,9 +141,9 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_singular(args: argparse.Namespace) -> list[dict]:
+    from . import circle
     m, q = args.m, args.truncation_q
-    if m >= MAX_SINGULAR_M:
-        # the product columns factorise m, which arith.factorize bounds
+    if m >= bounds.MAX_SINGULAR_M:
         raise ValueError(f"--m must be below 2**64, got {m}")
     row = {
         "m": m,
@@ -151,6 +158,7 @@ def cmd_singular(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_compare(args: argparse.Namespace) -> list[dict]:
+    from . import arith, circle
     circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
     table = arith.sieve(2, max(args.n_hi, 2))
     rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
@@ -171,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     def d_max(p):
-        p.add_argument("--d-max", type=int, default=factory.DEFAULT_D_BUDGET,
+        p.add_argument("--d-max", type=int, default=bounds.DEFAULT_D_BUDGET,
                        help="largest discriminant the enumeration oracle will accept, "
-                       f"at most {forms.MAX_D}")
+                       f"at most {bounds.MAX_D}")
 
     p = sub.add_parser("search", help="emit certificates for a multiplier range")
     p.add_argument("--k", type=int, required=True)
@@ -197,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular", help="singular series in both modes")
     p.add_argument("--m", type=int, required=True, help="argument of S1 and S2, below 2**64")
     p.add_argument("--truncation-q", type=int, default=10_000,
-                   help=f"series truncation, at most {circle.MAX_TRUNCATION_Q}")
+                   help=f"series truncation, at most {bounds.MAX_TRUNCATION_Q}")
     common(p, cmd_singular)
 
     p = sub.add_parser("compare", help="restricted counts against the main term; "
-                       f"rows * n-hi at most {circle.MAX_WINDOW_WORK}")
+                       f"rows * n-hi at most {bounds.MAX_WINDOW_WORK}")
     p.add_argument("--n-lo", type=int, required=True)
     p.add_argument("--n-hi", type=int, required=True)
     p.add_argument("--step", type=int, default=8)

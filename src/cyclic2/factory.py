@@ -20,10 +20,10 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 from . import arith, criteria, forms
+from .bounds import DEFAULT_D_BUDGET
 from .forms import ClassGroup2Summary
 
 _I63 = 1 << 63
-DEFAULT_D_BUDGET = 10**9
 
 
 class CertificationError(ValueError):

@@ -289,8 +289,11 @@ def test_mult_tables_match_arith():
         assert (int(mu[q]), int(phi[q])) == (arith.mobius(q), arith.euler_phi(q)), q
 
 
+# 2**20 * 3**5 * 7**3 has prime powers on both sides of chunk boundaries
+# at chunk 7; 97 * 101 and 9973 * 10007 have a prime just below and one
+# just above Q = 100 and Q = 10**4
 SERIES_MS = [1, 2, 4, 6, 8, 12, 16, 30, 210, 213396, 2**20, 8 * 3 * 5 * 7 * 11 * 13 * 17,
-             2**64 + 6, 3 * 2**63 + 2]
+             2**20 * 3**5 * 7**3, 97 * 101, 9973 * 10007, 2**64 + 6, 3 * 2**63 + 2, 2**80]
 SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
 
 
@@ -304,6 +307,19 @@ def test_series_sum_matches_reference(monkeypatch, chunk):
                 value = circle._series_sums(m, Q)[restricted]
                 assert type(value) is float
                 assert value == reference_series_sum(m, Q, restricted), (m, Q, restricted)
+
+
+def test_series_sum_takes_no_gcd(monkeypatch):
+    # (q, m) comes from the prime powers of m, not from numpy.gcd
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.gcd called")
+
+    monkeypatch.setattr(np, "gcd", refuse)
+    circle._series_sums.cache_clear()
+    for restricted in (False, True):
+        assert circle._series_sums(213396, 10**5)[restricted] == (
+            reference_series_sum(213396, 10**5, restricted)
+        )
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -335,6 +351,22 @@ def test_restricted_sum_on_offset_and_tiny_tables():
         t = arith.sieve(lo, hi)
         for n in range(2, max(hi, 6) + 1):
             assert circle.goldbach_restricted_sum(n, t) == reference_restricted_sum(n, t)
+
+
+@pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
+@pytest.mark.parametrize("lo", [2, 3])
+@pytest.mark.parametrize("n_lo", [2, 6, 8])
+def test_compare_window_matches_reference(monkeypatch, chunk, lo, n_lo):
+    # every n = 2, 6 or 0 (mod 8) from n_lo <= 8 up, on tables whose slot
+    # offsets differ; the n = 2p rows hold the one term that is not doubled
+    monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+    table = arith.sieve(lo, 4000)
+    rows = circle.compare_window(n_lo, 4000, 8, table)
+    assert [row.restricted_sum for row in rows] == [
+        reference_restricted_sum(row.n, table) for row in rows
+    ]
+    middle = [row.n for row in rows if row.n // 2 % 8 in (3, 5) and table.flags[row.n // 2 - lo]]
+    assert bool(middle) is (n_lo != 8)
 
 
 # --------------------------------------------------- representation counts

@@ -179,8 +179,8 @@ import json, os, sys
 from cyclic2 import cli
 names, argvs = json.loads(sys.argv[1])
 seen = []
-for argv in argvs:
-    code = cli.main(argv + ["--output", os.devnull])
+for argv in argvs:  # an empty argv only imports cyclic2.cli
+    code = cli.main(argv + ["--output", os.devnull]) if argv else None
     seen.append([code, [name for name in names if name in sys.modules]])
 print(json.dumps(seen))
 """
@@ -214,6 +214,25 @@ def test_certificate_commands_never_load_numpy():
 def test_compare_and_singular_load_numpy():
     assert _numpy_loaded_after(["compare", "--n-lo", "200", "--n-hi", "208"]) == [[0, True]]
     assert _numpy_loaded_after(["singular", "--m", "16"]) == [[0, True]]
+
+
+def test_each_command_loads_only_its_own_modules():
+    # the parser reads its bounds from cyclic2.bounds; each command
+    # imports the modules it runs, one fresh interpreter per command
+    five = ["cyclic2.arith", "cyclic2.circle", "cyclic2.criteria", "cyclic2.factory",
+            "cyclic2.forms"]
+    certificate = ["cyclic2.arith", "cyclic2.criteria", "cyclic2.factory", "cyclic2.forms"]
+    circle_only = ["cyclic2.arith", "cyclic2.circle"]
+    cases = [
+        ([], []),
+        (["search", "--k", "2", "--m-max", "1"], certificate),
+        (["verify", "--k", "3", "--m", "2", "--p1", "8861", "--p2", "7523"], certificate),
+        (["verify", "--d", "39", "--forms"], ["cyclic2.arith", "cyclic2.forms"]),
+        (["compare", "--n-lo", "200", "--n-hi", "208"], circle_only),
+        (["singular", "--m", "16"], circle_only),
+    ]
+    for argv, loaded in cases:
+        assert _modules_loaded_after(five, argv) == [[0 if argv else None, loaded]], argv
 
 
 def test_no_command_loads_dataclasses():
@@ -403,6 +422,15 @@ def test_verify_forms_enumerates_once(capsys, monkeypatch):
     assert code == 0
     assert out == 'd,h,two_part,cyclic,ambiguous,forms\n39,4,4,true,2,"1,1,10;2,-1,5;2,1,5;3,3,4"\n'
     assert calls == [39]
+
+
+def test_verify_forms_builds_one_root_table(capsys):
+    # the count, the witness scan and the form list walk one cached table
+    arith.roots_mod_prime_powers.cache_clear()
+    code, _, _ = run(capsys, "verify", "--d", "39", "--forms")
+    assert code == 0
+    info = arith.roots_mod_prime_powers.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_verify_forms_requires_d(capsys):
