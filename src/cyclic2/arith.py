@@ -4,8 +4,9 @@ Deterministic 64-bit primality, a segmented prime sieve whose table is
 one byte per value with residue-class views mod 8, Jacobi/Kronecker
 symbols, square roots modulo primes and the roots of t*t + e*t + N
 modulo prime powers that the form enumeration builds on, and
-factorization helpers.  A square root of n mod p costs one pow when n
-is a non-residue or p = 3 (mod 4): Tonelli-Shanks reads Euler's
+factorization: division by the twelve Miller-Rabin base primes, then
+`is_prime` and Pollard-Brent.  A square root of n mod p costs one pow
+when n is a non-residue or p = 3 (mod 4): Tonelli-Shanks reads Euler's
 criterion off the pow it starts with.  Everything here is pure; values
 are immutable once built, so concurrent use is safe.
 """
@@ -18,7 +19,8 @@ from itertools import compress
 
 _U64 = 1 << 64
 
-# First twelve primes: a witness set proven deterministic far beyond 2**64.
+# First twelve primes: a witness set proven deterministic far beyond 2**64,
+# and the only trial divisors of `factorize`.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SEGMENT_SIZE = 1 << 20       # sieve segment, in table entries
@@ -274,25 +276,18 @@ def _pollard_brent(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Complete factorization of 1 <= n < 2**64 as (prime, exponent) pairs."""
+    """Complete factorization of 1 <= n < 2**64 as (prime, exponent) pairs:
+    the primes up to 37 by division, the rest by `_pollard_brent`."""
     if not 1 <= n < _U64:
         raise ValueError(f"factorize expects 1 <= n < 2**64, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 41
-    while f * f <= n and f < 10_000:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

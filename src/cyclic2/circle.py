@@ -152,7 +152,7 @@ def ramanujan_sum(q: int, m: int) -> int:
 _SERIES_CHUNK = 1 << 16   # values per numpy step of the series and window sums
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     # mobius (int8) and totient (int64) arrays for 0..limit, limit >= 2.
     # Primes up to sqrt(limit) update by slices.  A larger prime p divides
@@ -160,7 +160,7 @@ def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
     # cofactor i for all such p at once (Bertrand: at least one p exists).
     # The updates commute: sign flips do, and phi -= phi // p is exact
     # whatever primes of the index came before.  The prime table is
-    # dropped before mu and phi are allocated.
+    # dropped before mu and phi are allocated.  One Q is cached.
     import numpy as np
     primes = np.flatnonzero(np.frombuffer(arith.sieve(2, limit).flags, dtype=bool))
     primes += 2
@@ -318,7 +318,7 @@ def _class_primes(table: PrimeTable, r: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _restricted_primes(
     table: PrimeTable,
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], int, np.ndarray, np.ndarray]:
@@ -331,7 +331,7 @@ def _restricted_primes(
     table.hi/2, v at slot (v - origin) >> 2 with origin = 1 (mod 8), and
     holds the index in logs of log v for a prime v of the table, else 0.
     It is int32, so it takes hi/2 bytes, half of the sieve's own.  The
-    full prime list is never built.
+    full prime list is never built.  One table is cached.
     """
     import numpy as np
     primes = {r: _class_primes(table, r) for r in (3, 5)}

@@ -1,11 +1,12 @@
 """Binary quadratic form arithmetic over negative discriminants.
 
-Gauss reduction, classical composition, exhaustive class-number
-enumeration, element orders, and the 2-Sylow structure summary.  This
-module is the unconditional oracle the certificate pipeline checks its
-symbol criteria against.  A form a*x**2 + b*x*y + c*y**2 is the tuple
-(a, b, c) throughout; `reduce` refuses one that is not positive definite.
-The result types are named tuples, so no `dataclasses` is loaded.
+Gauss reduction, composition (Cohen's Algorithm 5.4.7), exhaustive
+class-number enumeration, element orders, and the 2-Sylow structure
+summary.  This module is the unconditional oracle the certificate
+pipeline checks its symbol criteria against.  A form
+a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) throughout; `reduce`
+refuses one that is not positive definite.  The result types are
+named tuples, so no `dataclasses` is loaded.
 
 Enumeration is exhaustive but O(sqrt(d)): every oracle route goes through
 one walk, `_blocks`, over the square roots of -d mod 4a, a <= sqrt(d/3),
@@ -88,24 +89,17 @@ def reduce(f: tuple[int, int, int]) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
-    """Solutions of a*x = b (mod m) as x0 + t*step; gcd(a, m) must divide b."""
-    g = math.gcd(a, m)
-    if b % g:
-        raise ArithmeticError("congruence has no solution")
-    step = m // g
-    x0 = (b // g) * pow(a // g, -1, step) % step if step > 1 else 0
-    return x0, step
-
-
 def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
     """Gauss composition of classes, returned reduced.
 
-    Classical algorithm built on two linear congruences; commutative,
-    with the principal form as identity and (a,-b,c) as inverse.  The
-    congruences are taken modulo the leading coefficients, so f and g
-    need a > 0; `reduce` refuses the result if their discriminant is not
-    negative.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 5.4.7:
+    with a1 <= a2, s = (b1 + b2)/2 and n = b2 - s, each of its two
+    extended gcds is one gcd and one modular inverse.  pow(x, -1, 1) = 0
+    stands in for its branches a1 | a2 and gcd(a1, a2) | s, and a square
+    needs no separate path.  Commutative, with the principal form as
+    identity and (a, -b, c) as inverse.  f and g need a > 0 and must be
+    primitive, with equal discriminants; `reduce` refuses the result if
+    that discriminant is not negative.
     """
     if discriminant(f) != discriminant(g):
         raise ValueError(
@@ -115,23 +109,21 @@ def compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int,
     for q in (f, g):
         if q[0] <= 0 or math.gcd(*q) != 1:
             raise ValueError(f"form {q} has a <= 0 or is imprimitive, and has no class")
-    a1, b1, c1 = f
+    if f[0] > g[0]:
+        f, g = g, f
+    a1, b1, _ = f
     a2, b2, c2 = g
-    s = (b2 + b1) // 2
-    h = (b2 - b1) // 2
-    w = math.gcd(math.gcd(a1, a2), s)
-    t1 = a1 // w
-    t2 = a2 // w
-    u = s // w
-    k0, step = _solve_congruence(t2 * u, h * u + t1 * c1, t1 * t2)
-    n0, _ = _solve_congruence(t2 * step, h - t2 * k0, t1)
-    k = k0 + step * n0
-    ell = (t2 * k - h) // t1
-    m = (t2 * u * k - h * u - c1 * t1) // (t1 * t2)
-    a3 = t1 * t2
-    b3 = w * u - (k * t2 + ell * t1)
-    c3 = k * ell - w * m
-    return reduce((a3, b3, c3))
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d = math.gcd(a1, a2)
+    y1 = pow(a2 // d, -1, a1 // d)
+    d1 = math.gcd(s, d)
+    x2 = pow(s // d1, -1, d // d1)
+    y2 = (x2 * s - d1) // d
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    return reduce((v1 * v2, b2 + 2 * v2 * r, (c2 * d1 + r * (b2 + v2 * r)) // v1))
 
 
 def form_pow(f: tuple[int, int, int], e: int) -> tuple[int, int, int]:

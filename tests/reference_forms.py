@@ -7,7 +7,10 @@ code with the oracle.  `reference_witness_cyclic` is the full witness
 scan that `forms.class_number` ran on every d before it checked a
 non-cyclic verdict by counting squares; it costs about h*log2(h)
 compositions when no witness exists.  `is_ambiguous` is the per-form
-test that `forms.class_number` counts inline.
+test that `forms.class_number` counts inline.  `reference_compose` is
+the classical composition by two linear congruences that
+`forms.compose` ran before Cohen's Algorithm 5.4.7 replaced it; it
+shares only `forms.reduce` with the oracle.
 """
 
 import math
@@ -52,3 +55,32 @@ def reference_witness_cyclic(group: list[tuple[int, int, int]], h: int) -> bool:
     a, b, c = group[0]
     ident = forms.principal_form(b * b - 4 * a * c)
     return any(forms.form_pow(f, h // 2) != ident for f in group)
+
+
+def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
+    """Solutions of a*x = b (mod m) as x0 + t*step; gcd(a, m) must divide b."""
+    g = math.gcd(a, m)
+    if b % g:
+        raise ArithmeticError("congruence has no solution")
+    step = m // g
+    x0 = (b // g) * pow(a // g, -1, step) % step if step > 1 else 0
+    return x0, step
+
+
+def reference_compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Gauss composition of two primitive forms of one negative discriminant
+    and a > 0, reduced, by two linear congruences modulo a1*a2/w**2."""
+    a1, b1, c1 = f
+    a2, b2, _ = g
+    s = (b2 + b1) // 2
+    h = (b2 - b1) // 2
+    w = math.gcd(math.gcd(a1, a2), s)
+    t1 = a1 // w
+    t2 = a2 // w
+    u = s // w
+    k0, step = _solve_congruence(t2 * u, h * u + t1 * c1, t1 * t2)
+    n0, _ = _solve_congruence(t2 * step, h - t2 * k0, t1)
+    k = k0 + step * n0
+    ell = (t2 * k - h) // t1
+    m = (t2 * u * k - h * u - c1 * t1) // (t1 * t2)
+    return forms.reduce((t1 * t2, w * u - (k * t2 + ell * t1), k * ell - w * m))

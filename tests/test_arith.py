@@ -298,6 +298,40 @@ def test_factorize_roundtrip_random():
         assert fac == sorted(fac)
 
 
+def trial_factorize(n: int) -> list[tuple[int, int]]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            out.append((f, e))
+        f += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def test_factorize_matches_trial_division():
+    # past the twelve base primes everything is is_prime or Pollard-Brent:
+    # prime powers p**k < 2**64 and products p*q, p*p*q of primes in
+    # [41, 10**4), the range a trial-division stage once covered
+    rng = random.Random(19)
+    primes = [p for p in range(41, 10_000) if trial_is_prime(p)]
+    cases = []
+    for p in rng.sample(primes, 60):
+        top = int(64 * math.log(2) / math.log(p))
+        cases += [p**k for k in {1, 2, 3, top - 1, top} if 0 < k and p**k < 2**64]
+    for _ in range(250):
+        p, q = rng.choice(primes), rng.choice(primes)
+        cases += [p * q, p * p * q]
+    cases += [41, 41 * 41, 9973, 9973 * 9967, 41 * 9973, 37 * 41, 2**3 * 37 * 41**2 * 9973]
+    for n in cases:
+        assert arith.factorize(n) == trial_factorize(n), n
+
+
 def test_multiplicativity():
     rng = random.Random(3)
     checked = 0

@@ -289,6 +289,17 @@ def test_mult_tables_match_arith():
         assert (int(mu[q]), int(phi[q])) == (arith.mobius(q), arith.euler_phi(q)), q
 
 
+def test_array_caches_keep_one_entry():
+    # a second Q or table evicts the first, so a library caller holds at
+    # most one set of arrays (90 MB at MAX_TRUNCATION_Q)
+    circle._mult_tables(100)
+    circle._mult_tables(200)
+    assert circle._mult_tables.cache_info().currsize == 1
+    circle._restricted_primes(arith.sieve(2, 1000))
+    circle._restricted_primes(arith.sieve(2, 2000))
+    assert circle._restricted_primes.cache_info().currsize == 1
+
+
 # 2**20 * 3**5 * 7**3 has prime powers on both sides of chunk boundaries
 # at chunk 7; 97 * 101 and 9973 * 10007 have a prime just below and one
 # just above Q = 100 and Q = 10**4

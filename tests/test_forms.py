@@ -6,7 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_forms import is_ambiguous, reference_enumerate, reference_witness_cyclic
+from reference_forms import (
+    is_ambiguous,
+    reference_compose,
+    reference_enumerate,
+    reference_witness_cyclic,
+)
 
 from cyclic2 import arith, forms
 
@@ -182,6 +187,77 @@ def test_group_laws_small_discriminants():
             assert forms.compose(forms.compose(f, g), h) == forms.compose(
                 f, forms.compose(g, h)
             )
+
+
+def prime_forms(d, count):
+    """Up to `count` forms (p, b, c) of discriminant -d with p an odd prime
+    not dividing d, found by brute force; they generate the class group."""
+    out = []
+    for p in range(3, 2000, 2):
+        if d % p == 0 or any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        for b in range(d & 1, 2 * p, 2):
+            if (b * b + d) % (4 * p) == 0:
+                out.append((p, b, (b * b + d) // (4 * p)))
+                break
+        if len(out) == count:
+            break
+    return out
+
+
+def random_class(rng, gens):
+    """A reduced form: the product of a few generators or their inverses,
+    taken by the reference composition only."""
+    a, b, c = rng.choice(gens)
+    f = forms.reduce((a, b, c))
+    for _ in range(rng.randrange(6)):
+        a, b, c = rng.choice(gens)
+        f = reference_compose(f, (a, rng.choice((b, -b)), c))
+    return f
+
+
+def random_sl2(rng):
+    m12, m21 = rng.randrange(-9, 10), rng.randrange(-9, 10)
+    return rng.choice(((1, m12, 0, 1), (1, 0, m21, 1), (1 + m12 * m21, m12, m21, 1)))
+
+
+# d from 3 to the k = 6 certificate's 2,250,562,845,943: d = 0 (mod 4)
+# with d/4 = 0 (mod 8) and 2 (mod 4), square factors, many small primes
+COMPOSE_DS = [3, 4, 39, 56, 252, 3360, 11 * 11 * 3 * 5, 255_255, 999_999_999,
+              4 * 123_456_789, 10**12 + 3, 2_250_562_845_943]
+
+
+@pytest.mark.parametrize("d", COMPOSE_DS)
+def test_compose_matches_reference(d):
+    # random pairs in either order of a1, a2, squares, and the same pairs
+    # moved off their reduced representatives by SL2(Z)
+    rng = random.Random(d)
+    gens = prime_forms(d, 8)
+    for _ in range(400):
+        f, g = random_class(rng, gens), random_class(rng, gens)
+        assert forms.compose(f, g) == reference_compose(f, g), (f, g)
+        assert forms.compose(f, f) == reference_compose(f, f), f
+        f, g = transform(f, *random_sl2(rng)), transform(g, *random_sl2(rng))
+        assert forms.compose(f, g) == reference_compose(f, g), (f, g)
+        assert forms.compose(g, g) == reference_compose(g, g), g
+
+
+def test_compose_matches_reference_on_order_2m_forms():
+    # the unreduced (w, x, w**(2m - 1)) that certificates compose, squared,
+    # with its inverse, and with a moved copy; the last is the k = 6 form
+    rng = random.Random(29)
+    cases = []
+    for _ in range(600):
+        w, m = 2 * rng.randrange(1, 40), rng.randrange(1, 5)
+        x = rng.randrange(1, 2 * w**m - 1)
+        if math.gcd(x, w) == 1:
+            cases.append((w, x, m))
+    cases.append((2, 8_589_934_461, 32))
+    for w, x, m in cases:
+        f = forms.order_2m_form(w, x, m)
+        g = transform(f, *random_sl2(rng))
+        for pair in ((f, f), (f, (w, -x, f[2])), (f, g), (g, f), (f, forms.reduce(f))):
+            assert forms.compose(*pair) == reference_compose(*pair), pair
 
 
 # ----------------------------------------------------------- class number
