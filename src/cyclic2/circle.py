@@ -33,9 +33,10 @@ their terms left to right in increasing q (resp. p, 3 class first), the
 order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
 (tests/reference_circle.py keeps them as the test oracle).  The series
-takes (q, m) from the prime powers of m, not from a gcd per q.  This is
-the only module that uses numpy, and it imports numpy inside the
-functions that build arrays.
+takes mu and phi from a segmented sieve, one chunk of q at a time, so no
+array of size Q is built, and c_q(m) from the primes of m, not from a
+gcd per q.  This is the only module that uses numpy, and it imports
+numpy inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ from .arith import PrimeTable
 from .bounds import MAX_TRUNCATION_Q, MAX_WINDOW_WORK
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 # prod over odd primes of (1 - (p-1)**-2), 20 significant digits.
@@ -152,86 +155,102 @@ def ramanujan_sum(q: int, m: int) -> int:
 _SERIES_CHUNK = 1 << 16   # values per numpy step of the series and window sums
 
 
-@lru_cache(maxsize=1)
-def _mult_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    # mobius (int8) and totient (int64) arrays for 0..limit, limit >= 2.
-    # Primes up to sqrt(limit) update by slices.  A larger prime p divides
-    # only i*p with i <= limit // p < sqrt(limit), so those updates run per
-    # cofactor i for all such p at once (Bertrand: at least one p exists).
-    # The updates commute: sign flips do, and phi -= phi // p is exact
-    # whatever primes of the index came before.  The prime table is
-    # dropped before mu and phi are allocated.  One Q is cached.
+def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    # Yield (q, mu, phi) per chunk of q = 1..Q, each a range of at most
+    # _SERIES_CHUNK values: mu is the Mobius value of the odd part of q
+    # (the series needs mu(q0) at q = 8*q0) and phi is phi(q), int32
+    # since phi(q) <= q <= Q < 2**31.  A segmented sieve over the odd
+    # primes p with p*p < end: strided updates of mu, phi and the smooth
+    # part of q, which starts as the power of 2 in q.  Then q // smooth
+    # is 1 or the one prime above sqrt(end - 1).  No array of size Q is
+    # built.
     import numpy as np
-    primes = np.flatnonzero(np.frombuffer(arith.sieve(2, limit).flags, dtype=bool))
-    primes += 2
-    mu = np.ones(limit + 1, dtype=np.int8)
-    phi = np.arange(limit + 1, dtype=np.int64)
-    split = np.searchsorted(primes, math.isqrt(limit), side="right")
-    for p in primes[:split].tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        phi[p::p] -= phi[p::p] // p
-    large = primes[split:]
-    for i in range(1, limit // int(large[0]) + 1):
-        p = large[: np.searchsorted(large, limit // i, side="right")]
-        multiples = i * p
-        mu[multiples] *= -1
-        phi[multiples] -= phi[multiples] // p
-    mu[0] = 0
-    return mu, phi
+    primes = arith.sieve(2, max(math.isqrt(Q), 2)).primes()[1:]
+    for start in range(1, Q + 1, _SERIES_CHUNK):
+        end = min(start + _SERIES_CHUNK, Q + 1)
+        q = np.arange(start, end, dtype=np.int32)
+        size = end - start
+        mu = np.ones(size, dtype=np.int8)
+        smooth = q & -q
+        phi = (smooth + 1) >> 1
+        for p in primes:
+            if p * p >= end:
+                break
+            i = -start % p
+            if i >= size:
+                continue
+            mu[i::p] *= -1
+            phi[i::p] *= p - 1
+            smooth[i::p] *= p
+            pk = p
+            while pk * p < end:
+                pk *= p
+                i = -start % pk
+                if i < size:
+                    mu[i::pk] = 0
+                    phi[i::pk] *= p
+                    smooth[i::pk] *= p
+        big = q // smooth
+        above = big > 1
+        np.negative(mu, out=mu, where=above)
+        np.multiply(phi, big - 1, out=phi, where=above)
+        yield q, mu, phi
 
 
 @lru_cache(maxsize=8)
 def _series_sums(m: int, Q: int) -> tuple[float, float]:
-    # S1 and S2 in one pass, so that `singular` pays once for the work
-    # they share (m mod q, q/(q, m), the mu/phi gathers, c, phi(q)**2).
-    # The terms coeff * c / phi(q)**2 are the same IEEE operations as one
-    # Python float expression per q (c and phi(q)**2 < 2**53 are exact),
-    # and np.cumsum adds them left to right in increasing q.
+    # S1 and S2 in one pass, so that `singular` pays once for the sieve.
+    # c_q(m) is multiplicative in q, with c_p(m) = p - 1 when p | m and -1
+    # otherwise, c_2(m) = +-1 and c_8(m) = 4, -4 or 0 by m mod 8.  The
+    # kept q are the squarefree ones (S1, and S2 with weight 1/4) and
+    # 8*q0 with q0 odd and squarefree (S2, weight 2): mu2(q)**2 of the
+    # module docstring.  The terms coeff * c / phi(q)**2 are the same
+    # IEEE operations as one Python float expression per q (c and
+    # phi(q)**2 < 2**53 are exact), and np.cumsum adds them left to right
+    # in increasing q.
     if not 2 <= Q <= MAX_TRUNCATION_Q:
         raise ValueError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
     import numpy as np
-    mu, phi = _mult_tables(Q)
-    # m mod q is built from m's 32-bit limbs, most significant first, and
-    # r < q < 2**24 keeps r * 2**32 in int64.  (q, m) is the product of p
-    # over the prime powers p**j <= Q that divide both q and m.  A prime
-    # p | m shows in the chunk holding q = p as m mod p = 0 and phi(p) =
-    # p - 1, before any larger q it divides is reached.
+    # the factor of c_q(m) from the power of 2 in q, by q mod 16: 1 for q
+    # odd, c_2(m) for q = 2 (mod 4), and for S2 only c_8(m) at q = 8
+    # (mod 16); zero at the q that the series skip
+    full_two = np.zeros(16, dtype=np.int64)
+    full_two[1::2] = 1
+    full_two[2::4] = 1 if m % 2 == 0 else -1
+    restricted_two = full_two.copy()
+    restricted_two[8] = _C8.get(m % 8, 0)
+    coeff = np.full(16, 0.25)
+    coeff[8] = 2.0
+    # m mod p is taken over each chunk's odd primes p, from m's 32-bit
+    # limbs, most significant first; p < 2**24 keeps r * 2**32 in int64.
+    # A prime p | m is found in the chunk holding q = p, before any
+    # larger q it divides is reached.
     top = (m.bit_length() - 1) // 32 * 32
     limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
-    powers = []  # (p, p**j) with p**j | m and p**j <= Q, for the p found so far
+    m_primes = []  # the odd primes p | m found so far
     full = restricted = 0.0
-    for start in range(1, Q + 1, _SERIES_CHUNK):
-        end = min(start + _SERIES_CHUNK, Q + 1)
-        q = np.arange(start, end, dtype=np.int64)
-        r = np.zeros_like(q)
+    for q, mu, phi in _mobius_totient(Q):
+        start = int(q[0])
+        odd_primes = q[(phi == q - 1) & (q > 2)]
+        r = np.zeros(len(odd_primes), dtype=np.int64)
         for limb in limbs:
-            r = ((r << 32) + limb) % q
-        phi_q = phi[start:end]
-        for p in q[(r == 0) & (phi_q == q - 1)].tolist():
-            pj = p
-            while pj <= Q and m % pj == 0:
-                powers.append((p, pj))
-                pj *= p
-        g = np.ones_like(q)
-        for p, pj in powers:
-            g[-start % pj :: pj] *= p
-        qg = q // g
-        mq = mu[qg]
-        c = mq * phi_q // phi[qg]
-        sq = phi_q * phi_q
-        squarefree = mu[start:end] != 0
-        live = mq != 0
-        # mu2(q)**2 is 2 at q = 8*q0 with q0 odd and squarefree, 0 at
-        # other multiples of 8, and mu(q)**2 / 4 elsewhere.
-        q0 = q >> 3
-        eighth = (q & 7) == 0
-        keep = np.where(eighth, (q0 % 2 == 1) & (mu[q0] != 0), squarefree) & live
-        coeff = np.where(eighth, 2.0, 0.25)
-        full = _add_terms(full, (c / sq)[squarefree & live])
-        restricted = _add_terms(restricted, (coeff * c / sq)[keep])
+            r = ((r << 32) + limb) % odd_primes
+        m_primes += odd_primes[r == 0].tolist()
+        # c_q(m) of the odd part of q: mu flips the sign once per prime,
+        # and each p | m turns that -1 into p - 1
+        c = mu.astype(np.int64)
+        for p in m_primes:
+            c[-start % p :: p] *= 1 - p
+        low = q & 15
+        sq = np.square(phi, dtype=np.int64)
+        full_c = c * full_two[low]
+        restricted_c = c * restricted_two[low]
+        full = _add_terms(full, (full_c / sq)[full_c != 0])
+        restricted = _add_terms(
+            restricted, (coeff[low] * restricted_c / sq)[restricted_c != 0]
+        )
     return full, restricted
 
 
@@ -243,9 +262,9 @@ def _add_terms(total: float, terms: np.ndarray) -> float:
     return float(terms.cumsum(out=terms)[-1])
 
 
-# 1 + c_8(m)/4 by m mod 8: c_8(m) is 4 when 8 | m, -4 when m = 4 (mod 8),
-# and 0 otherwise (mu(8/gcd(8, m)) vanishes), so the factor is 2, 0 or 1.
-_C8_FACTOR = {0: 2.0, 4: 0.0}
+# c_8(m) by m mod 8: 4 when 8 | m, -4 when m = 4 (mod 8), and 0 otherwise
+# (mu(8/gcd(8, m)) vanishes)
+_C8 = {0: 4, 4: -4}
 
 
 @lru_cache(maxsize=8)
@@ -276,7 +295,7 @@ def _singular(name: str, m: int, mode: str, truncation_q: int, restricted: bool)
     if mode != "product":
         raise ValueError(f"unknown mode {mode!r}")
     if restricted:
-        return _product_full(m) / 4 * _C8_FACTOR.get(m % 8, 1.0)
+        return _product_full(m) / 4 * (1 + _C8.get(m % 8, 0) / 4)
     return _product_full(m)
 
 

@@ -1,10 +1,11 @@
 """Scalar reference versions of the circle-layer sums, for tests only.
 
-These are the plain Python loops that `circle._mult_tables`,
-`circle._series_sums` and `circle.goldbach_restricted_sum` replaced with
-numpy versions, kept here, outside the package, so that the
-differential tests compare every output bit for bit against code that
-shares nothing with the vectorised one but the prime table.  The
+These are the plain Python loops that `circle._series_sums` and
+`circle.goldbach_restricted_sum` replaced with numpy versions, and one
+Mobius and totient table for 0..limit, the oracle for the chunks of
+`circle._mobius_totient`.  They are kept here, outside the package, so
+that the differential tests compare every output bit for bit against
+code that shares nothing with the vectorised one but the prime table.  The
 unweighted restricted count and the von Mangoldt convolution sum live
 only here: the command line never used them.
 """

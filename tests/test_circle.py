@@ -272,29 +272,49 @@ def test_singular_value_metadata():
 # ------------------------------- differential: scalar reference, bit for bit
 
 
-@pytest.mark.parametrize(
-    "limit", [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 100, 997, 1000, 4096, 10**4, 123457, 10**6]
-)
-def test_mult_tables_match_reference(limit):
-    mu, phi = circle._mult_tables(limit)
+def chunked_tables(limit):
+    # the (q, mu, phi) chunks of the series sieve, joined into arrays
+    parts = list(zip(*circle._mobius_totient(limit)))
+    return tuple(np.concatenate(arrays) for arrays in parts)
+
+
+def odd_part(q):
+    return q // (q & -q)
+
+
+MULT_LIMITS = [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 100, 997, 1000, 4096, 10**4, 123457, 10**6]
+
+
+@pytest.mark.parametrize("limit", MULT_LIMITS)
+def test_mult_tables_match_reference(monkeypatch, limit):
+    # mu of the odd part of q and phi(q), chunk by chunk, at the default
+    # chunk and at a small one: 7 up to 10**4, and 1009 above, where
+    # chunk 7 would take from 6 s to over a minute.  At Q = 2 and 3 no
+    # prime is sieved and 2 and 3 both lie above sqrt(Q).
     ref_mu, ref_phi = reference_mult_tables(limit)
-    assert mu.tolist() == ref_mu.tolist()
-    assert phi.tolist() == ref_phi.tolist()
+    for chunk in (circle._SERIES_CHUNK, 7 if limit <= 10**4 else 1009):
+        monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+        q, mu, phi = chunked_tables(limit)
+        assert q.tolist() == list(range(1, limit + 1)), chunk
+        assert mu.tolist() == ref_mu[odd_part(q)].tolist(), chunk
+        assert phi.tolist() == ref_phi[1:].tolist(), chunk
 
 
-def test_mult_tables_match_arith():
-    mu, phi = circle._mult_tables(10**6)
+def test_mult_tables_match_arith(monkeypatch):
     rng = random.Random(41)
-    for q in [rng.randrange(1, 10**6 + 1) for _ in range(200)] + [10**6]:
-        assert (int(mu[q]), int(phi[q])) == (arith.mobius(q), arith.euler_phi(q)), q
+    for limit, chunk in ((10**6, circle._SERIES_CHUNK), (10**6, 1009), (10**4, 7)):
+        monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+        q, mu, phi = chunked_tables(limit)
+        for i in [rng.randrange(limit) for _ in range(200)] + [limit - 1]:
+            n = int(q[i])
+            assert (int(mu[i]), int(phi[i])) == (
+                arith.mobius(odd_part(n)), arith.euler_phi(n)
+            ), (n, chunk)
 
 
 def test_array_caches_keep_one_entry():
-    # a second Q or table evicts the first, so a library caller holds at
-    # most one set of arrays (90 MB at MAX_TRUNCATION_Q)
-    circle._mult_tables(100)
-    circle._mult_tables(200)
-    assert circle._mult_tables.cache_info().currsize == 1
+    # a second table evicts the first, so a library caller holds at most
+    # one set of window-sum arrays
     circle._restricted_primes(arith.sieve(2, 1000))
     circle._restricted_primes(arith.sieve(2, 2000))
     assert circle._restricted_primes.cache_info().currsize == 1
@@ -302,26 +322,35 @@ def test_array_caches_keep_one_entry():
 
 # 2**20 * 3**5 * 7**3 has prime powers on both sides of chunk boundaries
 # at chunk 7; 97 * 101 and 9973 * 10007 have a prime just below and one
-# just above Q = 100 and Q = 10**4
-SERIES_MS = [1, 2, 4, 6, 8, 12, 16, 30, 210, 213396, 2**20, 8 * 3 * 5 * 7 * 11 * 13 * 17,
-             2**20 * 3**5 * 7**3, 97 * 101, 9973 * 10007, 2**64 + 6, 3 * 2**63 + 2, 2**80]
+# just above Q = 100 and Q = 10**4.  The odd m (3, 97 * 101, 2**64 - 59)
+# give c_2(m) = -1 and c_8(m) = 0; m = 2, 6 (mod 8) give c_8(m) = 0,
+# m = 4 (mod 8) gives -4 and m = 0 (mod 8) gives 4.
+SERIES_MS = [1, 2, 3, 4, 6, 8, 12, 16, 30, 210, 213396, 2**20, 8 * 3 * 5 * 7 * 11 * 13 * 17,
+             2**20 * 3**5 * 7**3, 97 * 101, 9973 * 10007, 2**64 - 59, 2**64 + 6,
+             3 * 2**63 + 2, 2**80]
 SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
+# Q = 2**17 spans two default chunks, and 65537, a prime in (sqrt(Q), Q],
+# is the first q of the second; at chunk 7 this Q would take seconds per m
+WIDE_SERIES_MS = [2 * 3 * 65537, 4 * 65537, 8 * 65537, 213396, 2**64 - 59]
+WIDE_SERIES_Q = 131_072
 
 
 @pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
 def test_series_sum_matches_reference(monkeypatch, chunk):
     monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
     circle._series_sums.cache_clear()
-    for m in SERIES_MS:
-        for Q in SERIES_QS:
-            for restricted in (False, True):
-                value = circle._series_sums(m, Q)[restricted]
-                assert type(value) is float
-                assert value == reference_series_sum(m, Q, restricted), (m, Q, restricted)
+    cases = [(m, Q) for m in SERIES_MS for Q in SERIES_QS]
+    if chunk != 7:
+        cases += [(m, WIDE_SERIES_Q) for m in WIDE_SERIES_MS]
+    for m, Q in cases:
+        for restricted in (False, True):
+            value = circle._series_sums(m, Q)[restricted]
+            assert type(value) is float
+            assert value == reference_series_sum(m, Q, restricted), (m, Q, restricted)
 
 
 def test_series_sum_takes_no_gcd(monkeypatch):
-    # (q, m) comes from the prime powers of m, not from numpy.gcd
+    # c_q(m) comes from the primes of m, not from numpy.gcd
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.gcd called")
 

@@ -392,10 +392,11 @@ def test_search_k6_certificate(capsys, monkeypatch):
 
 
 def test_singular_truncation_q_is_capped(capsys, monkeypatch):
-    def no_tables(limit):
-        raise AssertionError("the series tables were allocated")
+    # the series sieve starts from a prime table; none may be built
+    def no_sieve(lo, hi):
+        raise AssertionError("the series sieve was started")
 
-    monkeypatch.setattr(circle, "_mult_tables", no_tables)
+    monkeypatch.setattr(arith, "sieve", no_sieve)
     q = str(circle.MAX_TRUNCATION_Q + 1)
     code, out, err = run(capsys, "singular", "--m", "16", "--truncation-q", q)
     assert code == 2

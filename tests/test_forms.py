@@ -157,8 +157,9 @@ def test_compose_refuses_forms_without_a_class():
         forms.compose((2, 2, 4), (1, 0, 7))
     with pytest.raises(ValueError, match="imprimitive"):
         forms.compose((1, 0, 7), (2, 2, 4))
-    # a <= 0: the congruences are taken modulo a1*a2; two negative
-    # definite forms would otherwise compose to a positive definite one
+    # a <= 0: Alg. 5.4.7 takes its inverses modulo a1/d and d/d1, which
+    # needs a > 0; two negative definite forms would otherwise compose
+    # to a positive definite one
     with pytest.raises(ValueError, match="a <= 0"):
         forms.compose((-1, 1, -4), (-1, 1, -4))
     with pytest.raises(ValueError, match="a <= 0"):
