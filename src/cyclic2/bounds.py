@@ -11,7 +11,8 @@ the arithmetic behind them.  This module imports nothing.
 # square modulo many small primes.  Near the bound, `verify --d
 # 2898422567039` (h = 3,836,444, 4 ambiguous classes) took 53-66 s at
 # 210 MB VmHWM on a 2-core machine (Python 3.11).  The k = 6 discriminant
-# 2,250,562,845,943 (cyclic, h = 570,304) takes about 1.4 s at 33 MB.
+# 2,250,562,845,943 (cyclic, h = 570,304) takes about 0.5 s at 23 MB
+# VmHWM, by `verify --d` and by its certificate alike, on the same machine.
 MAX_D = 3 * 10**12
 
 # The default d budget of `search` and `verify` (`factory`).

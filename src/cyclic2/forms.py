@@ -17,19 +17,28 @@ c = (b*b + d)/4a > a: a reduced form, not ambiguous (b = 0 or b = a
 would make a divide d, and c > a rules out a = c), and primitive (a prime
 dividing a, b and c divides d).  So `class_number` counts a plain block
 by the product of its root-list lengths, and expands and checks only the
-others.  No oracle route keeps a form list: the composition checks
-consume the forms as they come, so a non-cyclic verdict keeps only its
-h/ambiguous distinct squares, and a cyclic one stops at its first witness
-(the certificate's class of order 2**k, if given).  `class_number`
-reaches the number of classes of order <= 2 by three routes: the shape
-of the reduced forms, genus theory, and composition (a square count for
-a non-cyclic verdict, a witness check for a cyclic one), so `compose`
-stays cross-checked.
+others.  Most plain blocks are leaves a*p whose prime p is too large to
+have children; a node yields all of those as one run, which the count
+takes as two roots per prime, a span of the root table (`arith.RootTable`)
+read off by bisection.  The table computes a prime's roots only when the
+walk expands that prime, so the count never finds a root for a run's
+primes.  No oracle route keeps a form list: the composition checks
+consume the forms as they come, a run one prime at a time, so a
+non-cyclic verdict keeps only its h/ambiguous distinct squares, and a
+cyclic one stops at its first witness (the certificate's class of order
+2**k, if given).  `class_number` reaches the number of classes of order
+<= 2 by three routes: the shape of the reduced forms, genus theory, and
+composition (a square count for a non-cyclic verdict, a witness check
+for a cyclic one), so `compose` stays cross-checked.  d is checked
+before any prime is sieved, so a ValueError after that is a bug, raised
+as an ArithmeticError.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import NamedTuple
 
 from . import arith
@@ -168,50 +177,83 @@ def _crt(a0: int, roots0: list[int], q: int, qroots: list[int]) -> list[int]:
     return [(r + m * (s - r)) % a for r in roots0 for s in qroots]
 
 
-def _blocks(d: int):
-    """The walk behind every oracle route: (plain, a0, roots0, q, qroots).
-
-    -d must be a valid discriminant, i.e. d = 3 (mod 4) or d = 0 (mod 4),
-    and d at most MAX_D, which is checked before any prime is sieved.
-    A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
-    a*c = f(t) = t*t + e*t + (d + e)/4.  So a = a0*q comes with the roots
-    of f mod a, the CRT combinations of those mod a0 and mod the prime
-    power q (`arith.roots_mod_prime_powers`), on a depth-first walk over
-    the primes up to sqrt(d/3); each root gives one b in (-a, a].  Only a
-    node with children combines its roots, and is yielded with q = 1.
-    `plain` is the test stated in the module docstring.
-    """
+def _check(d: int) -> None:
+    """Refuse d unless -d is a negative discriminant, d = 3 or 0 (mod 4),
+    and d <= MAX_D; every oracle route calls it before any prime is sieved."""
     if d < 3 or d % 4 not in (0, 3):
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
     if d > MAX_D:
         raise ValueError(f"discriminant bound exceeded: d={d} > {MAX_D}")
+
+
+# The root table of the last d walked: every walk of one d (the count, the
+# composition checks and `--forms`) reads the same one.
+_table: arith.RootTable | None = None
+
+
+def _root_table(d: int) -> arith.RootTable:
+    """d's root table, built once; the last d's table is dropped first, so
+    two tables are never held at once."""
+    global _table
+    table = _table
+    if table is None or table.d != d:
+        _table = table = None
+        _table = table = arith.RootTable(d, math.isqrt(d // 3))
+    return table
+
+
+def _blocks(d: int):
+    """The walk behind every oracle route: (plain, a0, roots0, q, qroots).
+
+    A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
+    a*c = f(t) = t*t + e*t + (d + e)/4.  So a = a0*q comes with the roots
+    of f mod a, the CRT combinations of those mod a0 and mod the prime
+    power q (`arith.RootTable`), on a depth-first walk over the primes up
+    to sqrt(d/3); each root gives one b in (-a, a].  Only a node with
+    children combines its roots, and is yielded with q = 1.  `plain` is
+    the test stated in the module docstring.  A child a*p with
+    a*p*p > sqrt(d/3) is a leaf with one level.  A node's plain such
+    leaves form one run, yielded as (True, a, roots, None, (lo, hi, n)):
+    the table's primes lo <= i < hi that do not divide d, n of them, each
+    with two roots.  Its other such leaves (p | d, a*p past the plain
+    bound, or all of them when gcd(a, d) > 1) are not plain and are
+    yielded one by one; the smaller p go on the stack.  d must have
+    passed `_check`.
+    """
     top = math.isqrt(d // 3)
-    table = arith.roots_mod_prime_powers(d, top)
-    last = len(table)
+    cap = math.isqrt((d - 1) // 4)  # 4*a*a < d iff a <= cap
+    table = _root_table(d)
+    primes, dividing = table.primes, table.dividing
+    last = len(primes)
     # a node also holds the index of the next prime a may take
     stack = [(1, [0], 1, [0], 0)]
     while stack:
         a0, roots0, q, qroots, start = stack.pop()
         a = a0 * q
-        plain = a > 1 and 4 * a * a < d and math.gcd(a, d) == 1
-        if start == last or a * table[start][0] > top:
-            yield plain, a0, roots0, q, qroots
+        if start == last or a * primes[start] > top:
+            yield 1 < a <= cap and math.gcd(a, d) == 1, a0, roots0, q, qroots
             continue
+        coprime = math.gcd(a, d) == 1
         roots = _crt(a0, roots0, q, qroots)
-        yield plain, a, roots, 1, [0]
-        for i in range(start, last):
-            p, levels = table[i]
-            if a * p > top:
-                break
-            for q, qroots in levels:
+        yield 1 < a <= cap and coprime, a, roots, 1, [0]
+        end = bisect_right(primes, top // a, start)
+        lo = bisect_right(primes, math.isqrt(top // a), start)
+        hi = bisect_right(primes, cap // a, lo) if coprime else lo
+        inside = dividing[bisect_left(dividing, lo):bisect_left(dividing, hi)]
+        if hi - lo > len(inside):
+            yield True, a, roots, None, (lo, hi, hi - lo - len(inside))
+        for i in chain(inside, range(hi, end)):  # leaves, none of them plain
+            yield False, a, roots, primes[i], table.levels(i)[0][1]
+        for i in range(start, lo):
+            for q, qroots in table.levels(i):
                 if a * q > top:
                     break
                 stack.append((a, roots, q, qroots, i + 1))
 
 
 def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
-    """The reduced primitive forms of one block of `_blocks(d)`; only a
-    block that is not plain is checked form by form."""
+    """The reduced primitive forms of one block of `_blocks(d)` that is not
+    a run; only a block that is not plain is checked form by form."""
     plain, a0, roots0, q, qroots = block
     a, e = a0 * q, d & 1
     out = []
@@ -226,25 +268,43 @@ def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
 
 
 def _forms(d: int):
-    """The reduced primitive forms of discriminant -d, unsorted, as they come."""
+    """The reduced primitive forms of discriminant -d, unsorted, as they
+    come; a run is expanded one prime at a time, its roots looked up only
+    then."""
+    table = _root_table(d)
     for block in _blocks(d):
-        yield from _expand(d, block)
+        if block[3] is not None:
+            yield from _expand(d, block)
+            continue
+        _, a, roots, _, (lo, hi, _) = block
+        for i in range(lo, hi):
+            p = table.primes[i]
+            if d % p:
+                yield from _expand(d, (True, a, roots, p, table.levels(i)[0][1]))
 
 
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms (a, b, c) of discriminant -d, sorted;
-    -d must be a valid discriminant with d <= MAX_D (see `_blocks`)."""
-    return sorted(_forms(d))
+    -d must be a valid discriminant with d <= MAX_D (`_check`).  d is
+    checked first, so a ValueError from the walk is a bug: an
+    ArithmeticError."""
+    _check(d)
+    try:
+        return sorted(_forms(d))
+    except ValueError as exc:
+        raise ArithmeticError(f"form walk failed for d={d}: {exc}") from exc
 
 
 def _count(d: int) -> tuple[int, int]:
     """h and the shape count, the reduced forms that are their own inverse
-    (b = 0, b = a or a = c), with each plain block counted and not
-    expanded (module docstring)."""
+    (b = 0, b = a or a = c), with each plain block and each run counted
+    and not expanded (module docstring)."""
     h = ambiguous = 0
     for block in _blocks(d):
-        plain, _, roots0, _, qroots = block
-        if plain:
+        plain, _, roots0, q, qroots = block
+        if q is None:
+            h += 2 * len(roots0) * qroots[2]
+        elif plain:
             h += len(roots0) * len(qroots)
         else:
             expanded = _expand(d, block)
@@ -283,10 +343,14 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     needs a class whose h/2-th power is not principal, and the scan stops
     at the first.  A caller that knows a generator of the 2-Sylow subgroup
     passes it as `witness`, and a cyclic verdict is checked on it alone.
-    d is validated before either check, so a ValueError from composition
-    is a bug: an ArithmeticError.
+    d is validated first (`_check`), so a ValueError from the walk or from
+    composition is a bug: an ArithmeticError.
     """
-    h, ambiguous = _count(d)
+    _check(d)
+    try:
+        h, ambiguous = _count(d)
+    except ValueError as exc:
+        raise ArithmeticError(f"form walk failed for d={d}: {exc}") from exc
     two_part = h & -h
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:

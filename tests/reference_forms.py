@@ -10,12 +10,16 @@ compositions when no witness exists.  `is_ambiguous` is the per-form
 test that `forms.class_number` counts inline.  `reference_compose` is
 the classical composition by two linear congruences that
 `forms.compose` ran before Cohen's Algorithm 5.4.7 replaced it; it
-shares only `forms.reduce` with the oracle.
+shares only `forms.reduce` with the oracle.  `reference_count` is the
+block count `forms._count` ran before plain leaves were counted as runs:
+it builds the roots of every prime power up to sqrt(d/3) up front and
+counts each plain leaf on its own; it shares only `arith.sieve` and
+`arith.sqrt_mod_p` with the oracle.
 """
 
 import math
 
-from cyclic2 import forms
+from cyclic2 import arith, forms
 
 
 def reference_enumerate(d: int) -> list[tuple[int, int, int]]:
@@ -84,3 +88,83 @@ def reference_compose(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple
     ell = (t2 * k - h) // t1
     m = (t2 * u * k - h * u - c1 * t1) // (t1 * t2)
     return forms.reduce((t1 * t2, w * u - (k * t2 + ell * t1), k * ell - w * m))
+
+
+def _roots_mod_prime_powers(d: int, top: int) -> list[tuple[int, list[tuple[int, list[int]]]]]:
+    """For each prime p <= top at which t*t + e*t + (d + e)/4 has a root,
+    (p, [(p**j, its roots mod p**j) for p**j <= top])."""
+    e = d & 1
+    n = (d + e) >> 2
+    out = []
+    for p in arith.sieve(2, top).primes() if top >= 2 else []:
+        newton = p > 2 and d % p
+        if newton:
+            s = arith.sqrt_mod_p(-d, p)
+            if s is None:
+                continue
+            t = (s - e) * ((p + 1) >> 1) % p
+            roots = [t, (-e - t) % p]
+        elif p == 2:
+            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
+        else:
+            roots = [-e * ((p + 1) >> 1) % p]
+        q, levels = p, []
+        while roots:
+            levels.append((q, roots))
+            if q * p > top:
+                break
+            q *= p
+            if newton:
+                roots = [(t - (t * t + e * t + n) * pow(2 * t + e, -1, q)) % q for t in roots]
+            else:
+                step = q // p
+                roots = [u for t in roots for u in range(t, q, step)
+                         if (u * u + e * u + n) % q == 0]
+        if levels:
+            out.append((p, levels))
+    return out
+
+
+def _crt(a0, roots0, q, qroots):
+    m = a0 * pow(a0, -1, q)
+    return [(r + m * (s - r)) % (a0 * q) for r in roots0 for s in qroots]
+
+
+def reference_count(d: int) -> tuple[int, int]:
+    """h and the number of reduced forms that are their own inverse, for a
+    valid d: a depth-first walk over a = a0*q, q a prime power, whose
+    plain leaves (a > 1, 4*a*a < d, gcd(a, d) = 1) count their roots and
+    whose other blocks are expanded and checked form by form."""
+    top = math.isqrt(d // 3)
+    table = _roots_mod_prime_powers(d, top)
+    last, e = len(table), d & 1
+    h = ambiguous = 0
+    stack = [(1, [0], 1, [0], 0)]
+    while stack:
+        a0, roots0, q, qroots, start = stack.pop()
+        a = a0 * q
+        plain = a > 1 and 4 * a * a < d and math.gcd(a, d) == 1
+        leaf = start == last or a * table[start][0] > top
+        if leaf and plain:
+            h += len(roots0) * len(qroots)
+            continue
+        roots = _crt(a0, roots0, q, qroots)
+        for t in roots:
+            b = 2 * t + e
+            if b > a:
+                b -= 2 * a
+            c = (b * b + d) // (4 * a)
+            if plain or (c > a or c == a and b >= 0) and math.gcd(a, b, c) == 1:
+                h += 1
+                ambiguous += b == 0 or b == a or a == c
+        if leaf:
+            continue
+        for i in range(start, last):
+            p, levels = table[i]
+            if a * p > top:
+                break
+            for q, qroots in levels:
+                if a * q > top:
+                    break
+                stack.append((a, roots, q, qroots, i + 1))
+    return h, ambiguous

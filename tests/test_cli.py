@@ -425,13 +425,15 @@ def test_verify_forms_enumerates_once(capsys, monkeypatch):
     assert calls == [39]
 
 
-def test_verify_forms_builds_one_root_table(capsys):
-    # the count, the witness scan and the form list walk one cached table
-    arith.roots_mod_prime_powers.cache_clear()
+def test_verify_forms_builds_one_root_table(capsys, monkeypatch):
+    # the count, the witness scan and the form list walk one table
+    built = []
+    real = arith.RootTable
+    monkeypatch.setattr(arith, "RootTable", lambda d, top: built.append(d) or real(d, top))
+    monkeypatch.setattr(forms, "_table", None)
     code, _, _ = run(capsys, "verify", "--d", "39", "--forms")
     assert code == 0
-    info = arith.roots_mod_prime_powers.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert built == [39]
 
 
 def test_verify_forms_requires_d(capsys):
@@ -563,6 +565,36 @@ def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch,
     (line,) = err.splitlines()
     error = json.loads(line)
     assert error["error"] == "internal" and "composition check failed" in error["message"]
+
+
+def test_verify_d_reports_a_value_error_in_the_walk_as_internal(capsys, monkeypatch):
+    # d = 1155 is valid, so a ValueError from the walk is a bug
+    def broken(d, block):
+        raise ValueError("broken expansion")
+
+    monkeypatch.setattr(forms, "_expand", broken)
+    code, out, err = run(capsys, "verify", "--d", "1155")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "internal" and "broken expansion" in error["message"]
+
+
+@pytest.mark.parametrize("d", [5, forms.MAX_D + 3])
+def test_verify_d_refuses_a_bad_discriminant_before_the_walk(capsys, monkeypatch, d):
+    # d = 1 (mod 4) and d above the oracle bound are the user's error,
+    # refused before the walk could raise
+    def broken(d, block):
+        raise ValueError("broken expansion")
+
+    monkeypatch.setattr(forms, "_expand", broken)
+    code, out, err = run(capsys, "verify", "--d", str(d), "--d-max", str(forms.MAX_D))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "validation" and "broken" not in error["message"]
 
 
 def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from reference_forms import (
     is_ambiguous,
     reference_compose,
+    reference_count,
     reference_enumerate,
     reference_witness_cyclic,
 )
@@ -503,13 +505,13 @@ def counting_discriminants():
 def assert_count_matches_enumeration(d):
     group = forms.enumerate_reduced(d)
     shape = sum(is_ambiguous(*f) for f in group)
-    assert forms._count(d) == (len(group), shape), d
+    assert forms._count(d) == reference_count(d) == (len(group), shape), d
     return group
 
 
 def test_count_matches_enumeration():
-    # the count route counts plain blocks without expanding them; it must
-    # give the enumerated h and shape count
+    # the count route counts plain blocks and runs without expanding them;
+    # it must give the enumerated h and shape count, and the reference's
     for d in counting_discriminants():
         assert_count_matches_enumeration(d)
 
@@ -518,7 +520,49 @@ def test_count_matches_enumeration_at_k6():
     # the d of the k = 6 certificate, h = 570,304
     d = 2_250_562_845_943
     group = assert_count_matches_enumeration(d)
-    assert len(group) == 570_304
+    assert (len(group), sum(is_ambiguous(*f) for f in group)) == (570_304, 2)
+
+
+def log_uniform_discriminants():
+    """300 seeded d in [1e6, 1e10), log-uniform, both residues mod 4."""
+    rng = random.Random(1010)
+    ds = [int(10 ** rng.uniform(6, 10)) for _ in range(300)]
+    return [d - d % 4 + rng.choice((0, 3)) for d in ds]
+
+
+def test_count_matches_reference_count():
+    # the reference walk counts each plain leaf on its own from a table of
+    # every root; the oracle counts runs of them and finds fewer roots
+    for d in log_uniform_discriminants():
+        assert forms._count(d) == reference_count(d), d
+
+
+def test_root_table_is_dropped_before_the_next_is_built(monkeypatch):
+    forms.class_number(39)
+    last = weakref.ref(forms._table)
+    real = arith.RootTable
+
+    def build(d, top):
+        assert last() is None, "the last d's root table is still held"
+        return real(d, top)
+
+    monkeypatch.setattr(arith, "RootTable", build)
+    assert forms.class_number(55).h == 4
+    assert forms._table.d == 55
+
+
+def test_a_first_walk_sieves_only_to_its_own_top(monkeypatch):
+    # a fresh process sieves no further than isqrt(39 // 3) = 3 for d = 39;
+    # a larger d then extends the same prime list
+    monkeypatch.setattr(arith, "_sieved", (1, []))
+    monkeypatch.setattr(forms, "_table", None)
+    spans = []
+    real = arith.sieve
+    monkeypatch.setattr(arith, "sieve", lambda lo, hi: spans.append((lo, hi)) or real(lo, hi))
+    assert forms.class_number(39).h == 4
+    assert spans == [(2, 3)]
+    assert forms.class_number(10_007).h == 77
+    assert arith._sieved[1] == real(2, arith._sieved[0]).primes()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
