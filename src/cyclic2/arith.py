@@ -1,4 +1,4 @@
-"""Integer and multiplicative-function primitives.
+"""Integer primitives.
 
 Deterministic 64-bit primality, a segmented prime sieve whose table is
 one byte per value with residue-class views mod 8, Jacobi/Kronecker
@@ -331,23 +331,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         stack.append(d)
         stack.append(m // d)
     return sorted(out.items())
-
-
-def mobius(q: int) -> int:
-    """Mobius function: 0 on non-squarefree q, else (-1)**(number of primes)."""
-    if q < 1:
-        raise ValueError("mobius requires q >= 1")
-    fac = factorize(q)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def euler_phi(q: int) -> int:
-    """Euler totient of q >= 1."""
-    if q < 1:
-        raise ValueError("euler_phi requires q >= 1")
-    val = q
-    for p, _ in factorize(q):
-        val -= val // p
-    return val

@@ -1,6 +1,13 @@
 """Arithmetic for Goldbach representations restricted to primes 3, 5 mod 8.
 
-Provides the restricted Mobius-type coefficient mu2 with
+Provides two singular series, each returned as a float:
+
+    S1(m) = sum_q mu(q)**2 / phi(q)**2 * c_q(m)     (all primes)
+    S2(m) = sum_q mu2(q)**2 / phi(q)**2 * c_q(m)    (restricted)
+          = (S1(m)/4) * (1 + c_8(m)/4)
+
+with Ramanujan sums c_q(m) = mu(q/(q,m)) phi(q) / phi(q/(q,m)) and the
+restricted Mobius-type coefficient
 
     mu2(q) = mu(q)/2                     if 8 does not divide q,
     mu2(8q0) = -(q0/2) mu(q0) sqrt(2)    (Kronecker symbol (q0/2)),
@@ -8,15 +15,10 @@ Provides the restricted Mobius-type coefficient mu2 with
 so mu2(8) = -sqrt(2) and mu2(2**j) = 0 for j > 3.  The sign follows from
 splitting each admissible residue r mod 8q0 as s*q0 + 8t: multiplying
 the +-3 classes by q0 lands in the +-3 classes again when q0 = +-1 and
-in the +-1 classes when q0 = +-3 (mod 8).  The module also provides
-mu2's defining exponential sum over residues +-3 mod 8, the residue counts
-phi2/phi3 with phi2(2**j q) = phi3(2**j q) = 2**(j-2) phi(q), restricted
-Gauss sums, Ramanujan sums c_q(m) = mu(q/(q,m)) phi(q) / phi(q/(q,m)),
-and two singular series, each returned as a float:
-
-    S1(m) = sum_q mu(q)**2 / phi(q)**2 * c_q(m)     (all primes)
-    S2(m) = sum_q mu2(q)**2 / phi(q)**2 * c_q(m)    (restricted)
-          = (S1(m)/4) * (1 + c_8(m)/4)
+in the +-1 classes when q0 = +-3 (mod 8).  So S2 weighs q by 1/4 when q
+is squarefree and by 2 when q = 8*q0 with q0 odd and squarefree, and
+skips every other q.  tests/reference_circle.py keeps mu2, its defining
+exponential sum over the residues +-3 mod 8 and c_q(m) as test oracles.
 
 S2 vanishes exactly for m odd or m = 4 (mod 8) (vanishing_reason); sums
 of two primes that are 3 or 5 mod 8 can only be 0, 2, or 6 mod 8.  The
@@ -41,7 +43,6 @@ numpy inside the functions that build arrays.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -68,88 +69,6 @@ class CompareRow(NamedTuple):
     restricted_sum: float
     main_term: float
     ratio: float
-
-
-def restricted_mobius(q: int) -> float:
-    """Closed form of mu2(q); see the module docstring for the table.
-
-    The defining exponential sum (restricted_mobius_sum) is the oracle
-    this is tested against.
-    """
-    if q < 1:
-        raise ValueError("restricted_mobius requires q >= 1")
-    if q % 8:
-        return arith.mobius(q) / 2
-    q0 = q // 8
-    return -arith.kronecker(q0, 2) * arith.mobius(q0) * math.sqrt(2)
-
-
-def _restricted_exponential_sum(a: int, q8: int) -> complex:
-    # sum of e(a*r/q8) over r in [1, q8], (r, q8) = 1, r = +-3 (mod 8)
-    total = 0j
-    tau = 2j * math.pi / q8
-    for start in (3, 5):
-        for r in range(start, q8 + 1, 8):
-            if math.gcd(r, q8) == 1:
-                total += cmath.exp(tau * (a * r % q8))
-    return total
-
-
-def restricted_mobius_sum(q8: int) -> complex:
-    """Defining exponential sum for mu2 at a multiple of 8.
-
-    Direct numerical evaluation; the imaginary part vanishes up to
-    rounding.  Serves as the independent oracle for restricted_mobius.
-    """
-    if q8 < 8 or q8 % 8:
-        raise ValueError(f"restricted_mobius_sum requires a multiple of 8, got {q8}")
-    return _restricted_exponential_sum(1, q8)
-
-
-def _residue_totient(n: int, starts: tuple[int, int], name: str) -> int:
-    # count of r < n with (r, n) = 1 in the two classes `starts` mod 8
-    if n % 8:
-        raise ValueError(f"{name} requires 8 | n, got {n}")
-    return sum(
-        1
-        for start in starts
-        for r in range(start, n, 8)
-        if math.gcd(r, n) == 1
-    )
-
-
-def totient_pm3(n: int) -> int:
-    """Count of r < n with (r, n) = 1 and r = +-3 (mod 8); needs 8 | n."""
-    return _residue_totient(n, (3, 5), "totient_pm3")
-
-
-def totient_pm1(n: int) -> int:
-    """Count of r < n with (r, n) = 1 and r = +-1 (mod 8); needs 8 | n."""
-    return _residue_totient(n, (1, 7), "totient_pm1")
-
-
-def restricted_gauss_sum(a: int, q8: int) -> complex:
-    """Sum of e(a*r/q8) over r = +-3 (mod 8) coprime to q8, by summation.
-
-    Equals (a/2) * mu2(q8) for gcd(a, q8) = 1.
-    """
-    if q8 < 8 or q8 % 8:
-        raise ValueError(f"restricted_gauss_sum requires a multiple of 8, got {q8}")
-    if math.gcd(a, q8) != 1:
-        raise ValueError(f"restricted_gauss_sum requires gcd(a, q8) = 1, got a={a}")
-    return _restricted_exponential_sum(a, q8)
-
-
-def ramanujan_sum(q: int, m: int) -> int:
-    """Ramanujan sum c_q(m) via the closed form; multiplicative in q."""
-    if q < 1:
-        raise ValueError("ramanujan_sum requires q >= 1")
-    g = math.gcd(q, m)
-    qg = q // g
-    mu = arith.mobius(qg)
-    if mu == 0:
-        return 0
-    return mu * arith.euler_phi(q) // arith.euler_phi(qg)
 
 
 _SERIES_CHUNK = 1 << 16   # values per numpy step of the series and window sums

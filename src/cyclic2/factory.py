@@ -124,10 +124,10 @@ def certify(
 
     Raises CertificationError naming the first failed requirement.
     Violations of provable invariants (coprimality of x and w, the
-    discriminant identity, the order of the witness, criterion/oracle
-    agreement) raise ArithmeticError instead, an internal error.  The
-    oracle gets the witness, so it counts the class group and keeps no
-    form list.
+    discriminant identity, the symbol test, the order of the witness,
+    criterion/oracle agreement) raise ArithmeticError instead, an
+    internal error.  The oracle gets the witness, so it counts the class
+    group and keeps no form list.
     """
     n = target(k, M)
     w = 2 * M * M
@@ -160,11 +160,10 @@ def certify(
         raise CertificationError(
             "oracle-budget-exceeded", f"d={d} exceeds the oracle budget {d_budget}"
         )
+    # (p1/w) = (p1/2) = -1 for p1 = 5 (mod 8), as p1 | M would give p1 | p2
     symbol_ok = criteria.exact_order_test(p1, p2, w, k)
     if not symbol_ok:
-        raise CertificationError(
-            "symbol-test-failed", f"(p1={p1}/w={w}) is not -1"
-        )
+        raise ArithmeticError(f"symbol test failed: (p1={p1}/w={w}) is not -1")
     oracle = forms.class_number(d, witness=_order_2k_witness(w, x, k, d))
     if oracle.two_part != 1 << k or not oracle.cyclic_2sylow:
         raise ArithmeticError(

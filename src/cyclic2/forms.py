@@ -1,12 +1,12 @@
 """Binary quadratic form arithmetic over negative discriminants.
 
 Gauss reduction, composition (Cohen's Algorithm 5.4.7), exhaustive
-class-number enumeration, element orders, and the 2-Sylow structure
-summary.  This module is the unconditional oracle the certificate
-pipeline checks its symbol criteria against.  A form
-a*x**2 + b*x*y + c*y**2 is the tuple (a, b, c) throughout; `reduce`
-refuses one that is not positive definite.  The result types are
-named tuples, so no `dataclasses` is loaded.
+class-number enumeration, and the 2-Sylow structure summary.  This
+module is the unconditional oracle the certificate pipeline checks its
+symbol criteria against.  A form a*x**2 + b*x*y + c*y**2 is the tuple
+(a, b, c) throughout; `reduce` refuses one that is not positive
+definite.  The result types are named tuples, so no `dataclasses` is
+loaded.
 
 Enumeration is exhaustive but O(sqrt(d)): every oracle route goes through
 one walk, `_blocks`, over the square roots of -d mod 4a, a <= sqrt(d/3),
@@ -150,24 +150,6 @@ def form_pow(f: tuple[int, int, int], e: int) -> tuple[int, int, int]:
         if e:
             base = compose(base, base)
     return result
-
-
-def element_order(f: tuple[int, int, int]) -> int:
-    """Least n >= 1 with f**n principal, by repeated composition."""
-    ident = principal_form(discriminant(f))
-    g = reduce(f)
-    d = -discriminant(f)
-    # crude class-number bound; only a safety net against compose bugs
-    cap = int(math.isqrt(d) * (math.log(d) + 3)) + 16
-    n = 1
-    while g != ident:
-        g = compose(g, f)
-        n += 1
-        if n > cap:
-            raise ArithmeticError(
-                f"order of {f} exceeds the class-number bound {cap}"
-            )
-    return n
 
 
 def _crt(a0: int, roots0: list[int], q: int, qroots: list[int]) -> list[int]:

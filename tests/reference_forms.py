@@ -14,7 +14,9 @@ shares only `forms.reduce` with the oracle.  `reference_count` is the
 block count `forms._count` ran before plain leaves were counted as runs:
 it builds the roots of every prime power up to sqrt(d/3) up front and
 counts each plain leaf on its own; it shares only `arith.sieve` and
-`arith.sqrt_mod_p` with the oracle.
+`arith.sqrt_mod_p` with the oracle.  `element_order` finds the order
+of a class by repeated composition; no command needs more than the
+k compositions of a certificate's witness check.
 """
 
 import math
@@ -59,6 +61,22 @@ def reference_witness_cyclic(group: list[tuple[int, int, int]], h: int) -> bool:
     a, b, c = group[0]
     ident = forms.principal_form(b * b - 4 * a * c)
     return any(forms.form_pow(f, h // 2) != ident for f in group)
+
+
+def element_order(f: tuple[int, int, int]) -> int:
+    """Least n >= 1 with f**n principal, by repeated composition."""
+    ident = forms.principal_form(forms.discriminant(f))
+    g = forms.reduce(f)
+    d = -forms.discriminant(f)
+    # crude class-number bound; only a safety net against compose bugs
+    cap = int(math.isqrt(d) * (math.log(d) + 3)) + 16
+    n = 1
+    while g != ident:
+        g = forms.compose(g, f)
+        n += 1
+        if n > cap:
+            raise ArithmeticError(f"order of {f} exceeds the class-number bound {cap}")
+    return n
 
 
 def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:

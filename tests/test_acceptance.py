@@ -9,6 +9,15 @@ import math
 import random
 import time
 
+from reference_circle import (
+    euler_phi,
+    ramanujan_sum,
+    residue_totient,
+    restricted_gauss_sum,
+    restricted_mobius,
+)
+from reference_forms import element_order
+
 from cyclic2 import arith, circle, cli, criteria, factory, forms
 
 
@@ -95,7 +104,7 @@ def test_criterion_4_order_divisibility():
                 if math.gcd(x, w) != 1:
                     continue
                 f = forms.order_2m_form(w, x, m)
-                order = forms.element_order(f)
+                order = element_order(f)
                 assert order % (2 * m) == 0, (w, x, m, order)
                 checked += 1
                 if m not in (1, 2):
@@ -134,23 +143,23 @@ def test_criterion_5_product_formula():
 @criterion("6 exponential-sum identities: mu2, restricted Gauss sums, residue counts")
 def test_criterion_6_identities():
     for q in range(1, 200, 2):
-        direct = circle.restricted_mobius_sum(8 * q)
+        direct = restricted_gauss_sum(1, 8 * q)
         assert abs(direct.imag) < 1e-9, q
-        assert abs(direct.real - circle.restricted_mobius(8 * q)) < 1e-9, q
+        assert abs(direct.real - restricted_mobius(8 * q)) < 1e-9, q
     for q8 in range(8, 401, 8):
-        mu2 = circle.restricted_mobius(q8)
+        mu2 = restricted_mobius(q8)
         for a in range(1, q8):
             if math.gcd(a, q8) == 1:
                 predicted = arith.kronecker(a, 2) * mu2
-                assert abs(circle.restricted_gauss_sum(a, q8) - predicted) < 1e-9
+                assert abs(restricted_gauss_sum(a, q8) - predicted) < 1e-9
     for n in range(8, 10_001, 8):
         q = n
         j = 0
         while q % 2 == 0:
             q //= 2
             j += 1
-        expected = (1 << (j - 2)) * arith.euler_phi(q)
-        assert circle.totient_pm3(n) == expected == circle.totient_pm1(n), n
+        expected = (1 << (j - 2)) * euler_phi(q)
+        assert residue_totient(n, (3, 5)) == expected == residue_totient(n, (1, 7)), n
 
 
 @criterion("7 singular series: vanishing set, series/product and identity at 1e-2")
@@ -167,7 +176,7 @@ def test_criterion_7_singular_series():
         series2 = circle.restricted_singular_series(m, "series", 10_000)
         product2 = circle.restricted_singular_series(m, "product")
         assert abs(series2 - product2) < 1e-2, m
-        predicted = series1 / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
+        predicted = series1 / 4 * (1 + ramanujan_sum(8, m) / 4)
         assert abs(series2 - predicted) < 1e-2, m
     for m in (15, 21, 12, 28, 44):  # vanishing set holds for the series too
         assert abs(circle.restricted_singular_series(m, "series", 10_000)) < 1e-2

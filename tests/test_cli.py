@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
+import inspect
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
-from cyclic2 import arith, circle, cli, factory, forms
+from cyclic2 import arith, circle, cli, criteria, factory, forms
 
 
 def run(capsys, *argv):
@@ -186,15 +190,20 @@ print(json.dumps(seen))
 """
 
 
-def _modules_loaded_after(names, *argvs):
+def _run_probe(probe, payload):
+    # a fresh interpreter runs `probe` on payload, JSON in and JSON out
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps([names, list(argvs)])],
+        [sys.executable, "-c", probe, json.dumps(payload)],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def _modules_loaded_after(names, *argvs):
+    return _run_probe(_PROBE, [names, list(argvs)])
 
 
 def _numpy_loaded_after(*argvs):
@@ -249,6 +258,65 @@ def test_no_command_loads_dataclasses():
     # singular are checked for dataclasses alone
     for argv in (["compare", "--n-lo", "200", "--n-hi", "208"], ["singular", "--m", "16"]):
         assert _modules_loaded_after(["dataclasses", "numpy"], argv) == [[0, ["numpy"]]]
+
+
+# Every def in src/cyclic2 runs on a README command line or a refused
+# input, except these, each kept for a reason.
+UNREACHED = dict.fromkeys(
+    ["criteria._split_valuation", "criteria._eps", "criteria._omega", "criteria.hilbert_symbol",
+     "criteria._is_ideal_norm", "criteria.square_class_report"],
+    "the paper's square-class criterion, for certify (ROADMAP item 15)",
+) | {"factory.validate_certificate": "perfbench/tracer.py wraps it by name"}
+
+# One fresh interpreter runs the commands under sys.setprofile and prints
+# the (file, first line) of every Python function called.
+_REACH_PROBE = """
+import json, os, sys
+from cyclic2 import cli
+reached = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(profile)
+codes = [cli.main(argv + ["--output", os.devnull]) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+print(json.dumps([codes, sorted(reached)]))
+"""
+
+
+def _package_defs():
+    """{(file, first line): "module.qualname"} of every def in src/cyclic2."""
+    package = pathlib.Path(os.path.abspath(cli.__file__)).parent
+    codes = [compile(path.read_text(), str(path), "exec") for path in package.glob("*.py")]
+    defs = {}
+    while codes:
+        code = codes.pop()
+        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
+        if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+            name = f"{pathlib.Path(code.co_filename).stem}.{code.co_qualname}"
+            defs[code.co_filename, code.co_firstlineno] = name
+    return defs
+
+
+def test_every_function_runs_from_the_cli():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("\n```\n", 1)[0]
+    readme = [shlex.split(line, comments=True)[1:]
+              for line in block.splitlines() if line.startswith("cyclic2 ")]
+    refused = [
+        ["verify", "--d", "5"],
+        ["singular", "--m", "0"],
+        ["search", "--k", "9", "--m-max", "1"],
+        ["verify", "--k", "2", "--m", "1", "--p1", "9", "--p2", "7"],
+    ]
+    codes, reached = _run_probe(_REACH_PROBE, readme + refused)
+    assert readme, "no cyclic2 line in the README's CLI block"
+    assert codes == [0] * len(readme) + [2] * len(refused)
+    reached = {tuple(key) for key in reached}
+    unreached = {name for key, name in _package_defs().items() if key not in reached}
+    assert unreached == set(UNREACHED)
 
 
 def _record_sieve_his(monkeypatch):
@@ -532,6 +600,14 @@ def test_output_file_has_lf_endings(capsys, tmp_path):
     assert data.endswith(b"\n")
 
 
+def failure(capsys, code, *argv):
+    """The one JSON line on stderr of a run that exits `code` with no stdout."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    (line,) = err.splitlines()
+    return json.loads(line)
+
+
 def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
     # d = 86531263 is non-cyclic (h = 3168, 8 ambiguous classes), so its
     # verdict is checked by counting squares; a compose that squares
@@ -541,10 +617,7 @@ def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
         forms, "compose",
         lambda f, g: forms.principal_form(forms.discriminant(f)) if f == g else real(f, g),
     )
-    code, out, err = run(capsys, "verify", "--d", "86531263")
-    assert code == 1
-    assert out == ""
-    error = json.loads(err.strip().splitlines()[-1])
+    error = failure(capsys, 1, "verify", "--d", "86531263")
     assert error["error"] == "internal" and "squares" in error["message"]
 
 
@@ -559,11 +632,7 @@ def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch,
         return forms.reduce((a, b, -c))
 
     monkeypatch.setattr(forms, "compose", broken)
-    code, out, err = run(capsys, "verify", "--d", str(d))
-    assert code == 1
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
+    error = failure(capsys, 1, "verify", "--d", str(d))
     assert error["error"] == "internal" and "composition check failed" in error["message"]
 
 
@@ -573,11 +642,7 @@ def test_verify_d_reports_a_value_error_in_the_walk_as_internal(capsys, monkeypa
         raise ValueError("broken expansion")
 
     monkeypatch.setattr(forms, "_expand", broken)
-    code, out, err = run(capsys, "verify", "--d", "1155")
-    assert code == 1
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
+    error = failure(capsys, 1, "verify", "--d", "1155")
     assert error["error"] == "internal" and "broken expansion" in error["message"]
 
 
@@ -589,11 +654,7 @@ def test_verify_d_refuses_a_bad_discriminant_before_the_walk(capsys, monkeypatch
         raise ValueError("broken expansion")
 
     monkeypatch.setattr(forms, "_expand", broken)
-    code, out, err = run(capsys, "verify", "--d", str(d), "--d-max", str(forms.MAX_D))
-    assert code == 2
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
+    error = failure(capsys, 2, "verify", "--d", str(d), "--d-max", str(forms.MAX_D))
     assert error["error"] == "validation" and "broken" not in error["message"]
 
 
@@ -605,11 +666,8 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
         forms, "class_number",
         lambda d, witness=None: real(d, witness)._replace(two_part=8),
     )
-    code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
-                         "--p1", "13", "--p2", "3")
-    assert code == 1
-    assert out == ""
-    error = json.loads(err.strip().splitlines()[-1])
+    error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
+                    "--p1", "13", "--p2", "3")
     assert error["error"] == "internal" and "oracle-mismatch" in error["message"]
 
 
@@ -627,13 +685,19 @@ def test_verify_k_reports_a_broken_witness_check_as_internal(capsys, monkeypatch
         return forms.principal_form(b * b - 4 * a * c)
 
     monkeypatch.setattr(forms, "compose", broken)
-    code, out, err = run(capsys, "verify", "--k", "2", "--m", "1",
-                         "--p1", "13", "--p2", "3")
-    assert code == 1
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
+    error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
+                    "--p1", "13", "--p2", "3")
     assert error["error"] == "internal" and "witness check failed" in error["message"]
+
+
+def test_verify_k_reports_a_failed_symbol_test_as_internal(capsys, monkeypatch):
+    # after certify's own checks (p1/w) = (p1/2) = -1 is a theorem, so a
+    # False from the symbol test is a bug and not a rejection
+    monkeypatch.setattr(criteria, "exact_order_test", lambda p1, p2, w, k: False)
+    error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
+                    "--p1", "13", "--p2", "3")
+    assert error["error"] == "internal" and "symbol test failed" in error["message"]
+    assert "reason" not in error
 
 
 def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
@@ -643,10 +707,6 @@ def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
         raise TypeError("injected fault")
 
     monkeypatch.setattr(forms, "compose", broken)
-    code, out, err = run(capsys, "verify", "--d", "86531263")
-    assert code == 1
-    assert out == ""
-    (line,) = err.splitlines()
-    error = json.loads(line)
+    error = failure(capsys, 1, "verify", "--d", "86531263")
     assert error["error"] == "internal"
     assert error["message"] == "TypeError: injected fault"

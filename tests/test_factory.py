@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_forms import element_order
 from reference_pairs import table_pairs
 
 from cyclic2 import arith, criteria, factory, forms
@@ -280,7 +281,7 @@ def test_search_certifies_every_enumerated_pair():
 
 def test_search_propagates_a_rejection(monkeypatch):
     def reject(k, m, p1, p2, *, d_budget):
-        raise CertificationError("symbol-test-failed", "injected rejection")
+        raise CertificationError("p1-not-prime", "injected rejection")
 
     monkeypatch.setattr(factory, "certify", reject)
     with pytest.raises(CertificationError, match="injected"):
@@ -343,7 +344,7 @@ def test_witness_has_order_exactly_2k_in_both_modes():
                 for p1, p2 in factory.find_pairs(k, m, 10**9, negative=negative):
                     x = abs(p1 - half)
                     g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
-                    assert forms.element_order(g) == 1 << k, (k, m, p1, p2)
+                    assert element_order(g) == 1 << k, (k, m, p1, p2)
                     assert factory._order_2k_witness(w, x, k, p1 * p2) == g
                     seen[negative] += 1
     assert seen[False] >= 500 and seen[True] >= 100, seen
