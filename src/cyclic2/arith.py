@@ -1,8 +1,8 @@
 """Integer primitives.
 
 Deterministic 64-bit primality, a segmented prime sieve whose table is
-one byte per value with residue-class views mod 8, Jacobi/Kronecker
-symbols, square roots modulo primes, the per-d table of the roots of
+one byte per value with residue-class views mod 8, the Jacobi symbol,
+square roots modulo primes, the per-d table of the roots of
 t*t + e*t + N modulo prime powers that the form enumeration builds on,
 and factorization: division by the twelve Miller-Rabin base primes, then
 `is_prime` and Pollard-Brent.  A square root of n mod p costs one pow
@@ -136,29 +136,6 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), the full extension of the Jacobi symbol.
-
-    (a/2) is 0 for even a, +1 for a = +-1 mod 8, -1 for a = +-3 mod 8.
-    """
-    if a == 0 and n == 0:
-        raise ValueError("kronecker(0, 0) is undefined")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    return result * jacobi(a, n)
 
 
 def sqrt_mod_p(n: int, p: int) -> int | None:

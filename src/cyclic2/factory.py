@@ -160,10 +160,16 @@ def certify(
         raise CertificationError(
             "oracle-budget-exceeded", f"d={d} exceeds the oracle budget {d_budget}"
         )
-    # (p1/w) = (p1/2) = -1 for p1 = 5 (mod 8), as p1 | M would give p1 | p2
-    symbol_ok = criteria.exact_order_test(p1, p2, w, k)
+    # The hypotheses of the criterion hold here: p1 != p2, d = 3 (mod 4),
+    # gcd(w, d) = 1 and x**2 + d = 4*w**(2**k).  Its verdict is a theorem:
+    # (w, -d)_p1 = (2/p1)*(M/p1)**2 = -1 for p1 = 5 (mod 8), as p1 | M
+    # would give p1 | p2.
+    try:
+        symbol_ok = criteria.exact_order_test(w, x, (p1, p2))
+    except ValueError as exc:
+        raise ArithmeticError(f"symbol test failed for d={d}: {exc}") from exc
     if not symbol_ok:
-        raise ArithmeticError(f"symbol test failed: (p1={p1}/w={w}) is not -1")
+        raise ArithmeticError(f"symbol test failed: the class of norm w={w} is a square")
     oracle = forms.class_number(d, witness=_order_2k_witness(w, x, k, d))
     if oracle.two_part != 1 << k or not oracle.cyclic_2sylow:
         raise ArithmeticError(
@@ -190,9 +196,9 @@ def search(
     grows with the certifiable pairs, not with the target n; each one
     still goes through `certify`, which accepts every one of them:
     `find_pairs` already fixes the sum, the residues mod 8, both
-    primalities and d <= d_budget, and (p1/w) = (p1/2) = -1 for
-    p1 = 5 (mod 8), since p1 | M would give p1 | n and so p1 | p2.  A
-    rejection, an overflow or an internal error therefore propagates.
+    primalities and d <= d_budget, and `certify` shows why the symbol
+    test then holds.  A rejection, an overflow or an internal error
+    therefore propagates.
 
     The target grows with M, so `target` checks its 63-bit bound once, at
     the largest M, before anything is built per M; for an increasing

@@ -21,6 +21,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from reference_symbols import kronecker
 
 from cyclic2 import arith
 from cyclic2.arith import PrimeTable
@@ -47,7 +48,7 @@ def restricted_mobius(q: int) -> float:
     if q % 8:
         return mobius(q) / 2
     q0 = q // 8
-    return -arith.kronecker(q0, 2) * mobius(q0) * math.sqrt(2)
+    return -kronecker(q0, 2) * mobius(q0) * math.sqrt(2)
 
 
 def _coprime_residues(n: int, residues: tuple[int, int]):

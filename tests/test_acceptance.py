@@ -17,6 +17,7 @@ from reference_circle import (
     restricted_mobius,
 )
 from reference_forms import element_order
+from reference_symbols import kronecker, local_symbols
 
 from cyclic2 import arith, circle, cli, criteria, factory, forms
 
@@ -85,7 +86,7 @@ def test_criterion_3_biconditional():
         for negative in (False, True):
             for p1, p2 in factory.find_pairs(k, m, 10**7, negative=negative):
                 d = p1 * p2
-                verdict = criteria.exact_order_test(p1, p2, w, k)
+                verdict = criteria.exact_order_test(w, abs(p1 - p2) // 2, (p1, p2))
                 oracle = forms.class_number(d)
                 assert oracle.cyclic_2sylow, (k, m, p1, p2)
                 assert verdict == (oracle.two_part == 1 << k), (k, m, p1, p2)
@@ -114,7 +115,7 @@ def test_criterion_4_order_divisibility():
                 if not (arith.is_prime(lo) and arith.is_prime(hi) and lo >= 3):
                     continue
                 p1, p2 = (lo, hi) if lo % 4 == 1 else (hi, lo)
-                if criteria.exact_order_test(p1, p2, w, k):
+                if criteria.exact_order_test(w, x, (p1, p2)):
                     assert order == 2 * m, (w, x, m, order)
                     exact_checked += 1
     assert checked > 200 and exact_checked > 10
@@ -124,18 +125,21 @@ def test_criterion_4_order_divisibility():
 def test_criterion_5_product_formula():
     tested = 0
     for d in range(3, 10_001, 4):
-        if any(e > 1 for _, e in arith.factorize(d)):
+        fac = arith.factorize(d)
+        if any(e > 1 for _, e in fac):
             continue
-        norms = {a for a, _, _ in forms.enumerate_reduced(d) if math.gcd(a, d) == 1}
+        primes = [p for p, _ in fac]
+        norms = {a: b for a, b, _ in forms.enumerate_reduced(d) if math.gcd(a, d) == 1}
         for w in sorted(norms):
-            report = criteria.square_class_report(w, d)
-            assert math.prod(s for _, s in report.symbols) == 1, (w, d)
+            symbols = local_symbols(w, d)
+            assert math.prod(symbols) == 1, (w, d)
+            assert criteria.exact_order_test(w, norms[w], primes) == (-1 in symbols), (w, d)
             tested += 1
     # certificate-shaped pairs as well
     for k, m in ((1, 1), (1, 2), (1, 3), (2, 1), (1, 4)):
         for p1, p2 in factory.find_pairs(k, m):
-            report = criteria.square_class_report(2 * m * m, p1 * p2)
-            assert math.prod(s for _, s in report.symbols) == 1
+            assert math.prod(local_symbols(2 * m * m, p1 * p2)) == 1
+            assert criteria.exact_order_test(2 * m * m, abs(p1 - p2) // 2, (p1, p2))
             tested += 1
     assert tested > 3000, f"only {tested} pairs tested"
 
@@ -150,7 +154,7 @@ def test_criterion_6_identities():
         mu2 = restricted_mobius(q8)
         for a in range(1, q8):
             if math.gcd(a, q8) == 1:
-                predicted = arith.kronecker(a, 2) * mu2
+                predicted = kronecker(a, 2) * mu2
                 assert abs(restricted_gauss_sum(a, q8) - predicted) < 1e-9
     for n in range(8, 10_001, 8):
         q = n

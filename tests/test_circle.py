@@ -23,6 +23,7 @@ from reference_circle import (
     restricted_mobius,
     series_weight,
 )
+from reference_symbols import kronecker
 
 from cyclic2 import arith, circle
 
@@ -87,18 +88,6 @@ def test_totient_examples():
         residue_totient(12, (3, 5))
 
 
-def test_totient_closed_form():
-    for n in range(8, 10_001, 8):
-        q = n
-        j = 0
-        while q % 2 == 0:
-            q //= 2
-            j += 1
-        expected = (1 << (j - 2)) * euler_phi(q)
-        assert residue_totient(n, (3, 5)) == expected, n
-        assert residue_totient(n, (1, 7)) == expected, n
-
-
 # ------------------------------------------------------------- gauss sums
 
 
@@ -107,7 +96,7 @@ def test_gauss_sum_examples():
     assert restricted_gauss_sum(3, 8).real == pytest.approx(SQRT2, abs=1e-12)
     v = restricted_gauss_sum(7, 24)
     assert v.real == pytest.approx(
-        arith.kronecker(7, 2) * restricted_mobius(24), abs=1e-9
+        kronecker(7, 2) * restricted_mobius(24), abs=1e-9
     )
     with pytest.raises(ValueError):
         restricted_gauss_sum(3, 24)  # gcd(3, 24) > 1

@@ -261,12 +261,8 @@ def test_no_command_loads_dataclasses():
 
 
 # Every def in src/cyclic2 runs on a README command line or a refused
-# input, except these, each kept for a reason.
-UNREACHED = dict.fromkeys(
-    ["criteria._split_valuation", "criteria._eps", "criteria._omega", "criteria.hilbert_symbol",
-     "criteria._is_ideal_norm", "criteria.square_class_report"],
-    "the paper's square-class criterion, for certify (ROADMAP item 15)",
-) | {"factory.validate_certificate": "perfbench/tracer.py wraps it by name"}
+# input, except this one, kept for the reason given.
+UNREACHED = {"factory.validate_certificate": "perfbench/tracer.py wraps it by name"}
 
 # One fresh interpreter runs the commands under sys.setprofile and prints
 # the (file, first line) of every Python function called.
@@ -691,12 +687,24 @@ def test_verify_k_reports_a_broken_witness_check_as_internal(capsys, monkeypatch
 
 
 def test_verify_k_reports_a_failed_symbol_test_as_internal(capsys, monkeypatch):
-    # after certify's own checks (p1/w) = (p1/2) = -1 is a theorem, so a
+    # after certify's own checks (w, -d)_p1 = -1 is a theorem, so a
     # False from the symbol test is a bug and not a rejection
-    monkeypatch.setattr(criteria, "exact_order_test", lambda p1, p2, w, k: False)
+    monkeypatch.setattr(criteria, "exact_order_test", lambda w, b, primes: False)
     error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
                     "--p1", "13", "--p2", "3")
     assert error["error"] == "internal" and "symbol test failed" in error["message"]
+    assert "reason" not in error
+
+
+def test_verify_k_reports_a_refused_criterion_as_internal(capsys, monkeypatch):
+    # certify's own checks establish every hypothesis of the criterion,
+    # so a ValueError from it is a bug, not a bad input; here a symbol
+    # is asked at p**2, which hilbert_symbol refuses
+    real = criteria.hilbert_symbol
+    monkeypatch.setattr(criteria, "hilbert_symbol", lambda a, b, p: real(a, b, p * p))
+    error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
+                    "--p1", "13", "--p2", "3")
+    assert error["error"] == "internal" and "requires a prime p" in error["message"]
     assert "reason" not in error
 
 

@@ -1,9 +1,12 @@
-"""Tests for Hilbert symbols and the exact-order decision procedures."""
+"""Tests for Hilbert symbols and the square-class criterion."""
 
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from reference_symbols import kronecker, local_symbols
 
 from cyclic2 import arith, criteria, factory, forms
 
@@ -92,27 +95,34 @@ def test_hilbert_squares_are_trivial():
 # ------------------------------------------------------ square-class test
 
 
-def test_square_class_examples():
-    r = criteria.square_class_report(2, 39)
-    assert r.symbols == ((3, -1), (13, -1))
-    assert not r.is_square
-    assert r.exact_order_2k
-    assert math.prod(s for _, s in r.symbols) == 1
+def at_pair(w, p1, p2):
+    """The criterion at a pair p1 + p2 = 4*w**(2**(k-1)).  With
+    x = |p1 - p2|/2 and d = p1*p2, x**2 + d = 4*w**(2**k), so the ideal
+    of norm w is (w, (x + sqrt(-d))/2)."""
+    return criteria.exact_order_test(w, abs(p1 - p2) // 2, (p1, p2))
 
-    r = criteria.square_class_report(1, 15)
-    assert all(s == 1 for _, s in r.symbols)
-    assert r.is_square
+
+def test_square_class_examples():
+    # (2, 1, 5) and (1, 1, 4) are forms of discriminant -39 and -15
+    assert local_symbols(2, 39) == [-1, -1]
+    assert criteria.exact_order_test(2, 1, (3, 13)) is True
+    assert all(s == 1 for s in local_symbols(1, 15))
+    assert criteria.exact_order_test(1, 1, (3, 5)) is False
 
 
 def test_square_class_validation():
-    with pytest.raises(ValueError):
-        criteria.square_class_report(3, 39)   # gcd(3, 39) > 1
-    with pytest.raises(ValueError):
-        criteria.square_class_report(2, 45)   # 45 = 9 * 5 not squarefree
-    with pytest.raises(ValueError):
-        criteria.square_class_report(2, 21)   # 21 = 1 mod 4
-    with pytest.raises(ValueError):
-        criteria.square_class_report(2, 3)    # 2 is inert: not an ideal norm
+    with pytest.raises(ValueError, match="coprime"):
+        criteria.exact_order_test(3, 3, (3, 13))    # gcd(3, 39) > 1
+    with pytest.raises(ValueError, match="distinct"):
+        criteria.exact_order_test(2, 1, (3, 3, 7))  # 63 = 9 * 7 not squarefree
+    with pytest.raises(ValueError, match="3 mod 4"):
+        criteria.exact_order_test(2, 1, (3, 7))     # 21 = 1 mod 4
+    with pytest.raises(ValueError, match="square root"):
+        criteria.exact_order_test(2, 1, (3,))       # 2 is inert: no ideal of norm 2
+    with pytest.raises(ValueError, match="prime"):
+        criteria.exact_order_test(1, 1, (15,))      # 15 is not a prime
+    with pytest.raises(ValueError, match="positive"):
+        criteria.exact_order_test(0, 1, (3, 5))
 
 
 def test_square_class_product_formula_sweep():
@@ -120,13 +130,16 @@ def test_square_class_product_formula_sweep():
     # are ideal norms by construction
     count = 0
     for d in range(3, 2000, 4):
-        if any(e > 1 for _, e in arith.factorize(d)):
+        fac = arith.factorize(d)
+        if any(e > 1 for _, e in fac):
             continue
-        for a, _, _ in forms.enumerate_reduced(d):
+        primes = [p for p, _ in fac]
+        for a, b, _ in forms.enumerate_reduced(d):
             if math.gcd(a, d) != 1 or a == 1:
                 continue
-            r = criteria.square_class_report(a, d)
-            assert math.prod(s for _, s in r.symbols) == 1
+            symbols = local_symbols(a, d)
+            assert math.prod(symbols) == 1
+            assert criteria.exact_order_test(a, b, primes) == (-1 in symbols)
             count += 1
     assert count > 500
 
@@ -139,56 +152,52 @@ def test_square_class_broken_product_is_internal(monkeypatch):
         criteria, "hilbert_symbol", lambda a, b, p: -real(a, b, p) if p == 3 else real(a, b, p)
     )
     with pytest.raises(ArithmeticError, match="Hilbert symbol product"):
-        criteria.square_class_report(2, 39)
+        criteria.exact_order_test(2, 1, (3, 13))
 
 
 def test_square_class_principal_is_square():
     # the identity class (norm 1) is trivially a square
     for d in (15, 39, 183, 295, 455):
-        assert criteria.square_class_report(1, d).is_square
+        primes = [p for p, _ in arith.factorize(d)]
+        assert criteria.exact_order_test(1, 1, primes) is False
 
 
 # ------------------------------------------------------- exact-order test
 
 
 def test_exact_order_examples():
-    assert criteria.exact_order_test(13, 3, 2, 2) is True
-    assert criteria.exact_order_test(5, 3, 2, 1) is True
+    assert at_pair(2, 13, 3) is True
+    assert at_pair(2, 5, 3) is True
     # p1 = 1 mod 8 makes the symbol +1: the group is strictly larger
-    assert criteria.exact_order_test(41, 31, 18, 1) is False
-    assert criteria.exact_order_test(17, 47, 2, 3) is False
+    assert at_pair(18, 41, 31) is False
+    assert at_pair(2, 17, 47) is False
 
 
-def test_exact_order_validation():
-    with pytest.raises(ValueError, match="p1"):
-        criteria.exact_order_test(3, 13, 2, 2)    # p1 = 3 mod 4
-    with pytest.raises(ValueError, match="p2"):
-        criteria.exact_order_test(13, 5, 2, 2)    # p2 = 1 mod 4
-    with pytest.raises(ValueError, match="4\\*w"):
-        criteria.exact_order_test(13, 3, 4, 2)    # sum is not 4*w**2
-    with pytest.raises(ValueError, match="even"):
-        criteria.exact_order_test(13, 3, 3, 2)
-    with pytest.raises(ValueError, match="prime"):
-        criteria.exact_order_test(9, 7, 2, 2)
-    with pytest.raises(ValueError, match="distinct"):
-        criteria.exact_order_test(5, 5, 2, 1)
+def _pairs(w, k, d_max):
+    """Prime pairs (p1, p2), p1 = 1 and p2 = 3 (mod 4), summing to
+    4*w**(2**(k-1)), with p1*p2 <= d_max."""
+    n = 4 * w ** (2 ** (k - 1))
+    for p in arith.sieve(2, min(n // 2, math.isqrt(d_max))).primes():
+        q = n - p
+        if p >= q or p < 3 or p * q > d_max or not arith.is_prime(q):
+            continue
+        yield (p, q) if p % 4 == 1 else (q, p)
+
+
+def kronecker_reference(p1, w):
+    """The paper's shortcut for the criterion at p1 + p2 = 4*w**(2**(k-1))."""
+    return kronecker(p1, w) == -1
 
 
 def test_exact_order_biconditional_for_general_even_w():
     # the criterion holds for any even w, not only w = 2*M**2: enumerate
     # prime pairs summing to 4*w**(2**(k-1)) and compare the symbol
     # verdict against the enumerated 2-Sylow structure
-    table = arith.sieve(2, 1600)
     checked = 0
     for w, k in ((2, 1), (2, 2), (4, 1), (6, 1), (6, 2), (10, 1), (10, 2), (12, 1), (20, 1)):
-        n = 4 * w ** (2 ** (k - 1))
-        for p in table.primes():
-            q = n - p
-            if p >= q or q < 3 or p < 3 or not table.flags[q - table.lo]:
-                continue
-            p1, p2 = (p, q) if p % 4 == 1 else (q, p)
+        for p1, p2 in _pairs(w, k, 10**6):
             assert p1 % 4 == 1 and p2 % 4 == 3  # d = 3 mod 4 forces one of each
-            verdict = criteria.exact_order_test(p1, p2, w, k)
+            verdict = at_pair(w, p1, p2)
             summary = forms.class_number(p1 * p2)
             assert summary.cyclic_2sylow
             assert verdict == (summary.two_part == 1 << k), (w, k, p1, p2)
@@ -196,16 +205,33 @@ def test_exact_order_biconditional_for_general_even_w():
     assert checked > 40
 
 
-def test_exact_order_matches_square_class_on_pairs():
+@st.composite
+def even_w_pairs(draw):
+    w = 2 * draw(st.integers(1, 32))
+    k = draw(st.sampled_from([1, 2]))
+    r1 = draw(st.sampled_from([1, 5]))  # p1 = 1 or 5 (mod 8), p2 = -p1
+    pairs = [pair for pair in _pairs(w, k, 10**6) if pair[0] % 8 == r1]
+    assume(pairs)
+    return w, k, draw(st.sampled_from(pairs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(even_w_pairs())
+def test_criterion_matches_kronecker_and_oracle_for_even_w(case):
+    w, k, (p1, p2) = case
+    verdict = at_pair(w, p1, p2)
+    assert verdict == kronecker_reference(p1, w)
+    assert verdict == (forms.class_number(p1 * p2).two_part == 1 << k)
+
+
+def test_exact_order_matches_kronecker_on_pairs():
     for k, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)):
         w = 2 * m * m
         for negative in (False, True):
             for p1, p2 in factory.find_pairs(k, m, negative=negative):
-                want = criteria.exact_order_test(p1, p2, w, k)
-                report = criteria.square_class_report(w, p1 * p2)
-                assert want == report.exact_order_2k == (not report.is_square)
+                want = at_pair(w, p1, p2)
+                assert want == kronecker_reference(p1, w) != negative
                 # the equivalent form of the criterion
                 assert want == (
-                    arith.kronecker(p2, w) != arith.kronecker(-1, w)
+                    kronecker(p2, w) != kronecker(-1, w)
                 )
-

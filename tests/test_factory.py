@@ -72,7 +72,6 @@ def _peak_bytes(fn, *args):
 def test_huge_k_refused_before_the_shift():
     # w >= 2, so every k >= 7 overflows; 1 << (k - 1) is never built
     assert _peak_bytes(factory.target, 10**9, 1) < 1 << 20
-    assert _peak_bytes(criteria.exact_order_test, 5, 3, 2, 10**9) < 1 << 20
 
 
 # -------------------------------------------------------------- find_pairs
@@ -179,6 +178,9 @@ def test_certify_rejections():
     with pytest.raises(CertificationError) as exc:
         factory.certify(2, 1, 11, 3)
     assert exc.value.reason == "sum-mismatch"
+    with pytest.raises(CertificationError) as exc:
+        factory.certify(1, 1, 4, 4)
+    assert exc.value.reason == "equal-primes"
     with pytest.raises(CertificationError) as exc:
         factory.certify(2, 1, 15, 1)
     assert exc.value.reason == "prime-too-small"
@@ -385,7 +387,7 @@ def capped_pairs(draw):
 def test_symbol_route_agrees_with_oracle(case):
     k, m, negative, (p1, p2) = case
     summary = forms.class_number(p1 * p2)
-    verdict = criteria.exact_order_test(p1, p2, 2 * m * m, k)
+    verdict = criteria.exact_order_test(2 * m * m, abs(p1 - p2) // 2, (p1, p2))
     assert verdict == (summary.two_part == 1 << k)
     assert verdict != negative
     assert summary.cyclic_2sylow
