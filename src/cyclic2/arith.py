@@ -19,6 +19,8 @@ import math
 from bisect import bisect_right
 from itertools import compress, islice
 
+from .bounds import UsageError
+
 _U64 = 1 << 64
 
 # First twelve primes: a witness set proven deterministic far beyond 2**64,
@@ -97,14 +99,14 @@ def sieve(lo: int, hi: int) -> PrimeTable:
     primes from a recursive sieve of [2, isqrt(hi)].  Every crossing-off
     reads a slice of one shared zero buffer; CPython still copies that
     slice before a strided store, so the transient per prime is at most
-    SEGMENT_SIZE / 2 bytes.  Raises when the requested span exceeds the
-    memory budget.
+    SEGMENT_SIZE / 2 bytes.  A span over the memory budget is refused
+    with UsageError, since only `compare --n-hi` can ask for one.
     """
     if lo < 2 or hi < lo:
         raise ValueError("sieve requires 2 <= lo <= hi")
     span = hi - lo + 1
     if span > DEFAULT_MAX_SPAN:
-        raise ValueError(
+        raise UsageError(
             f"sieve range of {span} entries exceeds the budget of {DEFAULT_MAX_SPAN}"
         )
     root = math.isqrt(hi)

@@ -1,9 +1,16 @@
-"""The size bounds on user input, each stated once.
+"""The size bounds on user input, each stated once, and `UsageError`.
 
 The modules that enforce them import them from here, and so does the
 command-line parser for its help text, which therefore loads none of
-the arithmetic behind them.  This module imports nothing.
+the arithmetic behind them.  This module imports nothing.  Only a check
+of user input raises `UsageError`: the command line exits 2 on it, and
+1 on any other exception, a bare ValueError too, as a bug in this code.
 """
+
+
+class UsageError(ValueError):
+    """User input refused by one of this package's checks."""
+
 
 # The oracle's input bound (`forms`).  No oracle route keeps a form list,
 # but a non-cyclic verdict holds its h/ambiguous distinct squares and

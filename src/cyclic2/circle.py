@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import arith
 from .arith import PrimeTable
-from .bounds import MAX_TRUNCATION_Q, MAX_WINDOW_WORK
+from .bounds import MAX_TRUNCATION_Q, MAX_WINDOW_WORK, UsageError
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -128,7 +128,7 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # phi(q)**2 < 2**53 are exact), and np.cumsum adds them left to right
     # in increasing q.
     if not 2 <= Q <= MAX_TRUNCATION_Q:
-        raise ValueError(
+        raise UsageError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
     import numpy as np
@@ -208,7 +208,7 @@ def vanishing_reason(m: int) -> str:
 def _singular(name: str, m: int, mode: str, truncation_q: int, restricted: bool) -> float:
     # S2(m) when restricted, else S1(m), in the given mode
     if m < 1:
-        raise ValueError(f"{name} requires m >= 1")
+        raise UsageError(f"{name} requires m >= 1")
     if mode == "series":
         return _series_sums(m, truncation_q)[restricted]
     if mode != "product":
@@ -339,12 +339,12 @@ def window_range(n_lo: int, n_hi: int, step: int) -> range:
     Cheap: callers run it before building a prime table for the window.
     """
     if step < 1:
-        raise ValueError("step must be positive")
+        raise UsageError("step must be positive")
     if n_lo > n_hi:
-        raise ValueError("empty window")
+        raise UsageError("empty window")
     ns = range(n_lo, n_hi + 1, step)
     if len(ns) * n_hi > MAX_WINDOW_WORK:
-        raise ValueError(
+        raise UsageError(
             f"window of {len(ns)} rows up to n={n_hi} exceeds the work budget "
             f"rows * n_hi <= {MAX_WINDOW_WORK}"
         )
@@ -363,7 +363,7 @@ def compare_window(
     rows = []
     for n in window_range(n_lo, n_hi, step):
         if vanishing_reason(n) != "none":
-            raise ValueError(
+            raise UsageError(
                 f"n={n} is rejected: the restricted singular series vanishes "
                 f"(n mod 8 = {n % 8})"
             )

@@ -7,8 +7,9 @@ Output is bit-exact and reproducible: CSV with LF line endings, reals at
 files.  JSON mirrors the CSV fields one-to-one.  Rows are written as
 they come, so `search` shows each certificate as soon as it is issued,
 and rows written before a failure stay written.  Exit codes: 0 success
-with at least one output row, 2 validation failure, 1 internal error;
-failures also emit one machine-readable JSON line on stderr.  The
+with at least one output row; 2 for a `bounds.UsageError`, an argparse
+error or an unwritable --output; 1 for any other exception, a bug.
+Failures also emit one machine-readable JSON line on stderr.  The
 parser reads its bounds from `bounds`, and each `cmd_*` imports the
 modules it runs, so `search` and `verify` never load `circle`, and
 `compare` and `singular` never load the form oracle.
@@ -100,7 +101,7 @@ def cmd_search(args: argparse.Namespace) -> Iterable[dict]:
     """Rows as they are certified, for `_write_rows` to stream."""
     from . import factory
     if args.m_min < 1 or args.m_max < args.m_min:
-        raise ValueError("search requires 1 <= m-min <= m-max")
+        raise bounds.UsageError("search requires 1 <= m-min <= m-max")
     certs = factory.search(args.k, range(args.m_min, args.m_max + 1), d_budget=_d_budget(args))
     return map(_cert_row, certs)
 
@@ -118,7 +119,7 @@ def _group_row(summary: forms.ClassGroup2Summary) -> dict:
 def _d_budget(args: argparse.Namespace) -> int:
     """--d-max, refused above the oracle's own bound before any work."""
     if args.d_max > bounds.MAX_D:
-        raise ValueError(f"--d-max {args.d_max} exceeds the oracle bound {bounds.MAX_D}")
+        raise bounds.UsageError(f"--d-max {args.d_max} exceeds the oracle bound {bounds.MAX_D}")
     return args.d_max
 
 
@@ -126,14 +127,14 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
     if args.d is None:
         from . import factory
         if args.forms:
-            raise ValueError("--forms requires --d")
+            raise bounds.UsageError("--forms requires --d")
         if None in (args.k, args.m, args.p1, args.p2):
-            raise ValueError("verify requires either --d or all of --k --m --p1 --p2")
+            raise bounds.UsageError("verify requires either --d or all of --k --m --p1 --p2")
         cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
         return [_cert_row(cert)]
     from . import forms
     if args.d > _d_budget(args):  # refused before any enumeration
-        raise ValueError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
+        raise bounds.UsageError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
     row = _group_row(forms.class_number(args.d))
     if args.forms:
         row["forms"] = ";".join(",".join(map(str, f)) for f in forms.enumerate_reduced(args.d))
@@ -144,7 +145,7 @@ def cmd_singular(args: argparse.Namespace) -> list[dict]:
     from . import circle
     m, q = args.m, args.truncation_q
     if m >= bounds.MAX_SINGULAR_M:
-        raise ValueError(f"--m must be below 2**64, got {m}")
+        raise bounds.UsageError(f"--m must be below 2**64, got {m}")
     row = {
         "m": m,
         "full_series": circle.singular_series(m, "series", q),
@@ -222,9 +223,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if not _write_rows(args, args.run(args)):
-            raise ValueError("no output rows produced")
+            raise bounds.UsageError("no output rows produced")
         return EXIT_OK
-    except (ValueError, OSError) as exc:
+    except (bounds.UsageError, OSError) as exc:
         _error_line("validation", exc)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

@@ -5,8 +5,9 @@ Prime pairs p1 + p2 = n with p1 = 5 and p2 = 3 (mod 8) pass the symbol
 criterion automatically; each candidate is still run through the full
 criterion, its class of order 2**k is checked by composition, and it is
 confirmed against the form-enumeration oracle before a certificate is
-emitted.  A disagreement between the two routes is an internal error,
-never a rejection.
+emitted.  Only `target`'s bounds and `certify`'s rejections are the
+user's error (`bounds.UsageError`); anything else that escapes, a
+disagreement between the two routes too, is a bug.
 
 The search enumerates only the pairs whose d = p1*p2 fits the oracle
 budget (`find_pairs`), so its cost grows with the number of
@@ -16,17 +17,16 @@ certifiable pairs, not with n.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Iterable, Iterator, NamedTuple
 
 from . import arith, criteria, forms
-from .bounds import DEFAULT_D_BUDGET
+from .bounds import DEFAULT_D_BUDGET, UsageError
 from .forms import ClassGroup2Summary
 
 _I63 = 1 << 63
 
 
-class CertificationError(ValueError):
+class CertificationError(UsageError):
     """A candidate pair fails one of the certificate requirements."""
 
     def __init__(self, reason: str, message: str):
@@ -54,16 +54,16 @@ class Certificate(NamedTuple):
 def target(k: int, M: int) -> int:
     """Pair-sum target n = 4*(2*M**2)**(2**(k-1)), overflow-checked."""
     if k < 1:
-        raise ValueError("target requires k >= 1")
+        raise UsageError("target requires k >= 1")
     if M < 1:
-        raise ValueError("target requires M >= 1")
+        raise UsageError("target requires M >= 1")
     w = 2 * M * M
     e = 1 << min(k - 1, 6)  # w >= 2, so every k >= 7 fails the bound below
     if e * w.bit_length() > 64:
-        raise ValueError(f"target overflows the 63-bit bound at k={k}, M={M}")
+        raise UsageError(f"target overflows the 63-bit bound at k={k}, M={M}")
     n = 4 * w**e
     if n >= _I63:
-        raise ValueError(f"target overflows the 63-bit bound at k={k}, M={M}")
+        raise UsageError(f"target overflows the 63-bit bound at k={k}, M={M}")
     return n
 
 
@@ -103,17 +103,12 @@ def find_pairs(
 
 def _order_2k_witness(w: int, x: int, k: int, d: int) -> tuple[int, int, int]:
     """The reduced class g of (w, x, w**(2**k - 1)), the ideal of norm w,
-    checked in k compositions to have order exactly 2**k.  The inputs are
-    already validated, so any failure, a ValueError from `reduce` too, is
-    an ArithmeticError."""
-    try:
-        g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
-        half = forms.form_pow(g, 1 << (k - 1))
-        ident = forms.principal_form(-d)
-        if half != ident and forms.compose(half, half) == ident:
-            return g
-    except ValueError as exc:
-        raise ArithmeticError(f"witness check failed for d={d}: {exc}") from exc
+    checked in k compositions to have order exactly 2**k."""
+    g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
+    half = forms.form_pow(g, 1 << (k - 1))
+    ident = forms.principal_form(-d)
+    if half != ident and forms.compose(half, half) == ident:
+        return g
     raise ArithmeticError(f"witness check failed for d={d}: {g} does not have order 2**{k}")
 
 
@@ -122,11 +117,12 @@ def certify(
 ) -> Certificate:
     """Validate a claimed pair and return its certificate.
 
-    Raises CertificationError naming the first failed requirement.
-    Violations of provable invariants (coprimality of x and w, the
-    discriminant identity, the symbol test, the order of the witness,
-    criterion/oracle agreement) raise ArithmeticError instead, an
-    internal error.  The oracle gets the witness, so it counts the class
+    Raises CertificationError naming the first failed requirement.  What
+    these establish is checked where it is used: 0 < x <= n/2 - 2 and
+    gcd(x, w) = 1 by `forms.order_2m_form`, d = 3 (mod 4) by the
+    criterion.  The symbol test, the order of the witness and
+    criterion/oracle agreement are theorems, so a failure is an
+    ArithmeticError.  The oracle gets the witness, so it counts the class
     group and keeps no form list.
     """
     n = target(k, M)
@@ -143,19 +139,10 @@ def certify(
         raise CertificationError("p1-not-prime", f"p1={p1} is not prime")
     if not arith.is_prime(p2):
         raise CertificationError("p2-not-prime", f"p2={p2} is not prime")
-    if p1 % 8 != 5:
+    if p1 % 8 != 5:  # past this, p2 = 3 (mod 8), as 8 | n
         raise CertificationError("p1-residue", f"p1={p1} must be 5 mod 8")
-    if p2 % 8 != 3:
-        raise CertificationError("p2-residue", f"p2={p2} must be 3 mod 8")
-    half = n // 2
-    x = abs(p1 - half)
-    if x % 2 == 0 or not 0 < x <= half - 2:
-        raise ArithmeticError(f"x={x} escaped its provable range")
-    if math.gcd(x, w) != 1:
-        raise ArithmeticError(f"gcd(x={x}, w={w}) != 1 for distinct primes")
+    x = abs(p1 - n // 2)
     d = p1 * p2
-    if d != half * half - x * x or d % 4 != 3:
-        raise ArithmeticError(f"discriminant identity failed for d={d}")
     if d > d_budget:
         raise CertificationError(
             "oracle-budget-exceeded", f"d={d} exceeds the oracle budget {d_budget}"
@@ -164,10 +151,7 @@ def certify(
     # gcd(w, d) = 1 and x**2 + d = 4*w**(2**k).  Its verdict is a theorem:
     # (w, -d)_p1 = (2/p1)*(M/p1)**2 = -1 for p1 = 5 (mod 8), as p1 | M
     # would give p1 | p2.
-    try:
-        symbol_ok = criteria.exact_order_test(w, x, (p1, p2))
-    except ValueError as exc:
-        raise ArithmeticError(f"symbol test failed for d={d}: {exc}") from exc
+    symbol_ok = criteria.exact_order_test(w, x, (p1, p2))
     if not symbol_ok:
         raise ArithmeticError(f"symbol test failed: the class of norm w={w} is a square")
     oracle = forms.class_number(d, witness=_order_2k_witness(w, x, k, d))

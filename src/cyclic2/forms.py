@@ -30,8 +30,8 @@ cyclic one stops at its first witness (the certificate's class of order
 <= 2 by three routes: the shape of the reduced forms, genus theory, and
 composition (a square count for a non-cyclic verdict, a witness check
 for a cyclic one), so `compose` stays cross-checked.  d is checked
-before any prime is sieved, so a ValueError after that is a bug, raised
-as an ArithmeticError.
+before any prime is sieved, and only that check raises
+`bounds.UsageError`; any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import arith
-from .bounds import MAX_D
+from .bounds import MAX_D, UsageError
 
 
 class ClassGroup2Summary(NamedTuple):
@@ -163,9 +163,9 @@ def _check(d: int) -> None:
     """Refuse d unless -d is a negative discriminant, d = 3 or 0 (mod 4),
     and d <= MAX_D; every oracle route calls it before any prime is sieved."""
     if d < 3 or d % 4 not in (0, 3):
-        raise ValueError(f"-{d} is not a negative quadratic discriminant")
+        raise UsageError(f"-{d} is not a negative quadratic discriminant")
     if d > MAX_D:
-        raise ValueError(f"discriminant bound exceeded: d={d} > {MAX_D}")
+        raise UsageError(f"discriminant bound exceeded: d={d} > {MAX_D}")
 
 
 # The root table of the last d walked: every walk of one d (the count, the
@@ -267,14 +267,9 @@ def _forms(d: int):
 
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms (a, b, c) of discriminant -d, sorted;
-    -d must be a valid discriminant with d <= MAX_D (`_check`).  d is
-    checked first, so a ValueError from the walk is a bug: an
-    ArithmeticError."""
+    -d must be a valid discriminant with d <= MAX_D (`_check`)."""
     _check(d)
-    try:
-        return sorted(_forms(d))
-    except ValueError as exc:
-        raise ArithmeticError(f"form walk failed for d={d}: {exc}") from exc
+    return sorted(_forms(d))
 
 
 def _count(d: int) -> tuple[int, int]:
@@ -325,14 +320,9 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     needs a class whose h/2-th power is not principal, and the scan stops
     at the first.  A caller that knows a generator of the 2-Sylow subgroup
     passes it as `witness`, and a cyclic verdict is checked on it alone.
-    d is validated first (`_check`), so a ValueError from the walk or from
-    composition is a bug: an ArithmeticError.
     """
     _check(d)
-    try:
-        h, ambiguous = _count(d)
-    except ValueError as exc:
-        raise ArithmeticError(f"form walk failed for d={d}: {exc}") from exc
+    h, ambiguous = _count(d)
     two_part = h & -h
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
@@ -341,25 +331,22 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
             f"genus theory ({genus})"
         )
     cyclic = ambiguous <= 2
-    try:
-        if not cyclic:
-            squares = len({compose(f, f) for f in _forms(d)})
-            if squares * ambiguous != h:
-                raise ArithmeticError(
-                    f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
-                    f"times {ambiguous} ambiguous classes is not h={h}"
-                )
-        elif two_part > 1:
-            # g**(h/2) is non-principal iff the 2-part of g generates a
-            # subgroup of order two_part; such g exists iff the 2-Sylow
-            # subgroup is cyclic.
-            ident = principal_form(-d)
-            if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else _forms(d))):
-                raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
-                                      f"{ambiguous}, but no {'witness' if witness else 'element'} "
-                                      f"of order {two_part}")
-    except ValueError as exc:
-        raise ArithmeticError(f"composition check failed for d={d}: {exc}") from exc
+    if not cyclic:
+        squares = len({compose(f, f) for f in _forms(d)})
+        if squares * ambiguous != h:
+            raise ArithmeticError(
+                f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
+                f"times {ambiguous} ambiguous classes is not h={h}"
+            )
+    elif two_part > 1:
+        # g**(h/2) is non-principal iff the 2-part of g generates a
+        # subgroup of order two_part; such g exists iff the 2-Sylow
+        # subgroup is cyclic.
+        ident = principal_form(-d)
+        if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else _forms(d))):
+            raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
+                                  f"{ambiguous}, but no {'witness' if witness else 'element'} "
+                                  f"of order {two_part}")
     return ClassGroup2Summary(d, h, two_part, cyclic, ambiguous)
 
 

@@ -538,6 +538,22 @@ def test_compare_over_work_budget_refused_before_sieve(capsys, monkeypatch):
     assert "work budget" in diag["message"]
 
 
+def test_compare_over_sieve_budget_refused_before_allocating(capsys):
+    # one row at n = 3e8 is within the window work budget, but its sieve
+    # span exceeds arith.DEFAULT_MAX_SPAN; the span is refused first
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "compare", "--n-lo", "300000000", "--n-hi", "300000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    diag = json.loads(line)
+    assert diag["error"] == "validation" and "exceeds the budget" in diag["message"]
+    assert peak < 1 << 20
+
+
 def test_compare_rows(capsys):
     code, out, _ = run(capsys, "compare", "--n-lo", "16", "--n-hi", "32", "--step", "8")
     assert code == 0
@@ -620,7 +636,8 @@ def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
 @pytest.mark.parametrize("d", [86531263, 77154395], ids=["non-cyclic", "cyclic"])
 def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch, d):
     # d is valid, so a composed form that reduce refuses (a ValueError)
-    # is a bug in the square count or the witness scan, not bad input
+    # is a bug in the square count or the witness scan, not bad input;
+    # the raw error reaches stderr, named by its type
     real = forms.compose
 
     def broken(f, g):
@@ -629,7 +646,8 @@ def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch,
 
     monkeypatch.setattr(forms, "compose", broken)
     error = failure(capsys, 1, "verify", "--d", str(d))
-    assert error["error"] == "internal" and "composition check failed" in error["message"]
+    assert error["error"] == "internal"
+    assert error["message"].startswith("ValueError: ") and "not positive definite" in error["message"]
 
 
 def test_verify_d_reports_a_value_error_in_the_walk_as_internal(capsys, monkeypatch):
@@ -683,7 +701,8 @@ def test_verify_k_reports_a_broken_witness_check_as_internal(capsys, monkeypatch
     monkeypatch.setattr(forms, "compose", broken)
     error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
                     "--p1", "13", "--p2", "3")
-    assert error["error"] == "internal" and "witness check failed" in error["message"]
+    message = "not positive definite" if fault == "reduce-refuses" else "witness check failed"
+    assert error["error"] == "internal" and message in error["message"]
 
 
 def test_verify_k_reports_a_failed_symbol_test_as_internal(capsys, monkeypatch):
@@ -709,8 +728,8 @@ def test_verify_k_reports_a_refused_criterion_as_internal(capsys, monkeypatch):
 
 
 def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
-    # a bug that is neither a ValueError nor an ArithmeticError still
-    # exits 1 with one JSON line naming the exception type
+    # a bug that is not an ArithmeticError still exits 1 with one JSON
+    # line naming the exception type
     def broken(f, g):
         raise TypeError("injected fault")
 
@@ -718,3 +737,15 @@ def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
     error = failure(capsys, 1, "verify", "--d", "86531263")
     assert error["error"] == "internal"
     assert error["message"] == "TypeError: injected fault"
+
+
+def test_search_reports_a_value_error_outside_the_oracle_as_internal(capsys, monkeypatch):
+    # only a check of user input raises UsageError; a bare ValueError from
+    # inside the search is a bug, not the user's error
+    def broken(n):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(arith, "is_prime", broken)
+    error = failure(capsys, 1, "search", "--k", "2", "--m-max", "1")
+    assert error == {"error": "internal", "message": "ValueError: injected fault"}
+
