@@ -1,23 +1,21 @@
 """Integer primitives.
 
 Deterministic 64-bit primality, a segmented prime sieve whose table is
-one byte per value with residue-class views mod 8, the Jacobi symbol,
-square roots modulo primes, the per-d table of the roots of
-t*t + e*t + N modulo prime powers that the form enumeration builds on,
-and factorization: division by the twelve Miller-Rabin base primes, then
-`is_prime` and Pollard-Brent.  A square root of n mod p costs one pow
-when n is a non-residue or p = 3 (mod 4): Tonelli-Shanks reads Euler's
-criterion off the pow it starts with.  Values are immutable once built,
-except that a `RootTable` fills in its roots on first use and the one
-process-wide prime list grows by rebinding; both only ever add the same
-values, so concurrent use is safe.
+one byte per value with residue-class views mod 8, the process's one
+prime list (`primes_to`, which the form enumeration reads), the Jacobi
+symbol, square roots modulo primes, and factorization: division by the
+twelve Miller-Rabin base primes, then `is_prime` and Pollard-Brent.  A
+square root of n mod p costs one pow when n is a non-residue or
+p = 3 (mod 4): Tonelli-Shanks reads Euler's criterion off the pow it
+starts with.  Values are immutable once built, except that the prime
+list grows by rebinding; it only ever adds the same values, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from itertools import compress, islice
+from itertools import compress
 
 from .bounds import UsageError
 
@@ -176,14 +174,14 @@ def sqrt_mod_p(n: int, p: int) -> int | None:
     return r
 
 
-# The process's one prime list, as (top, every prime <= top): `_primes_to`
+# The process's one prime list, as (top, every prime <= top): `primes_to`
 # grows it and rebinds the pair, never changing a list in place, so a list
 # once handed out stays valid, and concurrent growth can at worst repeat
 # a sieve.
 _sieved: tuple[int, list[int]] = (1, [])
 
 
-def _primes_to(top: int) -> list[int]:
+def primes_to(top: int) -> list[int]:
     """The primes up to at least top, increasing: the process's one list,
     sieved further on demand.  A first call sieves to top itself; a later
     one sieves on to at least twice the last top, so a run of growing d
@@ -195,66 +193,6 @@ def _primes_to(top: int) -> list[int]:
         primes = primes + sieve(hi + 1, new).primes()
         _sieved = new, primes
     return primes
-
-
-class RootTable:
-    """Roots of f(t) = t*t + e*t + N modulo the prime powers up to top, for one d.
-
-    For d = 0 or 3 (mod 4), e = d mod 2 and N = (d + e)/4, 4*f(t) =
-    (2t + e)**2 + d, so a root t mod m gives b = 2t + e with
-    b*b = -d (mod 4m).  `primes` lists, increasing, the primes p <= top
-    at which f has a root: p = 2 when 2 | d or d = 7 (mod 8), and the odd
-    p with (-d/p) != -1, one pow each (Euler's criterion).  `dividing`
-    holds the indices of the p | d.  Every other entry has exactly two
-    roots mod p, t and -e - t, so counting them needs no root.
-    `levels(i)` gives (p**j, the roots of f mod p**j) for p**j <= top, and
-    is computed only for the primes a walk expands, on first use, then
-    kept.  For odd p not dividing d the roots mod p are (-e +- sqrt(-d))/2
-    and lift by Newton's step, f'(t) = 2t + e being a unit; at p = 2 and
-    at odd p | d they lift by search among the r + i*p**(j-1).  Callers
-    must not change what they read.
-    """
-
-    __slots__ = ("d", "top", "primes", "dividing", "_levels", "__weakref__")
-
-    def __init__(self, d: int, top: int):
-        primes = _primes_to(top)
-        odd = islice(primes, 1, bisect_right(primes, top))
-        self.d, self.top, self._levels = d, top, {}
-        # pow(-d, (p - 1)/2, p) is 1 for a residue and 0 for p | d
-        self.primes = ([2] if top >= 2 and d % 8 != 3 else []) + [
-            p for p in odd if pow(-d, p >> 1, p) != p - 1]
-        self.dividing = [i for i, p in enumerate(self.primes) if d % p == 0]
-
-    def levels(self, i: int) -> list[tuple[int, list[int]]]:
-        levels = self._levels.get(i)
-        if levels is not None:
-            return levels
-        d, top, p = self.d, self.top, self.primes[i]
-        e = d & 1
-        n = (d + e) >> 2
-        newton = p > 2 and d % p
-        if newton:
-            t = (sqrt_mod_p(-d, p) - e) * ((p + 1) >> 1) % p  # (p + 1)/2 is 1/2 mod p
-            roots = [t, (-e - t) % p]
-        elif p == 2:
-            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
-        else:
-            roots = [-e * ((p + 1) >> 1) % p]  # the double root 2t + e = 0 (mod p)
-        q, levels = p, []
-        while roots:
-            levels.append((q, roots))
-            if q * p > top:
-                break
-            q *= p
-            if newton:
-                roots = [(t - (t * t + e * t + n) * pow(2 * t + e, -1, q)) % q for t in roots]
-            else:
-                step = q // p
-                roots = [u for t in roots for u in range(t, q, step)
-                         if (u * u + e * u + n) % q == 0]
-        self._levels[i] = levels
-        return levels
 
 
 def _pollard_brent(n: int) -> int:

@@ -29,8 +29,7 @@ DEFAULT_D_BUDGET = 10**9
 # its memory does not: it sieves one chunk of 2**16 values of q at a
 # time and holds no array of size Q.  `singular --m 213396` takes about
 # 1.4 s at this cap and 0.3 s at Q = 10**6, and peaks at 35.0 and
-# 34.6 MB VmHWM, on a 2-core machine (Python 3.11, numpy 2.4).  Q < 2**24
-# also keeps the limb arithmetic of `_series_sums` inside int64.
+# 34.6 MB VmHWM, on a 2-core machine (Python 3.11, numpy 2.4).
 MAX_TRUNCATION_Q = 10**7
 
 # Largest compare window, as rows * n_hi (`circle`): each row walks about
@@ -43,6 +42,6 @@ MAX_TRUNCATION_Q = 10**7
 # rank table) on a 2-core machine, Python 3.11, numpy 2.4.
 MAX_WINDOW_WORK = 10**11
 
-# `singular --m` bound: the product columns factorise m, which
+# `singular --m` bound: every column factorises m, which
 # `arith.factorize` bounds.
 MAX_SINGULAR_M = 1 << 64

@@ -36,9 +36,10 @@ order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
 (tests/reference_circle.py keeps them as the test oracle).  The series
 takes mu and phi from a segmented sieve, one chunk of q at a time, so no
-array of size Q is built, and c_q(m) from the primes of m, not from a
-gcd per q.  This is the only module that uses numpy, and it imports
-numpy inside the functions that build arrays.
+array of size Q is built, and c_q(m) from the odd primes of m, one
+factorization that the product mode shares, not from a gcd per q.  This
+is the only module that uses numpy, and it imports numpy inside the
+functions that build arrays.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # module docstring.  The terms coeff * c / phi(q)**2 are the same
     # IEEE operations as one Python float expression per q (c and
     # phi(q)**2 < 2**53 are exact), and np.cumsum adds them left to right
-    # in increasing q.
+    # in increasing q.  m must lie in [1, 2**64), which `arith.factorize`
+    # bounds.
     if not 2 <= Q <= MAX_TRUNCATION_Q:
         raise UsageError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
@@ -142,23 +144,13 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     restricted_two[8] = _C8.get(m % 8, 0)
     coeff = np.full(16, 0.25)
     coeff[8] = 2.0
-    # m mod p is taken over each chunk's odd primes p, from m's 32-bit
-    # limbs, most significant first; p < 2**24 keeps r * 2**32 in int64.
-    # A prime p | m is found in the chunk holding q = p, before any
-    # larger q it divides is reached.
-    top = (m.bit_length() - 1) // 32 * 32
-    limbs = [(m >> s) & 0xFFFFFFFF for s in range(top, -1, -32)]
-    m_primes = []  # the odd primes p | m found so far
+    m_primes = [p for p in _odd_primes(m) if p <= Q]
     full = restricted = 0.0
     for q, mu, phi in _mobius_totient(Q):
         start = int(q[0])
-        odd_primes = q[(phi == q - 1) & (q > 2)]
-        r = np.zeros(len(odd_primes), dtype=np.int64)
-        for limb in limbs:
-            r = ((r << 32) + limb) % odd_primes
-        m_primes += odd_primes[r == 0].tolist()
         # c_q(m) of the odd part of q: mu flips the sign once per prime,
-        # and each p | m turns that -1 into p - 1
+        # and each p | m turns that -1 into p - 1; a p past the chunk
+        # slices nothing
         c = mu.astype(np.int64)
         for p in m_primes:
             c[-start % p :: p] *= 1 - p
@@ -187,14 +179,19 @@ _C8 = {0: 4, 4: -4}
 
 
 @lru_cache(maxsize=8)
+def _odd_primes(m: int) -> tuple[int, ...]:
+    # the odd primes p | m, increasing, from one factorization that the
+    # series and the product columns share
+    return tuple(p for p, _ in arith.factorize(m) if p > 2)
+
+
 def _product_full(m: int) -> float:
     # 0 for odd m; else 2*C2 * prod over odd p | m of (p-1)/(p-2)
     if m % 2:
         return 0.0
     value = 2 * TWIN_PRIME_CONSTANT
-    for p, _ in arith.factorize(m):
-        if p > 2:
-            value *= (p - 1) / (p - 2)
+    for p in _odd_primes(m):
+        value *= (p - 1) / (p - 2)
     return value
 
 
@@ -205,10 +202,10 @@ def vanishing_reason(m: int) -> str:
     return "4mod8" if m % 8 == 4 else "none"
 
 
-def _singular(name: str, m: int, mode: str, truncation_q: int, restricted: bool) -> float:
+def _singular(m: int, mode: str, truncation_q: int, restricted: bool) -> float:
     # S2(m) when restricted, else S1(m), in the given mode
     if m < 1:
-        raise UsageError(f"{name} requires m >= 1")
+        raise ValueError("the singular series requires m >= 1")
     if mode == "series":
         return _series_sums(m, truncation_q)[restricted]
     if mode != "product":
@@ -225,7 +222,7 @@ def singular_series(m: int, mode: str = "product", truncation_q: int = 10_000) -
     must lie in [2, MAX_TRUNCATION_Q]; product mode uses the closed Euler
     product (exact vanishing on odd m).  The two agree within roughly 1/sqrt(truncation_q).
     """
-    return _singular("singular_series", m, mode, truncation_q, False)
+    return _singular(m, mode, truncation_q, False)
 
 
 def restricted_singular_series(
@@ -238,7 +235,7 @@ def restricted_singular_series(
     or m = 4 (mod 8).  Series mode sums mu2(q)**2 / phi(q)**2 * c_q(m)
     up to the truncation bound.
     """
-    return _singular("restricted_singular_series", m, mode, truncation_q, True)
+    return _singular(m, mode, truncation_q, True)
 
 
 def _class_primes(table: PrimeTable, r: int) -> np.ndarray:
@@ -337,36 +334,40 @@ def window_range(n_lo: int, n_hi: int, step: int) -> range:
     """The n that compare_window visits, checked against MAX_WINDOW_WORK.
 
     Cheap: callers run it before building a prime table for the window.
+    Every visited n must have n >= 2 and n = 0, 2, or 6 (mod 8), where
+    the restricted singular series does not vanish; n mod 8 repeats with
+    a period dividing 8, so the first 8 n stand for all of them.
     """
     if step < 1:
         raise UsageError("step must be positive")
     if n_lo > n_hi:
         raise UsageError("empty window")
+    if n_lo < 2:
+        raise UsageError(f"--n-lo must be at least 2, got {n_lo}")
     ns = range(n_lo, n_hi + 1, step)
     if len(ns) * n_hi > MAX_WINDOW_WORK:
         raise UsageError(
             f"window of {len(ns)} rows up to n={n_hi} exceeds the work budget "
             f"rows * n_hi <= {MAX_WINDOW_WORK}"
         )
+    for n in ns[:8]:
+        if vanishing_reason(n) != "none":
+            raise UsageError(
+                f"n={n} is rejected: the restricted singular series vanishes "
+                f"(n mod 8 = {n % 8})"
+            )
     return ns
 
 
 def compare_window(
     n_lo: int, n_hi: int, step: int, table: PrimeTable
 ) -> list[CompareRow]:
-    """Rows (n, restricted sum, n*S2(n), ratio) for n in the window.
-
-    Every visited n must satisfy n = 0, 2, or 6 (mod 8); an n where the
-    restricted singular series vanishes is rejected outright.  S2 is
-    evaluated in product mode.  Deterministic.
+    """Rows (n, restricted sum, n*S2(n), ratio) for n in the window, which
+    `window_range` checks.  S2 is evaluated in product mode.
+    Deterministic.
     """
     rows = []
     for n in window_range(n_lo, n_hi, step):
-        if vanishing_reason(n) != "none":
-            raise UsageError(
-                f"n={n} is rejected: the restricted singular series vanishes "
-                f"(n mod 8 = {n % 8})"
-            )
         s2 = restricted_singular_series(n, mode="product")
         main = n * s2
         r2 = goldbach_restricted_sum(n, table)

@@ -144,8 +144,8 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
 def cmd_singular(args: argparse.Namespace) -> list[dict]:
     from . import circle
     m, q = args.m, args.truncation_q
-    if m >= bounds.MAX_SINGULAR_M:
-        raise bounds.UsageError(f"--m must be below 2**64, got {m}")
+    if not 1 <= m < bounds.MAX_SINGULAR_M:
+        raise bounds.UsageError(f"--m must lie in [1, 2**64), got {m}")
     row = {
         "m": m,
         "full_series": circle.singular_series(m, "series", q),
@@ -161,7 +161,7 @@ def cmd_singular(args: argparse.Namespace) -> list[dict]:
 def cmd_compare(args: argparse.Namespace) -> list[dict]:
     from . import arith, circle
     circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
-    table = arith.sieve(2, max(args.n_hi, 2))
+    table = arith.sieve(2, args.n_hi)
     rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
     return [r._asdict() for r in rows]
 
@@ -204,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_verify)
 
     p = sub.add_parser("singular", help="singular series in both modes")
-    p.add_argument("--m", type=int, required=True, help="argument of S1 and S2, below 2**64")
+    p.add_argument("--m", type=int, required=True,
+                   help="argument of S1 and S2, at least 1 and below 2**64")
     p.add_argument("--truncation-q", type=int, default=10_000,
                    help=f"series truncation, at most {bounds.MAX_TRUNCATION_Q}")
     common(p, cmd_singular)

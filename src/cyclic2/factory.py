@@ -17,7 +17,7 @@ certifiable pairs, not with n.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import arith, criteria, forms
 from .bounds import DEFAULT_D_BUDGET, UsageError
@@ -169,11 +169,12 @@ def certify(
 
 def search(
     k: int,
-    m_values: Iterable[int],
+    m_values: range,
     *,
     d_budget: int = DEFAULT_D_BUDGET,
 ) -> Iterator[Certificate]:
-    """Certificates for every passing pair over the given multipliers.
+    """Certificates for every passing pair over an increasing range of
+    multipliers M.
 
     Emits in deterministic order: M ascending, then p1 ascending.  Only
     pairs with d <= d_budget are enumerated (`find_pairs`), so the cost
@@ -185,20 +186,16 @@ def search(
     therefore propagates.
 
     The target grows with M, so `target` checks its 63-bit bound once, at
-    the largest M, before anything is built per M; for an increasing
-    range that M is read in O(1).  No d needs a bound of its own: every
-    enumerated d is at most d_budget.  The smallest d a target n admits
-    is 3*(n - 3), so the search stops at the first M where that exceeds
-    d_budget: no later M has a pair.
+    the largest M, read off the range in O(1), before anything is built
+    per M.  No d needs a bound of its own: every enumerated d is at most
+    d_budget.  The smallest d a target n admits is 3*(n - 3), so the
+    search stops at the first M where that exceeds d_budget: no later M
+    has a pair.
     """
-    if isinstance(m_values, range) and m_values.step > 0:
-        ms = m_values
-    else:
-        ms = sorted(set(int(m) for m in m_values))
-    if not ms:
+    if not m_values:
         return
-    target(k, ms[-1])
-    for m in ms:
+    target(k, m_values[-1])
+    for m in m_values:
         if 3 * (target(k, m) - 3) > d_budget:
             return
         for p1, p2 in find_pairs(k, m, d_budget):

@@ -19,10 +19,12 @@ dividing a, b and c divides d).  So `class_number` counts a plain block
 by the product of its root-list lengths, and expands and checks only the
 others.  Most plain blocks are leaves a*p whose prime p is too large to
 have children; a node yields all of those as one run, which the count
-takes as two roots per prime, a span of the root table (`arith.RootTable`)
-read off by bisection.  The table computes a prime's roots only when the
-walk expands that prime, so the count never finds a root for a run's
-primes.  No oracle route keeps a form list: the composition checks
+takes as two roots per prime, a span of the root table (`RootTable`) read
+off by bisection.  The table computes a prime's roots only when the walk
+expands that prime, so the count never finds a root for a run's primes.
+`class_number` and `enumerate_reduced` each build one table for their
+call, which every walk of that call reads, and no table outlives its
+call.  No oracle route keeps a form list: the composition checks
 consume the forms as they come, a run one prime at a time, so a
 non-cyclic verdict keeps only its h/ambiguous distinct squares, and a
 cyclic one stops at its first witness (the certificate's class of order
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import arith
@@ -168,44 +170,88 @@ def _check(d: int) -> None:
         raise UsageError(f"discriminant bound exceeded: d={d} > {MAX_D}")
 
 
-# The root table of the last d walked: every walk of one d (the count, the
-# composition checks and `--forms`) reads the same one.
-_table: arith.RootTable | None = None
+class RootTable:
+    """Roots of f(t) = t*t + e*t + N modulo the prime powers up to
+    top = isqrt(d/3), the largest a of a reduced form, for one d that has
+    passed `_check`.
+
+    For d = 0 or 3 (mod 4), e = d mod 2 and N = (d + e)/4, 4*f(t) =
+    (2t + e)**2 + d, so a root t mod a gives b = 2t + e with
+    b*b = -d (mod 4a), and a*c = f(t).  `primes` lists, increasing, the
+    primes p <= top at which f has a root: p = 2 when 2 | d or
+    d = 7 (mod 8), and the odd p with (-d/p) != -1, one pow each (Euler's
+    criterion), read off `arith.primes_to`.  `dividing` holds the indices
+    of the p | d.  Every other entry has exactly two roots mod p, t and
+    -e - t, so counting them needs no root.  `levels(i)` gives (p**j, the
+    roots of f mod p**j) for p**j <= top, and is computed only for the
+    primes a walk expands, on first use, then kept.  For odd p not
+    dividing d the roots mod p are (-e +- sqrt(-d))/2 and lift by
+    Newton's step, f'(t) = 2t + e being a unit; at p = 2 and at odd p | d
+    they lift by search among the r + i*p**(j-1).  Callers must not
+    change what they read.
+    """
+
+    __slots__ = ("d", "top", "primes", "dividing", "_levels")
+
+    def __init__(self, d: int):
+        top = math.isqrt(d // 3)
+        primes = arith.primes_to(top)
+        odd = islice(primes, 1, bisect_right(primes, top))
+        self.d, self.top, self._levels = d, top, {}
+        # pow(-d, (p - 1)/2, p) is 1 for a residue and 0 for p | d
+        self.primes = ([2] if top >= 2 and d % 8 != 3 else []) + [
+            p for p in odd if pow(-d, p >> 1, p) != p - 1]
+        self.dividing = [i for i, p in enumerate(self.primes) if d % p == 0]
+
+    def levels(self, i: int) -> list[tuple[int, list[int]]]:
+        levels = self._levels.get(i)
+        if levels is not None:
+            return levels
+        d, top, p = self.d, self.top, self.primes[i]
+        e = d & 1
+        n = (d + e) >> 2
+        newton = p > 2 and d % p
+        if newton:
+            t = (arith.sqrt_mod_p(-d, p) - e) * ((p + 1) >> 1) % p  # (p + 1)/2 is 1/2 mod p
+            roots = [t, (-e - t) % p]
+        elif p == 2:
+            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
+        else:
+            roots = [-e * ((p + 1) >> 1) % p]  # the double root 2t + e = 0 (mod p)
+        q, levels = p, []
+        while roots:
+            levels.append((q, roots))
+            if q * p > top:
+                break
+            q *= p
+            if newton:
+                roots = [(t - (t * t + e * t + n) * pow(2 * t + e, -1, q)) % q for t in roots]
+            else:
+                step = q // p
+                roots = [u for t in roots for u in range(t, q, step)
+                         if (u * u + e * u + n) % q == 0]
+        self._levels[i] = levels
+        return levels
 
 
-def _root_table(d: int) -> arith.RootTable:
-    """d's root table, built once; the last d's table is dropped first, so
-    two tables are never held at once."""
-    global _table
-    table = _table
-    if table is None or table.d != d:
-        _table = table = None
-        _table = table = arith.RootTable(d, math.isqrt(d // 3))
-    return table
-
-
-def _blocks(d: int):
+def _blocks(table: RootTable):
     """The walk behind every oracle route: (plain, a0, roots0, q, qroots).
 
-    A reduced form has a <= sqrt(d/3), and b = 2t + e (e = d mod 2) with
-    a*c = f(t) = t*t + e*t + (d + e)/4.  So a = a0*q comes with the roots
-    of f mod a, the CRT combinations of those mod a0 and mod the prime
-    power q (`arith.RootTable`), on a depth-first walk over the primes up
-    to sqrt(d/3); each root gives one b in (-a, a].  Only a node with
-    children combines its roots, and is yielded with q = 1.  `plain` is
-    the test stated in the module docstring.  A child a*p with
-    a*p*p > sqrt(d/3) is a leaf with one level.  A node's plain such
-    leaves form one run, yielded as (True, a, roots, None, (lo, hi, n)):
-    the table's primes lo <= i < hi that do not divide d, n of them, each
-    with two roots.  Its other such leaves (p | d, a*p past the plain
-    bound, or all of them when gcd(a, d) > 1) are not plain and are
-    yielded one by one; the smaller p go on the stack.  d must have
-    passed `_check`.
+    a = a0*q comes with the roots of f mod a (`RootTable`), the CRT
+    combinations of those mod a0 and mod the prime power q, on a
+    depth-first walk over the table's primes; each root gives one b in
+    (-a, a].  Only a node with children combines its roots, and is
+    yielded with q = 1.  `plain` is the test stated in the module
+    docstring.  A child a*p with a*p*p > top is a leaf with one level.
+    A node's plain such leaves form one run, yielded as
+    (True, a, roots, None, (lo, hi, n)): the table's primes lo <= i < hi
+    that do not divide d, n of them, each with two roots.  Its other such
+    leaves (p | d, a*p past the plain bound, or all of them when
+    gcd(a, d) > 1) are not plain and are yielded one by one; the smaller
+    p go on the stack.
     """
-    top = math.isqrt(d // 3)
+    d, top, primes, dividing = table.d, table.top, table.primes, table.dividing
     cap = math.isqrt((d - 1) // 4)  # 4*a*a < d iff a <= cap
-    table = _root_table(d)
-    primes, dividing = table.primes, table.dividing
     last = len(primes)
     # a node also holds the index of the next prime a may take
     stack = [(1, [0], 1, [0], 0)]
@@ -234,7 +280,7 @@ def _blocks(d: int):
 
 
 def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
-    """The reduced primitive forms of one block of `_blocks(d)` that is not
+    """The reduced primitive forms of one block of `_blocks` that is not
     a run; only a block that is not plain is checked form by form."""
     plain, a0, roots0, q, qroots = block
     a, e = a0 * q, d & 1
@@ -249,12 +295,12 @@ def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
     return out
 
 
-def _forms(d: int):
-    """The reduced primitive forms of discriminant -d, unsorted, as they
-    come; a run is expanded one prime at a time, its roots looked up only
-    then."""
-    table = _root_table(d)
-    for block in _blocks(d):
+def _forms(table: RootTable):
+    """The reduced primitive forms of discriminant -table.d, unsorted, as
+    they come; a run is expanded one prime at a time, its roots looked up
+    only then."""
+    d = table.d
+    for block in _blocks(table):
         if block[3] is not None:
             yield from _expand(d, block)
             continue
@@ -269,22 +315,22 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     """All primitive reduced forms (a, b, c) of discriminant -d, sorted;
     -d must be a valid discriminant with d <= MAX_D (`_check`)."""
     _check(d)
-    return sorted(_forms(d))
+    return sorted(_forms(RootTable(d)))
 
 
-def _count(d: int) -> tuple[int, int]:
+def _count(table: RootTable) -> tuple[int, int]:
     """h and the shape count, the reduced forms that are their own inverse
     (b = 0, b = a or a = c), with each plain block and each run counted
     and not expanded (module docstring)."""
     h = ambiguous = 0
-    for block in _blocks(d):
+    for block in _blocks(table):
         plain, _, roots0, q, qroots = block
         if q is None:
             h += 2 * len(roots0) * qroots[2]
         elif plain:
             h += len(roots0) * len(qroots)
         else:
-            expanded = _expand(d, block)
+            expanded = _expand(table.d, block)
             h += len(expanded)
             ambiguous += sum(1 for a, b, c in expanded if b == 0 or b == a or a == c)
     return h, ambiguous
@@ -322,7 +368,8 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     passes it as `witness`, and a cyclic verdict is checked on it alone.
     """
     _check(d)
-    h, ambiguous = _count(d)
+    table = RootTable(d)
+    h, ambiguous = _count(table)
     two_part = h & -h
     genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
@@ -332,7 +379,7 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
         )
     cyclic = ambiguous <= 2
     if not cyclic:
-        squares = len({compose(f, f) for f in _forms(d)})
+        squares = len({compose(f, f) for f in _forms(table)})
         if squares * ambiguous != h:
             raise ArithmeticError(
                 f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
@@ -343,7 +390,7 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
         # subgroup of order two_part; such g exists iff the 2-Sylow
         # subgroup is cyclic.
         ident = principal_form(-d)
-        if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else _forms(d))):
+        if all(form_pow(f, h // 2) == ident for f in ([witness] if witness else _forms(table))):
             raise ArithmeticError(f"2-Sylow bookkeeping mismatch for d={d}: ambiguous_count="
                                   f"{ambiguous}, but no {'witness' if witness else 'element'} "
                                   f"of order {two_part}")

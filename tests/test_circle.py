@@ -281,8 +281,9 @@ def test_array_caches_keep_one_entry():
 # give c_2(m) = -1 and c_8(m) = 0; m = 2, 6 (mod 8) give c_8(m) = 0,
 # m = 4 (mod 8) gives -4 and m = 0 (mod 8) gives 4.
 SERIES_MS = [1, 2, 3, 4, 6, 8, 12, 16, 30, 210, 213396, 2**20, 8 * 3 * 5 * 7 * 11 * 13 * 17,
-             2**20 * 3**5 * 7**3, 97 * 101, 9973 * 10007, 2**64 - 59, 2**64 + 6,
-             3 * 2**63 + 2, 2**80]
+             2**20 * 3**5 * 7**3, 97 * 101, 9973 * 10007, 2**64 - 59]
+# the series factorizes m, so it refuses m >= 2**64, as `singular --m` does
+UNFACTORED_MS = [2**64, 2**64 + 6, 3 * 2**63 + 2, 2**80]
 SERIES_QS = [2, 3, 7, 8, 9, 16, 17, 100, 10**4]
 # Q = 2**17 spans two default chunks, and 65537, a prime in (sqrt(Q), Q],
 # is the first q of the second; at chunk 7 this Q would take seconds per m
@@ -326,10 +327,21 @@ def test_series_sum_takes_no_gcd(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("m", UNFACTORED_MS)
+def test_series_sum_refuses_m_from_2_to_the_64(m):
+    with pytest.raises(ValueError, match=r"2\*\*64") as exc:
+        circle._series_sums(m, 100)
+    assert not isinstance(exc.value, circle.UsageError)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 2**80), st.integers(2, 2 * 10**4), st.booleans())
 def test_series_sum_property(m, Q, restricted):
-    assert circle._series_sums(m, Q)[restricted] == reference_series_sum(m, Q, restricted)
+    if m >= 2**64:
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            circle._series_sums(m, Q)
+    else:
+        assert circle._series_sums(m, Q)[restricted] == reference_series_sum(m, Q, restricted)
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import weakref
 
 import pytest
 
@@ -58,11 +59,12 @@ def test_singular_vanishing_reason(capsys):
 
 
 def test_singular_factorizes_m_once(capsys, monkeypatch):
-    # both product columns need the odd primes of m = 2 * (2**31 - 1) * 4294967291
+    # all four columns need the odd primes of m = 2 * (2**31 - 1) * 4294967291
     calls = []
     factorize = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
-    circle._product_full.cache_clear()
+    circle._odd_primes.cache_clear()
+    circle._series_sums.cache_clear()
     code, _, _ = run(capsys, "singular", "--m", "18446744043644780554", "--truncation-q", "2")
     assert code == 0
     assert calls == [18446744043644780554]
@@ -489,15 +491,22 @@ def test_verify_forms_enumerates_once(capsys, monkeypatch):
     assert calls == [39]
 
 
-def test_verify_forms_builds_one_root_table(capsys, monkeypatch):
-    # the count, the witness scan and the form list walk one table
-    built = []
-    real = arith.RootTable
-    monkeypatch.setattr(arith, "RootTable", lambda d, top: built.append(d) or real(d, top))
-    monkeypatch.setattr(forms, "_table", None)
+def test_verify_forms_builds_two_root_tables_never_both_alive(capsys, monkeypatch):
+    # class_number and enumerate_reduced each build their own table, and
+    # the first is gone before the second is built
+    built, alive = [], []
+
+    class Table(forms.RootTable):
+        def __init__(self, d):
+            alive.append(sum(ref() is not None for ref in built))
+            super().__init__(d)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(forms, "RootTable", Table)
     code, _, _ = run(capsys, "verify", "--d", "39", "--forms")
     assert code == 0
-    assert built == [39]
+    assert len(built) == 2 and all(ref() is None for ref in built)
+    assert alive == [0, 0]
 
 
 def test_verify_forms_requires_d(capsys):
@@ -567,6 +576,33 @@ def test_compare_rejects_vanishing_n(capsys):
     code, out, err = run(capsys, "compare", "--n-lo", "12", "--n-hi", "20", "--step", "8")
     assert code == 2
     assert json.loads(err.splitlines()[-1])["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["--n-lo", "12", "--n-hi", "20"], "vanishes"),
+    (["--n-lo", "16", "--n-hi", "40", "--step", "4"], "n=20 is rejected"),
+    (["--n-lo", "50000001", "--n-hi", "50000001"], "vanishes"),
+    (["--n-lo", "-1000000000000", "--n-hi", "-8"], "--n-lo"),
+    (["--n-lo", "0", "--n-hi", "0"], "--n-lo"),
+], ids=["vanishing-first-n", "vanishing-second-n", "odd-n", "negative", "zero"])
+def test_compare_window_refused_before_sieve(capsys, monkeypatch, argv, words):
+    # n_lo < 2 and an n where S2 vanishes are refused before any sieve
+    def no_sieve(lo, hi):
+        raise AssertionError("a sieve ran for a refused window")
+
+    monkeypatch.setattr(arith, "sieve", no_sieve)
+    code, out, err = run(capsys, "compare", *argv)
+    assert (code, out) == (2, "")
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation" and words in diag["message"]
+
+
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_singular_m_below_one_names_the_flag(capsys, m):
+    code, out, err = run(capsys, "singular", "--m", m)
+    assert (code, out) == (2, "")
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation" and "--m" in diag["message"]
 
 
 def test_unknown_flag_exits_2(capsys):

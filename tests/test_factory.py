@@ -146,7 +146,7 @@ def test_search_sieves_only_below_the_budget_root(monkeypatch):
     monkeypatch.setattr(
         arith, "sieve", lambda lo, hi, **kw: his.append(hi) or sieve(lo, hi, **kw)
     )
-    certs = list(factory.search(4, [2]))
+    certs = list(factory.search(4, range(2, 3)))
     assert [(c.p1, c.p2) for c in certs] == [(5, 67108859)]
     assert his and max(his) <= math.isqrt(factory.DEFAULT_D_BUDGET)
 
@@ -210,15 +210,15 @@ def test_search_stream():
 
 
 def test_search_deterministic():
-    a = list(factory.search(2, [1, 2]))
-    b = list(factory.search(2, [1, 2]))
+    a = list(factory.search(2, range(1, 3)))
+    b = list(factory.search(2, range(1, 3)))
     assert a == b
 
 
 def test_search_overflow():
     # n = 4 * 2 * (2**31)**2 = 2**65: the target itself passes 2**63
     with pytest.raises(ValueError, match="overflow"):
-        list(factory.search(1, [2**31]))
+        list(factory.search(1, range(2**31, 2**31 + 1)))
 
 
 def test_search_overflow_checked_before_per_m_work():
@@ -235,13 +235,13 @@ def test_search_overflow_checked_before_per_m_work():
 
 def test_search_budget_rejections_not_fatal():
     # a tiny budget admits no pair, and the stream completes empty
-    certs = list(factory.search(2, [1], d_budget=30))
+    certs = list(factory.search(2, range(1, 2), d_budget=30))
     assert certs == []
 
 
 def test_search_budget_partial():
     # d = 55 for (5, 11) exceeds the budget, d = 39 for (13, 3) does not
-    certs = list(factory.search(2, [1], d_budget=45))
+    certs = list(factory.search(2, range(1, 2), d_budget=45))
     assert [(c.p1, c.p2, c.d) for c in certs] == [(13, 3, 39)]
 
 
@@ -275,7 +275,7 @@ def test_search_certifies_every_enumerated_pair():
     budget, total = 10**6, 0
     for k, m in _budget_targets(budget):
         pairs = factory.find_pairs(k, m, budget)
-        certs = list(factory.search(k, [m], d_budget=budget))
+        certs = list(factory.search(k, range(m, m + 1), d_budget=budget))
         assert [(c.p1, c.p2) for c in certs] == pairs
         total += len(pairs)
     assert total == 462
@@ -287,7 +287,7 @@ def test_search_propagates_a_rejection(monkeypatch):
 
     monkeypatch.setattr(factory, "certify", reject)
     with pytest.raises(CertificationError, match="injected"):
-        list(factory.search(2, [1]))
+        list(factory.search(2, range(1, 2)))
 
 
 def test_validate_certificate_catches_tampering():

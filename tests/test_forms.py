@@ -430,7 +430,7 @@ def test_enumerate_matches_reference(ds, witness_scan):
         assert group == reference_enumerate(d), d
         shape = sum(is_ambiguous(*t) for t in group)
         assert shape == compose_ambiguous_count(d, group), d
-        assert forms._count(d) == (len(group), shape), d
+        assert forms._count(forms.RootTable(d)) == (len(group), shape), d
         if witness_scan:
             verdict = forms.class_number(d).cyclic_2sylow
             assert verdict == reference_witness_cyclic(group, len(group)), d
@@ -506,7 +506,7 @@ def counting_discriminants():
 def assert_count_matches_enumeration(d):
     group = forms.enumerate_reduced(d)
     shape = sum(is_ambiguous(*f) for f in group)
-    assert forms._count(d) == reference_count(d) == (len(group), shape), d
+    assert forms._count(forms.RootTable(d)) == reference_count(d) == (len(group), shape), d
     return group
 
 
@@ -535,28 +535,29 @@ def test_count_matches_reference_count():
     # the reference walk counts each plain leaf on its own from a table of
     # every root; the oracle counts runs of them and finds fewer roots
     for d in log_uniform_discriminants():
-        assert forms._count(d) == reference_count(d), d
+        assert forms._count(forms.RootTable(d)) == reference_count(d), d
 
 
-def test_root_table_is_dropped_before_the_next_is_built(monkeypatch):
-    forms.class_number(39)
-    last = weakref.ref(forms._table)
-    real = arith.RootTable
+def test_no_root_table_outlives_its_class_number_call(monkeypatch):
+    # d = 39 is cyclic (the witness scan), d = 420 is not (the square
+    # count), and d = 10007 has h = 77, odd (the count alone)
+    built = []
 
-    def build(d, top):
-        assert last() is None, "the last d's root table is still held"
-        return real(d, top)
+    class Table(forms.RootTable):
+        def __init__(self, d):
+            super().__init__(d)
+            built.append(weakref.ref(self))
 
-    monkeypatch.setattr(arith, "RootTable", build)
-    assert forms.class_number(55).h == 4
-    assert forms._table.d == 55
+    monkeypatch.setattr(forms, "RootTable", Table)
+    for d in (39, 420, 10_007):
+        forms.class_number(d)
+        assert len(built) == 1 and built.pop()() is None, d
 
 
 def test_a_first_walk_sieves_only_to_its_own_top(monkeypatch):
     # a fresh process sieves no further than isqrt(39 // 3) = 3 for d = 39;
     # a larger d then extends the same prime list
     monkeypatch.setattr(arith, "_sieved", (1, []))
-    monkeypatch.setattr(forms, "_table", None)
     spans = []
     real = arith.sieve
     monkeypatch.setattr(arith, "sieve", lambda lo, hi: spans.append((lo, hi)) or real(lo, hi))
