@@ -1,6 +1,7 @@
 """Integer primitives.
 
-Deterministic 64-bit primality, a segmented prime sieve whose table is
+Deterministic 64-bit primality, by Miller-Rabin on as few of twelve
+base primes as n needs, a segmented prime sieve whose table is
 one byte per value with residue-class views mod 8, the process's one
 prime list (`primes_to`, which the form enumeration reads), the Jacobi
 symbol, square roots modulo primes, and factorization: division by the
@@ -15,22 +16,30 @@ concurrent use is safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import compress
 
 from .bounds import UsageError
 
 _U64 = 1 << 64
 
-# First twelve primes: a witness set proven deterministic far beyond 2**64,
-# and the only trial divisors of `factorize`.
+# First twelve primes: a witness set proven deterministic far beyond 2**64
+# (Sorenson and Webster, Math. Comp. 2017), and the only trial divisors of
+# `factorize`.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The j-th entry is psi_j, the least strong pseudoprime to the first j
+# bases (Jaeschke, Math. Comp. 61, 1993), so n < psi_j needs only those j.
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051)
 
 SEGMENT_SIZE = 1 << 20       # sieve segment, in table entries
 DEFAULT_MAX_SPAN = 1 << 28   # sieve memory budget, in table entries of one byte
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
+    """Deterministic primality test for 0 <= n < 2**64, by Miller-Rabin on
+    the shortest prefix of the base primes proven for n (`_MR_BOUNDS`)."""
     if not 0 <= n < _U64:
         raise ValueError(f"is_prime expects 0 <= n < 2**64, got {n}")
     if n < 2:
@@ -41,7 +50,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -18,7 +18,7 @@ class UsageError(ValueError):
 # square modulo many small primes.  Near the bound, `verify --d
 # 2898422567039` (h = 3,836,444, 4 ambiguous classes) took 53-66 s at
 # 210 MB VmHWM on a 2-core machine (Python 3.11).  The k = 6 discriminant
-# 2,250,562,845,943 (cyclic, h = 570,304) takes about 0.5 s at 23 MB
+# 2,250,562,845,943 (cyclic, h = 570,304) takes about 0.4 s at 19 MB
 # VmHWM, by `verify --d` and by its certificate alike, on the same machine.
 MAX_D = 3 * 10**12
 

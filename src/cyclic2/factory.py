@@ -67,17 +67,10 @@ def target(k: int, M: int) -> int:
     return n
 
 
-def find_pairs(
-    k: int, M: int, d_budget: int = DEFAULT_D_BUDGET, *, negative: bool = False
-) -> list[tuple[int, int]]:
-    """All prime pairs p1 + p2 = target(k, M) in the admissible residues
-    with d = p1*p2 <= d_budget, ordered by p1 ascending.
-
-    Positive mode takes p1 = 5, p2 = 3 (mod 8), the residues that make
-    the symbol criterion succeed.  Negative mode (p1 = 1, p2 = 7 mod 8)
-    enumerates counterexample pairs whose 2-class group is strictly
-    larger than 2**k; these are for exercising the failing direction of
-    the criterion and are never certified.
+def find_pairs(k: int, M: int, d_budget: int = DEFAULT_D_BUDGET) -> list[tuple[int, int]]:
+    """All prime pairs p1 + p2 = target(k, M) with p1 = 5, p2 = 3 (mod 8),
+    the residues that make the symbol criterion succeed, and
+    d = p1*p2 <= d_budget, ordered by p1 ascending.
 
     For p <= n/2, d = p*(n - p) is strictly increasing in p, so the pairs
     within budget are exactly those whose smaller prime is at most p*, the
@@ -90,11 +83,10 @@ def find_pairs(
     p_star = bisect.bisect_right(half, d_budget, key=lambda p: p * (n - p)) - 1
     if p_star < 3:
         return []
-    r1, r2 = (1, 7) if negative else (5, 3)
     table = arith.sieve(2, p_star)
     pairs = [
-        (p, n - p) if r == r1 else (n - p, p)
-        for r in (r1, r2)
+        (p, n - p) if r == 5 else (n - p, p)
+        for r in (5, 3)
         for p in table.primes_mod8(r)
         if arith.is_prime(n - p)
     ]

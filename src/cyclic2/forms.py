@@ -17,11 +17,21 @@ c = (b*b + d)/4a > a: a reduced form, not ambiguous (b = 0 or b = a
 would make a divide d, and c > a rules out a = c), and primitive (a prime
 dividing a, b and c divides d).  So `class_number` counts a plain block
 by the product of its root-list lengths, and expands and checks only the
-others.  Most plain blocks are leaves a*p whose prime p is too large to
-have children; a node yields all of those as one run, which the count
-takes as two roots per prime, a span of the root table (`RootTable`) read
-off by bisection.  The table computes a prime's roots only when the walk
-expands that prime, so the count never finds a root for a run's primes.
+others.  Most blocks are leaves a = a0*p whose prime p is too large to
+have children.  A node a0 coprime to d yields those with p not dividing
+d as two runs, spans of the root table (`RootTable`) read off by
+bisection: the plain run, which the count takes as two roots per prime,
+and the band run, whose a have d <= 4*a*a, so sqrt(d)/2 <= a <=
+sqrt(d/3).  A band leaf's b come in pairs +-b, neither 0 nor a (which
+would make a divide d), and its forms are primitive as above; a pair
+gives two reduced forms when b*b > 4*a*a - d (c > a), one, the
+ambiguous (a, |b|, a), when b*b = 4*a*a - d, and none otherwise.  So
+the count takes one root t of f mod p, combines each root of the node
+with t alone, one b per pair, and compares b*b with that threshold,
+building no form.  The table keeps a prime's roots only once the walk
+expands the prime into its powers; a run's roots are found when read
+and not kept, so the count finds none for a plain run's primes and one
+per band prime and node.
 `class_number` and `enumerate_reduced` each build one table for their
 call, which every walk of that call reads, and no table outlives its
 call.  No oracle route keeps a form list: the composition checks
@@ -40,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
 from . import arith
@@ -182,13 +192,15 @@ class RootTable:
     d = 7 (mod 8), and the odd p with (-d/p) != -1, one pow each (Euler's
     criterion), read off `arith.primes_to`.  `dividing` holds the indices
     of the p | d.  Every other entry has exactly two roots mod p, t and
-    -e - t, so counting them needs no root.  `levels(i)` gives (p**j, the
-    roots of f mod p**j) for p**j <= top, and is computed only for the
-    primes a walk expands, on first use, then kept.  For odd p not
-    dividing d the roots mod p are (-e +- sqrt(-d))/2 and lift by
-    Newton's step, f'(t) = 2t + e being a unit; at p = 2 and at odd p | d
-    they lift by search among the r + i*p**(j-1).  Callers must not
-    change what they read.
+    -e - t, so counting them needs no root.  `root(i)` finds one root
+    mod p on each call and keeps nothing: a walk reads a run's primes
+    that way, once per node.  `levels(i)` starts from it and gives
+    (p**j, the roots of f mod p**j) for p**j <= top; it is computed only
+    for the primes a walk expands into blocks, on first use, then kept.
+    For odd p not dividing d the roots mod p are (-e +- sqrt(-d))/2 and
+    lift by Newton's step, f'(t) = 2t + e being a unit; at p = 2 and at
+    odd p | d they lift by search among the r + i*p**(j-1).  Callers must
+    not change what they read.
     """
 
     __slots__ = ("d", "top", "primes", "dividing", "_levels")
@@ -203,6 +215,16 @@ class RootTable:
             p for p in odd if pow(-d, p >> 1, p) != p - 1]
         self.dividing = [i for i, p in enumerate(self.primes) if d % p == 0]
 
+    def root(self, i: int) -> int:
+        """One root t of f mod the i-th prime, found afresh on each call
+        and not kept; the other root, if there is one, is -e - t."""
+        d, p = self.d, self.primes[i]
+        e = d & 1
+        if p == 2:  # f = t*t + t + (d + 1)/4 with (d + 1)/4 even, or t*t + d/4
+            return 0 if e else (d >> 2) & 1
+        # (p + 1)/2 is 1/2 mod p; the square root is 0 when p | d
+        return (arith.sqrt_mod_p(-d, p) - e) * ((p + 1) >> 1) % p
+
     def levels(self, i: int) -> list[tuple[int, list[int]]]:
         levels = self._levels.get(i)
         if levels is not None:
@@ -211,13 +233,8 @@ class RootTable:
         e = d & 1
         n = (d + e) >> 2
         newton = p > 2 and d % p
-        if newton:
-            t = (arith.sqrt_mod_p(-d, p) - e) * ((p + 1) >> 1) % p  # (p + 1)/2 is 1/2 mod p
-            roots = [t, (-e - t) % p]
-        elif p == 2:
-            roots = [t for t in (0, 1) if (t * t + e * t + n) % 2 == 0]
-        else:
-            roots = [-e * ((p + 1) >> 1) % p]  # the double root 2t + e = 0 (mod p)
+        t = self.root(i)
+        roots = [t, (-e - t) % p] if (2 * t + e) % p else [t]
         q, levels = p, []
         while roots:
             levels.append((q, roots))
@@ -243,12 +260,13 @@ def _blocks(table: RootTable):
     (-a, a].  Only a node with children combines its roots, and is
     yielded with q = 1.  `plain` is the test stated in the module
     docstring.  A child a*p with a*p*p > top is a leaf with one level.
-    A node's plain such leaves form one run, yielded as
-    (True, a, roots, None, (lo, hi, n)): the table's primes lo <= i < hi
-    that do not divide d, n of them, each with two roots.  Its other such
-    leaves (p | d, a*p past the plain bound, or all of them when
-    gcd(a, d) > 1) are not plain and are yielded one by one; the smaller
-    p go on the stack.
+    When gcd(a, d) = 1 the node's such leaves with p not dividing d form
+    two runs, each yielded as (plain, a, roots, None, (lo, hi, n)): the
+    table's primes lo <= i < hi that do not divide d, n of them, each
+    with two roots; the plain run, then the band run past the plain
+    bound, which is not plain.  Its other such leaves (p | d, or all of
+    them when gcd(a, d) > 1) are not plain and are yielded one by one;
+    the smaller p go on the stack.
     """
     d, top, primes, dividing = table.d, table.top, table.primes, table.dividing
     cap = math.isqrt((d - 1) // 4)  # 4*a*a < d iff a <= cap
@@ -266,11 +284,16 @@ def _blocks(table: RootTable):
         yield 1 < a <= cap and coprime, a, roots, 1, [0]
         end = bisect_right(primes, top // a, start)
         lo = bisect_right(primes, math.isqrt(top // a), start)
-        hi = bisect_right(primes, cap // a, lo) if coprime else lo
-        inside = dividing[bisect_left(dividing, lo):bisect_left(dividing, hi)]
-        if hi - lo > len(inside):
-            yield True, a, roots, None, (lo, hi, hi - lo - len(inside))
-        for i in chain(inside, range(hi, end)):  # leaves, none of them plain
+        if coprime:
+            hi = bisect_right(primes, cap // a, lo)
+            for plain, i, j in ((True, lo, hi), (False, hi, end)):
+                n = j - i - bisect_left(dividing, j) + bisect_left(dividing, i)
+                if n:
+                    yield plain, a, roots, None, (i, j, n)
+            leaves = dividing[bisect_left(dividing, lo):bisect_left(dividing, end)]
+        else:
+            leaves = range(lo, end)
+        for i in leaves:  # p | d, or a shares a prime with d: none plain
             yield False, a, roots, primes[i], table.levels(i)[0][1]
         for i in range(start, lo):
             for q, qroots in table.levels(i):
@@ -297,18 +320,19 @@ def _expand(d: int, block: tuple) -> list[tuple[int, int, int]]:
 
 def _forms(table: RootTable):
     """The reduced primitive forms of discriminant -table.d, unsorted, as
-    they come; a run is expanded one prime at a time, its roots looked up
-    only then."""
-    d = table.d
+    they come; a run, plain or band, is expanded one prime at a time, its
+    roots found only then and not kept."""
+    d, e = table.d, table.d & 1
     for block in _blocks(table):
         if block[3] is not None:
             yield from _expand(d, block)
             continue
-        _, a, roots, _, (lo, hi, _) = block
+        plain, a, roots, _, (lo, hi, _) = block
         for i in range(lo, hi):
             p = table.primes[i]
             if d % p:
-                yield from _expand(d, (True, a, roots, p, table.levels(i)[0][1]))
+                t = table.root(i)
+                yield from _expand(d, (plain, a, roots, p, [t, (-e - t) % p]))
 
 
 def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
@@ -322,11 +346,31 @@ def _count(table: RootTable) -> tuple[int, int]:
     """h and the shape count, the reduced forms that are their own inverse
     (b = 0, b = a or a = c), with each plain block and each run counted
     and not expanded (module docstring)."""
+    d, e, primes = table.d, table.d & 1, table.primes
     h = ambiguous = 0
     for block in _blocks(table):
-        plain, _, roots0, q, qroots = block
-        if q is None:
+        plain, a, roots0, q, qroots = block
+        if q is None and plain:
             h += 2 * len(roots0) * qroots[2]
+        elif q is None:
+            # a band run (module docstring): the root t of p, combined with
+            # each root r of the node, gives one b of each pair +-b of a*p
+            for i in range(qroots[0], qroots[1]):
+                p = primes[i]
+                if d % p == 0:
+                    continue
+                ap, t, inverse = a * p, table.root(i), pow(a, -1, p)
+                threshold = 4 * ap * ap - d
+                for r in roots0:
+                    b = 2 * (r + a * ((t - r) * inverse % p)) + e
+                    if b > ap:
+                        b = 2 * ap - b
+                    b *= b
+                    if b > threshold:
+                        h += 2
+                    elif b == threshold:
+                        h += 1
+                        ambiguous += 1
         elif plain:
             h += len(roots0) * len(qroots)
         else:

@@ -17,6 +17,7 @@ from reference_circle import (
     restricted_mobius,
 )
 from reference_forms import element_order
+from reference_pairs import negative_pairs
 from reference_symbols import kronecker, local_symbols
 
 from cyclic2 import arith, circle, cli, criteria, factory, forms
@@ -84,7 +85,7 @@ def test_criterion_3_biconditional():
     for k, m in cases:
         w = 2 * m * m
         for negative in (False, True):
-            for p1, p2 in factory.find_pairs(k, m, 10**7, negative=negative):
+            for p1, p2 in (negative_pairs if negative else factory.find_pairs)(k, m, 10**7):
                 d = p1 * p2
                 verdict = criteria.exact_order_test(w, abs(p1 - p2) // 2, (p1, p2))
                 oracle = forms.class_number(d)

@@ -48,6 +48,46 @@ def test_is_prime_large_known_values():
     assert not arith.is_prime(341550071728321)  # strong pseudoprime to 2..17
 
 
+# psi_j, the least strong pseudoprime to the first j prime bases
+# (Jaeschke 1993), with j: is_prime needs j + 1 bases at psi_j itself.
+PSEUDOPRIMES = {
+    2047: 1,                    # 23 * 89
+    1373653: 2,                 # 829 * 1657
+    25326001: 3,                # 2251 * 11251
+    3215031751: 4,              # 151 * 751 * 28351
+    2152302898747: 5,           # 6763 * 10627 * 29947
+    3474749660383: 6,           # 1303 * 16927 * 157543
+    341550071728321: 8,         # 10670053 * 32010157
+    3825123056546413051: 11,    # 149491 * 747451 * 34233211
+}
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round: n passes base a."""
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    x = pow(a, t, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_tests_one_base_past_each_pseudoprime_bound():
+    # each psi_j fools its first j bases, so a base prefix one short there
+    # would call it prime
+    for n, j in PSEUDOPRIMES.items():
+        assert all(strong_probable_prime(n, a) for a in arith._MR_BASES[:j]), n
+        assert not strong_probable_prime(n, arith._MR_BASES[j]), n
+        assert not arith.is_prime(n), n
+    assert sorted(set(arith._MR_BOUNDS)) == sorted(PSEUDOPRIMES)
+
+
+def test_is_prime_matches_the_sieve_around_the_smallest_bounds():
+    # the base count changes at 2047, 1373653 and 25326001
+    for bound in (2047, 1373653, 25326001):
+        lo, hi = max(2, bound - 10**5), bound + 10**5
+        assert [n for n in range(lo, hi + 1) if arith.is_prime(n)] == arith.sieve(lo, hi).primes()
+
+
 def test_is_prime_domain():
     with pytest.raises(ValueError):
         arith.is_prime(-1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_forms import element_order
-from reference_pairs import table_pairs
+from reference_pairs import negative_pairs, table_pairs
 
 from cyclic2 import arith, criteria, factory, forms
 from cyclic2.factory import CertificationError
@@ -28,6 +28,9 @@ def _small_targets():
 
 
 SMALL_TARGETS = _small_targets()
+
+# The pair enumerator of each mode: find_pairs has only the positive one.
+PAIRS = {False: factory.find_pairs, True: negative_pairs}
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +86,11 @@ def test_find_pairs_examples():
     assert factory.find_pairs(3, 1) == [(5, 59), (53, 11), (61, 3)]
 
 
-def test_find_pairs_negative_mode():
-    assert factory.find_pairs(2, 1, negative=True) == []
-    pairs = factory.find_pairs(3, 1, negative=True)
+def test_find_pairs_negative_mode(wide_table):
+    # find_pairs has no negative mode; the test references keep it
+    assert table_pairs(2, 1, wide_table, negative=True) == negative_pairs(2, 1) == []
+    pairs = table_pairs(3, 1, wide_table, negative=True)
+    assert negative_pairs(3, 1) == pairs
     assert pairs == [(17, 47), (41, 23)]
     for p1, p2 in pairs:
         assert p1 % 8 == 1 and p2 % 8 == 7
@@ -122,10 +127,9 @@ def test_find_pairs_matches_table_scan(wide_table):
             for d in (ds[0], ds[len(ds) // 2]) if ds else ():
                 budgets |= {d, d - 1}
             for budget in sorted(budgets):
-                assert factory.find_pairs(
-                    k, m, budget, negative=negative
-                ) == _within_budget(pairs, budget), (k, m, negative, budget)
-            assert factory.find_pairs(k, m, 14, negative=negative) == []
+                assert PAIRS[negative](k, m, budget) == _within_budget(pairs, budget), (
+                    k, m, negative, budget)
+            assert PAIRS[negative](k, m, 14) == []
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -136,9 +140,7 @@ def test_find_pairs_property(wide_table, data):
     budget = data.draw(st.integers(-1, (n // 2) ** 2 + 1))
     negative = data.draw(st.booleans())
     pairs = table_pairs(k, m, wide_table, negative=negative)
-    assert factory.find_pairs(k, m, budget, negative=negative) == _within_budget(
-        pairs, budget
-    )
+    assert PAIRS[negative](k, m, budget) == _within_budget(pairs, budget)
 
 
 def test_search_sieves_only_below_the_budget_root(monkeypatch):
@@ -320,7 +322,7 @@ def test_validate_certificate_names_the_failure():
 def test_negative_pairs_have_larger_two_part():
     seen = 0
     for k, m in ((3, 1), (1, 3), (2, 2)):
-        for p1, p2 in factory.find_pairs(k, m, negative=True):
+        for p1, p2 in negative_pairs(k, m):
             summary = forms.class_number(p1 * p2)
             assert summary.two_part > 1 << k, (k, m, p1, p2)
             assert summary.cyclic_2sylow
@@ -343,7 +345,7 @@ def test_witness_has_order_exactly_2k_in_both_modes():
         for m in range(1, m_max + 1):
             w, half = 2 * m * m, factory.target(k, m) // 2
             for negative in (False, True):
-                for p1, p2 in factory.find_pairs(k, m, 10**9, negative=negative):
+                for p1, p2 in PAIRS[negative](k, m, 10**9):
                     x = abs(p1 - half)
                     g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
                     assert element_order(g) == 1 << k, (k, m, p1, p2)
@@ -377,7 +379,7 @@ def capped_pairs(draw):
         m_top += 1
     m = draw(st.integers(1, m_top))
     negative = draw(st.booleans())
-    pairs = factory.find_pairs(k, m, D_CAP, negative=negative)
+    pairs = PAIRS[negative](k, m, D_CAP)
     assume(pairs)
     return k, m, negative, draw(st.sampled_from(pairs))
 

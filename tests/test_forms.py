@@ -538,6 +538,45 @@ def test_count_matches_reference_count():
         assert forms._count(forms.RootTable(d)) == reference_count(d), d
 
 
+def band_leaves(table):
+    """Every a = a0*p of a band run of `forms._blocks`, and its node a0."""
+    return {a * table.primes[i]: a for plain, a, _, q, span in forms._blocks(table)
+            if q is None and not plain for i in range(span[0], span[1])
+            if table.d % table.primes[i]}
+
+
+@pytest.mark.parametrize("d, form", [(15, (2, 1, 2)), (91, (5, 3, 5)), (96, (5, 2, 5))])
+def test_band_run_counts_its_form_a_equals_c(d, form):
+    # each d has an ambiguous form a = c whose a is a band leaf: at p = 2
+    # for d = 15, and with d = 0 (mod 4) for d = 96; a band run counts it
+    # once, by b*b = 4*a*a - d, and its pair +-b once, not twice
+    table = forms.RootTable(d)
+    assert band_leaves(table).get(form[0]) == 1
+    assert form in forms.enumerate_reduced(d)
+    assert forms._count(table) == reference_count(d), d
+
+
+def test_count_expands_no_band_leaf_and_keeps_no_single_level_roots(monkeypatch):
+    # both primes of d = 10007*10009 exceed top = 5778, so every node is
+    # coprime to d: a band leaf is counted by its threshold, and the roots
+    # of a prime with p*p > top, which is only ever a leaf, are not kept
+    d = 100_160_063
+    table = forms.RootTable(d)
+    assert table.top == 5778
+    expanded = []
+    real = forms._expand
+
+    def counted(d, block):
+        expanded.append(block[1] * block[3])
+        return real(d, block)
+
+    monkeypatch.setattr(forms, "_expand", counted)
+    assert forms._count(table) == reference_count(d)
+    assert table._levels and all(table.primes[i] ** 2 <= table.top for i in table._levels)
+    band = band_leaves(table)
+    assert len(band) > 200 and expanded and not band.keys() & set(expanded)
+
+
 def test_no_root_table_outlives_its_class_number_call(monkeypatch):
     # d = 39 is cyclic (the witness scan), d = 420 is not (the square
     # count), and d = 10007 has h = 77, odd (the count alone)
