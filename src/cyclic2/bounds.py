@@ -13,11 +13,11 @@ class UsageError(ValueError):
 
 
 # The oracle's input bound (`forms`).  No oracle route keeps a form list,
-# but a non-cyclic verdict holds its h/ambiguous distinct squares and
-# costs h compositions, and h reaches about 2.3 * sqrt(d) when -d is a
-# square modulo many small primes.  Near the bound, `verify --d
-# 2898422567039` (h = 3,836,444, 4 ambiguous classes) took 53-66 s at
-# 210 MB VmHWM on a 2-core machine (Python 3.11).  The k = 6 discriminant
+# and a non-cyclic verdict counts its principal genus in the same walk,
+# with no composition; h reaches about 2.3 * sqrt(d) when -d is a square
+# modulo many small primes.  Near the bound, `verify --d 2898422567039`
+# (h = 3,836,444, 4 ambiguous classes) takes about 0.9 s at 21 MB VmHWM
+# on a 2-core machine (Python 3.11).  The k = 6 discriminant
 # 2,250,562,845,943 (cyclic, h = 570,304) takes about 0.4 s at 19 MB
 # VmHWM, by `verify --d` and by its certificate alike, on the same machine.
 MAX_D = 3 * 10**12

@@ -12,14 +12,14 @@ error or an unwritable --output; 1 for any other exception, a bug.
 Failures also emit one machine-readable JSON line on stderr.  The
 parser reads its bounds from `bounds`, and each `cmd_*` imports the
 modules it runs, so `search` and `verify` never load `circle`, and
-`compare` and `singular` never load the form oracle.
+`compare` and `singular` never load the form oracle; `json` is imported
+only where JSON is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from typing import TYPE_CHECKING, Iterable
 
@@ -60,6 +60,7 @@ def _write_rows(args: argparse.Namespace, rows: Iterable[dict]) -> int:
                 if args.format == "csv":
                     writer.writerow(row)
             if args.format == "json":
+                import json
                 out.write(("[" if count == 1 else ",") + "\n  "
                           + json.dumps(row, indent=2).replace("\n", "\n  "))
             else:
@@ -74,6 +75,7 @@ def _write_rows(args: argparse.Namespace, rows: Iterable[dict]) -> int:
 
 
 def _error_line(kind: str, exc: BaseException, message: str | None = None) -> None:
+    import json
     reason = getattr(exc, "reason", None)
     payload = {"error": kind, "message": str(exc) if message is None else message}
     if reason:

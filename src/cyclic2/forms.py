@@ -34,16 +34,25 @@ and not kept, so the count finds none for a plain run's primes and one
 per band prime and node.
 `class_number` and `enumerate_reduced` each build one table for their
 call, which every walk of that call reads, and no table outlives its
-call.  No oracle route keeps a form list: the composition checks
-consume the forms as they come, a run one prime at a time, so a
-non-cyclic verdict keeps only its h/ambiguous distinct squares, and a
-cyclic one stops at its first witness (the certificate's class of order
-2**k, if given).  `class_number` reaches the number of classes of order
-<= 2 by three routes: the shape of the reduced forms, genus theory, and
-composition (a square count for a non-cyclic verdict, a witness check
-for a cyclic one), so `compose` stays cross-checked.  d is checked
-before any prime is sieved, and only that check raises
-`bounds.UsageError`; any other exception is a bug.
+call.  No oracle route keeps a form list: the witness check of a cyclic
+verdict consumes the forms as they come, a run one prime at a time, and
+stops at its first witness (the certificate's class of order 2**k, if
+given).  `class_number` reaches the number of classes of order <= 2 by
+three routes: the shape of the reduced forms, genus theory, and the
+principal-genus count.  The last is Gauss's principal genus theorem: a
+class is a square iff every genus character is +1 on a number its form
+represents prime to that character's prime, and |G^2| * |G[2]| = |G|.
+A form with gcd(a, d) = 1 has the characters of a, so every form of a
+plain block or of a run leaf a*p shares them: the count reads a plain
+run by bisection in per-prime lists of character bits, and adds a band
+prime's forms when its bits match the node's; only a block whose a
+shares a prime q with d evaluates q's character on c, per form.  The
+count runs only when genus theory predicts more than two ambiguous
+classes, so a certificate's d = p1*p2 builds no character bits.  The
+non-cyclic path composes nothing; `compose` stays cross-checked on the
+cyclic path, by the witness check and `form_pow`.  d is checked before
+any prime is sieved, and only that check raises `bounds.UsageError`; any
+other exception is a bug.
 """
 
 from __future__ import annotations
@@ -342,25 +351,40 @@ def enumerate_reduced(d: int) -> list[tuple[int, int, int]]:
     return sorted(_forms(RootTable(d)))
 
 
-def _count(table: RootTable) -> tuple[int, int]:
-    """h and the shape count, the reduced forms that are their own inverse
-    (b = 0, b = a or a = c), with each plain block and each run counted
+def _count(table: RootTable, chars: list = ()) -> tuple[int, int, int]:
+    """h, the shape count, the reduced forms that are their own inverse
+    (b = 0, b = a or a = c), and the principal-genus count, the forms on
+    which every character in `chars` (`_genus_characters`) is +1, all h
+    of them when there is none; each plain block and each run is counted
     and not expanded (module docstring)."""
     d, e, primes = table.d, table.d & 1, table.primes
-    h = ambiguous = 0
+    h = ambiguous = principal = 0
+    if chars:
+        # a run's leaf a*p lies in the principal genus iff p has the
+        # bits of the node a; -1 marks the p | d, which no run holds
+        masks = [_bits(chars, p) if d % p else -1 for p in primes]
+        runs: dict[int, list[int]] = {}
+        for i, mask in enumerate(masks):
+            runs.setdefault(mask, []).append(i)
     for block in _blocks(table):
         plain, a, roots0, q, qroots = block
-        if q is None and plain:
-            h += 2 * len(roots0) * qroots[2]
-        elif q is None:
+        if q is None:
+            lo, hi, n = qroots
+            want = _bits(chars, a) if chars else None
+            if plain:
+                h += 2 * len(roots0) * n
+                if chars:
+                    run = runs.get(want, ())
+                    principal += 2 * len(roots0) * (bisect_left(run, hi) - bisect_left(run, lo))
+                continue
             # a band run (module docstring): the root t of p, combined with
             # each root r of the node, gives one b of each pair +-b of a*p
-            for i in range(qroots[0], qroots[1]):
+            for i in range(lo, hi):
                 p = primes[i]
                 if d % p == 0:
                     continue
                 ap, t, inverse = a * p, table.root(i), pow(a, -1, p)
-                threshold = 4 * ap * ap - d
+                threshold, before = 4 * ap * ap - d, h
                 for r in roots0:
                     b = 2 * (r + a * ((t - r) * inverse % p)) + e
                     if b > ap:
@@ -371,30 +395,60 @@ def _count(table: RootTable) -> tuple[int, int]:
                     elif b == threshold:
                         h += 1
                         ambiguous += 1
+                if chars and masks[i] == want:
+                    principal += h - before
         elif plain:
             h += len(roots0) * len(qroots)
+            if chars and not _bits(chars, a * q):
+                principal += len(roots0) * len(qroots)
         else:
-            expanded = _expand(table.d, block)
+            expanded = _expand(d, block)
             h += len(expanded)
             ambiguous += sum(1 for a, b, c in expanded if b == 0 or b == a or a == c)
-    return h, ambiguous
+            if chars:
+                a *= q
+                shared = [ch for ch in chars if a % ch[0] == 0]
+                if not _bits([ch for ch in chars if a % ch[0]], a):
+                    # c is prime to each q | a: q | c too would make q | b,
+                    # and the form imprimitive
+                    principal += sum(1 for _, _, c in expanded if not _bits(shared, c))
+    return h, ambiguous, principal if chars else h
 
 
-def _genus_ambiguous_count(d: int) -> int:
-    """Classes of order <= 2 of discriminant -d by genus theory: 2**(mu - 1).
+# The 2-adic characters as the residues m mod 8 on which each is -1:
+# delta = (-1)**((m - 1)/2), epsilon = (-1)**((m*m - 1)/8) and their
+# product; indexed by d/4 mod 8, as assigned in Cox, Theorem 3.15.
+_DELTA, _EPSILON, _DELTA_EPSILON = frozenset({3, 7}), frozenset({3, 5}), frozenset({5, 7})
+_TWO_ADIC = ((_DELTA, _EPSILON), (_DELTA,), (_DELTA_EPSILON,), (),
+             (_DELTA,), (_DELTA,), (_EPSILON,), ())
 
-    With r the number of odd primes dividing d, mu is r for d = 3 (mod 4)
-    or d/4 = 3 (mod 4), r + 2 for d/4 = 0 (mod 8), and r + 1 otherwise;
-    fundamental or not (Cox, Primes of the Form x^2 + ny^2, Prop. 3.11).
+
+def _genus_characters(d: int) -> list[tuple[int, frozenset | None]]:
+    """The assigned characters of discriminant -d, fundamental or not,
+    from one factorization of d (Cox, Primes of the Form x^2 + ny^2,
+    Prop. 3.11 and Thm 3.15): (q, None) for the Legendre symbol (m/q) of
+    each odd prime q | d, and for d = 0 (mod 4), (2, residues) for each
+    2-adic one, chosen by n = d/4: delta for n = 1 (mod 4) or 4 (mod 8),
+    delta*epsilon for n = 2 (mod 8), epsilon for n = 6 (mod 8), delta and
+    epsilon for n = 0 (mod 8), none for n = 3 (mod 4).  There are mu of
+    them, and 2**(mu - 1) genera and classes of order <= 2.  A class lies
+    in the principal genus, the squares, iff each character is +1 on a
+    number its form represents prime to that character's q.
     """
-    mu = sum(1 for p, _ in arith.factorize(d) if p > 2)
+    chars: list = [(q, None) for q, _ in arith.factorize(d) if q > 2]
     if d % 4 == 0:
-        n = d // 4
-        if n % 8 == 0:
-            mu += 2
-        elif n % 4 != 3:
-            mu += 1
-    return 1 << (mu - 1)
+        chars += [(2, residues) for residues in _TWO_ADIC[(d >> 2) % 8]]
+    return chars
+
+
+def _bits(chars: list, m: int) -> int:
+    """Bit j set iff chars[j] is -1 on m, which must be prime to its q
+    (odd when q = 2); the odd q by Euler's criterion, one pow each."""
+    bits = 0
+    for j, (q, residues) in enumerate(chars):
+        if (m & 7 in residues) if q == 2 else pow(m, q >> 1, q) != 1:
+            bits |= 1 << j
+    return bits
 
 
 def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
@@ -403,19 +457,25 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     h and the shape count come from counting blocks (`_count`).  Three
     routes reach the number of classes of order <= 2, and any
     disagreement raises an internal error.  The shape count decides the
-    verdict: cyclic iff it is at most 2.  Genus theory always runs.
-    Composition runs one of two checks, each over the forms as they come:
-    a non-cyclic count must equal h over the number of distinct squares
-    (|G^2| * |G[2]| = |G|, h compositions); a cyclic verdict with h even
-    needs a class whose h/2-th power is not principal, and the scan stops
-    at the first.  A caller that knows a generator of the 2-Sylow subgroup
-    passes it as `witness`, and a cyclic verdict is checked on it alone.
+    verdict: cyclic iff it is at most 2.  Genus theory always runs: mu
+    characters from one factorization of d (`_genus_characters`) give
+    2**(mu - 1).  When that exceeds 2, the same walk also counts the
+    forms in the principal genus, which are the squares, and a
+    non-cyclic verdict needs that count times the shape count to be h
+    (|G^2| * |G[2]| = |G|), with no composition.  A cyclic verdict with
+    h even needs a class whose h/2-th power is not principal, and the
+    scan stops at the first, so `compose` stays checked there.  A caller
+    that knows a generator of the 2-Sylow subgroup passes it as
+    `witness`, and a cyclic verdict is checked on it alone.  A
+    certificate's d = p1*p2 has 2 genera, so its walk builds no
+    character.
     """
     _check(d)
+    chars = _genus_characters(d)
+    genus = 1 << (len(chars) - 1)
     table = RootTable(d)
-    h, ambiguous = _count(table)
+    h, ambiguous, principal = _count(table, chars if genus > 2 else ())
     two_part = h & -h
-    genus = _genus_ambiguous_count(d)
     if ambiguous != genus:
         raise ArithmeticError(
             f"ambiguous class count {ambiguous} for d={d} disagrees with "
@@ -423,11 +483,10 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
         )
     cyclic = ambiguous <= 2
     if not cyclic:
-        squares = len({compose(f, f) for f in _forms(table)})
-        if squares * ambiguous != h:
+        if principal * ambiguous != h:
             raise ArithmeticError(
-                f"2-Sylow bookkeeping mismatch for d={d}: {squares} squares "
-                f"times {ambiguous} ambiguous classes is not h={h}"
+                f"2-Sylow bookkeeping mismatch for d={d}: {principal} classes in the "
+                f"principal genus times {ambiguous} ambiguous classes is not h={h}"
             )
     elif two_part > 1:
         # g**(h/2) is non-principal iff the 2-part of g generates a

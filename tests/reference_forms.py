@@ -14,9 +14,13 @@ shares only `forms.reduce` with the oracle.  `reference_count` is the
 block count `forms._count` ran before plain leaves were counted as runs:
 it builds the roots of every prime power up to sqrt(d/3) up front and
 counts each plain leaf on its own; it shares only `arith.sieve` and
-`arith.sqrt_mod_p` with the oracle.  `element_order` finds the order
-of a class by repeated composition; no command needs more than the
-k compositions of a certificate's witness check.
+`arith.sqrt_mod_p` with the oracle.  `square_count` is the number of
+distinct squares, by one composition per class, with which
+`forms.class_number` checked a non-cyclic verdict before it counted the
+principal genus in its walk; it holds the h/ambiguous squares at once.
+`element_order` finds the order of a class by repeated composition; no
+command needs more than the k compositions of a certificate's witness
+check.
 """
 
 import math
@@ -61,6 +65,11 @@ def reference_witness_cyclic(group: list[tuple[int, int, int]], h: int) -> bool:
     a, b, c = group[0]
     ident = forms.principal_form(b * b - 4 * a * c)
     return any(forms.form_pow(f, h // 2) != ident for f in group)
+
+
+def square_count(d: int) -> int:
+    """|G**2| of the class group of discriminant -d: its distinct squares."""
+    return len({forms.compose(f, f) for f in forms.enumerate_reduced(d)})
 
 
 def element_order(f: tuple[int, int, int]) -> int:

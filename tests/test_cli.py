@@ -657,23 +657,23 @@ def failure(capsys, code, *argv):
 
 
 def test_verify_reports_a_broken_compose_as_internal(capsys, monkeypatch):
-    # d = 86531263 is non-cyclic (h = 3168, 8 ambiguous classes), so its
-    # verdict is checked by counting squares; a compose that squares
-    # every class to the principal form must make that check fail
+    # d = 77154395 is cyclic (h = 3360, 2-part 32), so its verdict is
+    # checked by the witness scan; a compose that squares every class to
+    # the principal form leaves no class of order 32, and the scan fails
     real = forms.compose
     monkeypatch.setattr(
         forms, "compose",
         lambda f, g: forms.principal_form(forms.discriminant(f)) if f == g else real(f, g),
     )
-    error = failure(capsys, 1, "verify", "--d", "86531263")
-    assert error["error"] == "internal" and "squares" in error["message"]
+    error = failure(capsys, 1, "verify", "--d", "77154395")
+    assert error["error"] == "internal" and "no element of order 32" in error["message"]
 
 
-@pytest.mark.parametrize("d", [86531263, 77154395], ids=["non-cyclic", "cyclic"])
+@pytest.mark.parametrize("d", [77154395], ids=["cyclic"])
 def test_verify_d_reports_a_refused_composition_as_internal(capsys, monkeypatch, d):
     # d is valid, so a composed form that reduce refuses (a ValueError)
-    # is a bug in the square count or the witness scan, not bad input;
-    # the raw error reaches stderr, named by its type
+    # is a bug in the witness scan, not bad input; the raw error reaches
+    # stderr, named by its type.  A non-cyclic d composes nothing.
     real = forms.compose
 
     def broken(f, g):
@@ -770,7 +770,7 @@ def test_unexpected_exception_reported_as_internal(capsys, monkeypatch):
         raise TypeError("injected fault")
 
     monkeypatch.setattr(forms, "compose", broken)
-    error = failure(capsys, 1, "verify", "--d", "86531263")
+    error = failure(capsys, 1, "verify", "--d", "77154395")
     assert error["error"] == "internal"
     assert error["message"] == "TypeError: injected fault"
 

@@ -393,3 +393,14 @@ def test_symbol_route_agrees_with_oracle(case):
     assert verdict == (summary.two_part == 1 << k)
     assert verdict != negative
     assert summary.cyclic_2sylow
+
+
+def test_certificate_builds_no_characters(monkeypatch):
+    # d = p1*p2 has two genera, so the oracle's walk evaluates no genus
+    # character; a non-cyclic d, 3*5*7*11, does
+    calls = []
+    real = forms._bits
+    monkeypatch.setattr(forms, "_bits", lambda chars, m: calls.append(m) or real(chars, m))
+    c = factory.certify(3, 1, 61, 3)
+    assert (c.d, c.oracle.cyclic_2sylow) == (183, True) and calls == []
+    assert not forms.class_number(1155).cyclic_2sylow and calls

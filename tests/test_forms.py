@@ -14,6 +14,7 @@ from reference_forms import (
     reference_count,
     reference_enumerate,
     reference_witness_cyclic,
+    square_count,
 )
 
 from cyclic2 import arith, forms
@@ -296,8 +297,8 @@ def test_class_number_takes_a_witness():
     assert forms.class_number(39, witness=(2, 1, 5)) == forms.class_number(39)
     with pytest.raises(ArithmeticError, match="no witness of order 4"):
         forms.class_number(39, witness=(1, 1, 10))
-    # d = 3*5*7*11 has 8 ambiguous classes: the non-cyclic verdict still
-    # counts squares, over the forms as they come
+    # d = 3*5*7*11 has 8 ambiguous classes: the non-cyclic verdict is
+    # checked by the principal-genus count, which needs no witness
     assert forms.class_number(1155, witness=(1, 1, 289)) == forms.class_number(1155)
 
 
@@ -344,6 +345,11 @@ def test_enumerate_bound_checked_before_any_sieve(monkeypatch):
             forms.class_number(d)
 
 
+def genus_count(d):
+    """2**(mu - 1), mu the number of characters of -d."""
+    return 1 << (len(forms._genus_characters(d)) - 1)
+
+
 def genus_case(d):
     """Which of the genus-theory rules for mu applies to d."""
     if d % 4 == 3:
@@ -363,13 +369,13 @@ def test_genus_count_law():
         fac = arith.factorize(d)
         if any(e > 1 for _, e in fac):
             continue
-        assert forms._genus_ambiguous_count(d) == 1 << (len(fac) - 1), d
+        assert genus_count(d) == 1 << (len(fac) - 1), d
     # every valid d, fundamental or not: genus theory against the shape
     # count of the enumerated forms and against class_number
     cases = set()
     for d in valid_discriminants(10_000):
         shape = sum(is_ambiguous(*t) for t in forms.enumerate_reduced(d))
-        assert forms._genus_ambiguous_count(d) == shape, d
+        assert genus_count(d) == shape, d
         assert forms.class_number(d).ambiguous_count == shape, d
         odd_part = d >> ((d & -d).bit_length() - 1)
         cases.add((genus_case(d), all(e == 1 for _, e in arith.factorize(odd_part))))
@@ -384,12 +390,14 @@ def test_genus_count_large_d_divisible_by_32():
     for _ in range(4):
         d = 32 * rng.randrange(10**6 // 32, 10**9 // 32)
         s = forms.class_number(d)
-        assert s.ambiguous_count == forms._genus_ambiguous_count(d) >= 2, d
+        assert s.ambiguous_count == genus_count(d) >= 2, d
         assert s.h % s.ambiguous_count == 0, d
 
 
 def test_class_number_rejects_disagreeing_genus(monkeypatch):
-    monkeypatch.setattr(forms, "_genus_ambiguous_count", lambda d: 8)
+    # four characters for d = 39, which has two: genus theory says 8
+    real = forms._genus_characters
+    monkeypatch.setattr(forms, "_genus_characters", lambda d: real(d) * 2)
     with pytest.raises(ArithmeticError, match="genus"):
         forms.class_number(39)
 
@@ -430,7 +438,7 @@ def test_enumerate_matches_reference(ds, witness_scan):
         assert group == reference_enumerate(d), d
         shape = sum(is_ambiguous(*t) for t in group)
         assert shape == compose_ambiguous_count(d, group), d
-        assert forms._count(forms.RootTable(d)) == (len(group), shape), d
+        assert forms._count(forms.RootTable(d))[:2] == (len(group), shape), d
         if witness_scan:
             verdict = forms.class_number(d).cyclic_2sylow
             assert verdict == reference_witness_cyclic(group, len(group)), d
@@ -506,7 +514,7 @@ def counting_discriminants():
 def assert_count_matches_enumeration(d):
     group = forms.enumerate_reduced(d)
     shape = sum(is_ambiguous(*f) for f in group)
-    assert forms._count(forms.RootTable(d)) == reference_count(d) == (len(group), shape), d
+    assert forms._count(forms.RootTable(d))[:2] == reference_count(d) == (len(group), shape), d
     return group
 
 
@@ -535,7 +543,41 @@ def test_count_matches_reference_count():
     # the reference walk counts each plain leaf on its own from a table of
     # every root; the oracle counts runs of them and finds fewer roots
     for d in log_uniform_discriminants():
-        assert forms._count(forms.RootTable(d)) == reference_count(d), d
+        assert forms._count(forms.RootTable(d))[:2] == reference_count(d), d
+
+
+def genus_discriminants():
+    """One seeded d = 4n for each class of n mod 8, each with at least 4
+    genera, and the non-squarefree 315 = 9*5*7 and 1260 = 4*9*5*7, with
+    4 ambiguous classes each (n = 315 = 3 (mod 4): no 2-adic character)."""
+    rng = random.Random(8)
+    ds = [315, 1260]
+    for r in range(8):
+        d = 4
+        while d % 32 != 4 * r or genus_count(d) < 4:
+            d = 4 * rng.randrange(10**5, 10**7)
+        ds.append(d)
+    return ds
+
+
+def test_principal_genus_count_matches_square_count():
+    # the walk counts the forms on which every character is +1: by Gauss's
+    # principal genus theorem, the squares, which the reference counts by
+    # composing every class with itself
+    assert [genus_count(d) for d in genus_discriminants()[:2]] == [4, 4]
+    for d in counting_discriminants() + genus_discriminants():
+        h, ambiguous, principal = forms._count(forms.RootTable(d), forms._genus_characters(d))
+        assert principal == square_count(d) and principal * ambiguous == h, d
+
+
+def test_non_cyclic_class_number_composes_nothing(monkeypatch):
+    def no_compose(f, g):
+        raise AssertionError("a non-cyclic verdict composed")
+
+    monkeypatch.setattr(forms, "compose", no_compose)
+    for d in (315, 1155, 1260, 86_531_263):
+        s = forms.class_number(d)
+        assert not s.cyclic_2sylow and s.ambiguous_count >= 4, d
 
 
 def band_leaves(table):
@@ -553,7 +595,7 @@ def test_band_run_counts_its_form_a_equals_c(d, form):
     table = forms.RootTable(d)
     assert band_leaves(table).get(form[0]) == 1
     assert form in forms.enumerate_reduced(d)
-    assert forms._count(table) == reference_count(d), d
+    assert forms._count(table)[:2] == reference_count(d), d
 
 
 def test_count_expands_no_band_leaf_and_keeps_no_single_level_roots(monkeypatch):
@@ -571,15 +613,15 @@ def test_count_expands_no_band_leaf_and_keeps_no_single_level_roots(monkeypatch)
         return real(d, block)
 
     monkeypatch.setattr(forms, "_expand", counted)
-    assert forms._count(table) == reference_count(d)
+    assert forms._count(table)[:2] == reference_count(d)
     assert table._levels and all(table.primes[i] ** 2 <= table.top for i in table._levels)
     band = band_leaves(table)
     assert len(band) > 200 and expanded and not band.keys() & set(expanded)
 
 
 def test_no_root_table_outlives_its_class_number_call(monkeypatch):
-    # d = 39 is cyclic (the witness scan), d = 420 is not (the square
-    # count), and d = 10007 has h = 77, odd (the count alone)
+    # d = 39 is cyclic (the witness scan), d = 420 is not (the
+    # principal-genus count), and d = 10007 has h = 77, odd (the count alone)
     built = []
 
     class Table(forms.RootTable):
