@@ -28,18 +28,19 @@ DEFAULT_D_BUDGET = 10**9
 # Largest series truncation Q (`circle`).  The series time grows with Q,
 # its memory does not: it sieves one chunk of 2**16 values of q at a
 # time and holds no array of size Q.  `singular --m 213396` takes about
-# 1.4 s at this cap and 0.3 s at Q = 10**6, and peaks at 35.0 and
-# 34.6 MB VmHWM, on a 2-core machine (Python 3.11, numpy 2.4).
+# 1.0 s at this cap and 0.3 s at Q = 10**6, and peaks at 33.8 and
+# 33.5 MB VmHWM, on a 2-core machine (Python 3.11, numpy 2.4).
 MAX_TRUNCATION_Q = 10**7
 
-# Largest compare window, as rows * n_hi (`circle`): each row walks about
-# pi(n)/4 candidate primes, so a window of 33 million rows near the sieve
-# cap would run for hours.  Two windows of width 5000 at step 8 near 3e5
-# come to about 2e8.  `compare` holds about 2 bytes per sieved integer:
-# the sieve's byte, about 0.45 for its primes 3 and 5 mod 8 and their
-# logs, and 0.5 for the window sum's rank table.  `compare --n-lo
-# 200000000 --n-hi 200000000` peaks at 404 MB VmHWM (323 MB without the
-# rank table) on a 2-core machine, Python 3.11, numpy 2.4.
+# Largest compare window, as rows * n_hi (`circle`): the window sum pays
+# each row about pi(n/2)/4 primes p and at most a few times as many
+# prime pairs, so a window of 33 million rows near the sieve cap would
+# run for hours.  Two windows of width 5000 at step 8 near 3e5 come to
+# about 2e8.  `compare` holds about 1.5 bytes per sieved integer: the
+# sieve's byte, about 0.45 for its primes 3 and 5 mod 8 and their logs,
+# and 1/16 for the bit indexes of the two classes.  `compare --n-lo
+# 200000000 --n-hi 200000000` takes about 1.9 s and peaks at 324 MB
+# VmHWM on a 2-core machine, Python 3.11, numpy 2.4.
 MAX_WINDOW_WORK = 10**11
 
 # `singular --m` bound: every column factorises m, which

@@ -26,9 +26,14 @@ restricted representation count weighs ordered pairs by log p1 * log p2,
 over the two classes read from strided views of PrimeTable.flags, and
 compare_window tabulates its ratio against the predicted main term
 n * S2(n), for windows of at most MAX_WINDOW_WORK = rows * n_hi.  The
-window sum indexes one array by value: an int32 rank table over the
-values 3, 5 (mod 8) up to table.hi/2, which takes hi/2 bytes, half of
-the sieve's own, and maps each prime to its log.
+window sum takes a window of close rows in one pass over its prime
+pairs: the partners q of each p form one slice of q's class, found by
+np.searchsorted, and np.add.at adds each term to its row.  A single
+row, or rows far apart, take one pass over each row's candidate
+partners n - p, read in the sieve's bytes; a prime partner's log is
+found through the bit index of its class, a popcount over its packed
+flags.  It keeps the two class arrays, their logs and bit indexes,
+about half a byte per sieved integer at n = 5e7.
 
 The truncated series and the window sum are numpy expressions that add
 their terms left to right in increasing q (resp. p, 3 class first), the
@@ -36,10 +41,10 @@ order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
 (tests/reference_circle.py keeps them as the test oracle).  The series
 takes mu and phi from a segmented sieve, one chunk of q at a time, so no
-array of size Q is built, and c_q(m) from the odd primes of m, one
-factorization that the product mode shares, not from a gcd per q.  This
-is the only module that uses numpy, and it imports numpy inside the
-functions that build arrays.
+array of size Q is built, c_q(m) from the odd primes of m, one
+factorization that the product mode shares, not from a gcd per q, and
+one division per q for both series.  This is the only module that uses
+numpy, and it imports numpy inside the functions that build arrays.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class CompareRow(NamedTuple):
     ratio: float
 
 
-_SERIES_CHUNK = 1 << 16   # values per numpy step of the series and window sums
+_SERIES_CHUNK = 1 << 16   # q per numpy step of the series, 4x the pairs per step of the window sum
 
 
 def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -124,26 +129,26 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # otherwise, c_2(m) = +-1 and c_8(m) = 4, -4 or 0 by m mod 8.  The
     # kept q are the squarefree ones (S1, and S2 with weight 1/4) and
     # 8*q0 with q0 odd and squarefree (S2, weight 2): mu2(q)**2 of the
-    # module docstring.  The terms coeff * c / phi(q)**2 are the same
-    # IEEE operations as one Python float expression per q (c and
-    # phi(q)**2 < 2**53 are exact), and np.cumsum adds them left to right
-    # in increasing q.  m must lie in [1, 2**64), which `arith.factorize`
+    # module docstring.  m must lie in [1, 2**64), which `arith.factorize`
     # bounds.
     if not 2 <= Q <= MAX_TRUNCATION_Q:
         raise UsageError(
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
     import numpy as np
-    # the factor of c_q(m) from the power of 2 in q, by q mod 16: 1 for q
-    # odd, c_2(m) for q = 2 (mod 4), and for S2 only c_8(m) at q = 8
-    # (mod 16); zero at the q that the series skip
-    full_two = np.zeros(16, dtype=np.int64)
-    full_two[1::2] = 1
-    full_two[2::4] = 1 if m % 2 == 0 else -1
-    restricted_two = full_two.copy()
-    restricted_two[8] = _C8.get(m % 8, 0)
-    coeff = np.full(16, 0.25)
-    coeff[8] = 2.0
+    # A term is t = c / phi(q)**2, one division per q for both series (c
+    # of the odd part of q, and phi(q)**2 < 2**53, are exact), times a
+    # factor by q mod 16: the weight times c_q(m) of the power of 2 in q,
+    # so 1 or c_2(m) for S1, 1/4, c_2(m)/4 or 2*c_8(m) for S2, and 0 at
+    # the q that a series skips.  Each factor is 0 or a signed power of 2,
+    # so the product is the float of one Python expression per q, bit for
+    # bit.  A skipped q adds +-0.0, which changes no bit of a sum that is
+    # never -0.0; np.cumsum adds left to right in increasing q.
+    full_factor = np.zeros(16)
+    full_factor[1::2] = 1.0
+    full_factor[2::4] = 1.0 if m % 2 == 0 else -1.0
+    restricted_factor = full_factor / 4
+    restricted_factor[8] = 2.0 * _C8.get(m % 8, 0)
     m_primes = [p for p in _odd_primes(m) if p <= Q]
     full = restricted = 0.0
     for q, mu, phi in _mobius_totient(Q):
@@ -154,21 +159,16 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         c = mu.astype(np.int64)
         for p in m_primes:
             c[-start % p :: p] *= 1 - p
+        t = c / np.square(phi, dtype=np.int64)
         low = q & 15
-        sq = np.square(phi, dtype=np.int64)
-        full_c = c * full_two[low]
-        restricted_c = c * restricted_two[low]
-        full = _add_terms(full, (full_c / sq)[full_c != 0])
-        restricted = _add_terms(
-            restricted, (coeff[low] * restricted_c / sq)[restricted_c != 0]
-        )
+        full = _add_terms(full, t * full_factor[low])
+        t *= restricted_factor[low]
+        restricted = _add_terms(restricted, t)
     return full, restricted
 
 
 def _add_terms(total: float, terms: np.ndarray) -> float:
     # total + terms[0] + terms[1] + ..., left to right, in place in terms
-    if not terms.size:
-        return total
     terms[0] += total
     return float(terms.cumsum(out=terms)[-1])
 
@@ -253,81 +253,202 @@ def _class_primes(table: PrimeTable, r: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
-def _restricted_primes(
-    table: PrimeTable,
-) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], int, np.ndarray, np.ndarray]:
-    """The primes 3 and 5 mod 8 of `table`, and a rank table, for the window sum.
+class _PrimeClass(NamedTuple):
+    """The primes of one class mod 8 of a table, as the window sum reads them.
 
-    Returns (classes, origin, rank, logs).  classes maps each class r in
-    (3, 5) to its primes, increasing, as read by `_class_primes`, and
-    their math.log values, a view of logs; logs[0] = 0.0 is a sentinel.
-    rank numbers the values v = 3, 5 (mod 8) from the table's start up to
-    table.hi/2, v at slot (v - origin) >> 2 with origin = 1 (mod 8), and
-    holds the index in logs of log v for a prime v of the table, else 0.
-    It is int32, so it takes hi/2 bytes, half of the sieve's own.  The
+    words packs the class's bytes of the table's flags, slot i (the
+    value first + 8*i) at bit i % 64 of words[i // 64]; counts[b] is the
+    number of primes in words[: b + 1].  This bit index finds the index
+    of a prime of the class without a search (`_index`), in 1/32 byte
+    per sieved integer.
+    """
+
+    primes: np.ndarray   # increasing, int64
+    logs: np.ndarray     # math.log of each prime
+    first: int           # the class's first value in the table
+    words: np.ndarray    # uint64
+    counts: np.ndarray   # int64
+
+
+@lru_cache(maxsize=1)
+def _restricted_primes(table: PrimeTable) -> dict[int, _PrimeClass]:
+    """The primes 3 and 5 mod 8 of `table`, for the window sum.
+
+    Maps each class r in (3, 5) to its primes, increasing, as read by
+    `_class_primes`, their math.log values, filled one chunk at a time,
+    which bounds the transient Python floats, and its bit index.  The
     full prime list is never built.  One table is cached.
     """
     import numpy as np
-    primes = {r: _class_primes(table, r) for r in (3, 5)}
-    logs = np.zeros(1 + len(primes[3]) + len(primes[5]))
-    origin = (table.lo - 1) // 8 * 8 + 1
-    rank = np.zeros(max(table.hi // 2 - origin, 0) // 4 + 1, dtype=np.int32)
-    classes, offset = {}, 1
-    for r, cls in primes.items():
-        cls_logs = logs[offset : offset + len(cls)]
-        # math.log per prime, and the ranks of the primes with a slot, a
-        # chunk at a time, which bounds the transient ints and arrays
-        for start in range(0, len(cls), _SERIES_CHUNK):
-            chunk = cls[start : start + _SERIES_CHUNK]
-            cls_logs[start : start + len(chunk)] = list(map(math.log, chunk.tolist()))
-            slots = chunk[chunk < origin + 4 * len(rank)] - origin
-            slots >>= 2
-            rank[slots] = np.arange(offset + start, offset + start + len(slots), dtype=np.int32)
-        classes[r] = cls, cls_logs
-        offset += len(cls)
-    return classes, origin, rank, logs
+    classes = {}
+    for r in (3, 5):
+        primes = _class_primes(table, r)
+        logs = np.empty(len(primes))
+        for start in range(0, len(primes), _SERIES_CHUNK):
+            chunk = primes[start : start + _SERIES_CHUNK]
+            logs[start : start + len(chunk)] = list(map(math.log, chunk.tolist()))
+        first = (r - table.lo) % 8
+        packed = np.packbits(np.frombuffer(table.flags, dtype=bool)[first::8], bitorder="little")
+        words = np.zeros((len(packed) + 7) // 8, dtype="<u8")
+        words.view(np.uint8)[: len(packed)] = packed
+        counts = np.cumsum(np.bitwise_count(words), dtype=np.int64)
+        classes[r] = _PrimeClass(primes, logs, table.lo + first, words, counts)
+    return classes
 
 
-def goldbach_restricted_sum(n: int, table: PrimeTable) -> float:
-    """Sum of log p1 * log p2 over ordered pairs p1 + p2 = n with both
-    primes congruent to 3 or 5 mod 8.  Every representation is counted;
-    there is no cutoff on the prime sizes.
+def _index(cls: _PrimeClass, q: np.ndarray) -> np.ndarray:
+    # the index of each prime q of the class in cls.primes: the primes
+    # through q's word, less those at q's slot and above in it
+    import numpy as np
+    slot = q - cls.first
+    slot >>= 3
+    word = cls.words[slot >> 6]
+    word >>= (slot & 63).astype(np.uint64)
+    return cls.counts[slot >> 6] - np.bitwise_count(word)
 
-    The smaller prime p runs over the 3 class, then the 5 class, each
-    increasing; the terms log p * log(n - p), doubled unless p = n - p,
-    are added left to right in that order.  The larger prime q = n - p
-    walks down its class, and log p is read through the rank table of
-    `_restricted_primes`: a composite p reads the 0.0 sentinel, and
-    adding +0.0 to the nonnegative total changes no bit."""
-    if n < 2:
-        raise ValueError("goldbach_restricted_sum requires n >= 2")
-    if n > 6 and not table.covers(3, n):
+
+# The pair pass (`_add_pairs`) costs two searches per p however short
+# the window; the row pass (`_add_rows`) one byte read per p and row.
+# Timed in-process, both passes on the same windows, on a shared 2-core
+# x86 machine: at n near 2e5, 2e6 and 2e7 and steps 2 and 8 the pair
+# pass was the faster from a span ns[-1] - ns[0] of about 100 on (17
+# rows at step 8: 0.49 against 0.71 ms at 2e5, 33 against 35 ms at
+# 2e7), the row pass below it.  At a step that does not divide 8 a pair
+# pass must drop all but 8/step of its pairs: with 50 rows near 2e5 the
+# row pass was the faster from step 16 on, with 500 rows near 2e6 from
+# step 32 on (132 against 150-159 ms), and at most 1.6x slower below.
+_PAIR_SPAN = 128
+
+
+def goldbach_restricted_sum(ns: range, table: PrimeTable) -> list[float]:
+    """For each n of the window `ns`, the sum of log p1 * log p2 over the
+    ordered pairs p1 + p2 = n of primes congruent to 3 or 5 mod 8.  Every
+    representation is counted; there is no cutoff on the prime sizes.
+
+    A window whose step divides 8, so that every pair of the two
+    classes lies on a row, and whose rows span at least _PAIR_SPAN
+    takes one pass over its prime pairs (`_add_pairs`); any other
+    window, a single row too, one pass over each row's candidate
+    partners (`_add_rows`).  Both add each term to its row with
+    np.add.at, which applies repeated rows one at a time in the order
+    of the terms.  So each row adds its terms left to right in the
+    order of the scalar loop that `tests/reference_circle.py` keeps,
+    the 3 class of p first, then p increasing, with the same IEEE
+    operations: its float is that loop's, bit for bit.  That order of
+    np.add.at is NumPy's behaviour, not a documented guarantee;
+    test_window_sum_matches_reference checks it on the installed NumPy.
+    """
+    if ns.step < 1 or (ns and ns[0] < 2):
+        raise ValueError(f"goldbach_restricted_sum requires n >= 2, increasing, got {ns}")
+    if ns and ns[-1] > 6 and not table.covers(3, ns[-1]):
         raise ValueError(
-            f"prime table [{table.lo}, {table.hi}] does not cover [3, {n}]"
+            f"prime table [{table.lo}, {table.hi}] does not cover [3, {ns[-1]}]"
         )
     import numpy as np
-    classes, origin, rank, logs = _restricted_primes(table)
-    total = 0.0
+    classes = _restricted_primes(table)
+    totals = np.zeros(len(ns))
+    if 8 % ns.step == 0 and (len(ns) - 1) * ns.step >= _PAIR_SPAN:
+        _add_pairs(ns, classes, totals)
+    else:
+        _add_rows(ns, table, classes, totals)
+    return totals.tolist()
+
+
+def _add_pairs(ns: range, classes: dict[int, _PrimeClass], totals: np.ndarray) -> None:
+    # Add each pair's term to totals[(p + q - ns[0]) // step], for each
+    # class r of p, 3 first, and each class of q that a row needs.  The
+    # term is log p * log q, doubled unless p = q.  The step divides 8,
+    # so every pair of the two classes lies on a row.
+    import numpy as np
+    n_lo, step = ns[0], ns.step
     for r in (3, 5):
-        # q = n - p lies in the class (n - r) % 8 for every p of class r
-        if (n - r) % 8 not in classes:
-            continue
-        q_cls, q_logs = classes[(n - r) % 8]
-        # p from max(3, lo) up to n // 2, so q from n - max(3, lo) down,
-        # a chunk at a time, which bounds the transient arrays
-        i, j = np.searchsorted(q_cls, (n - n // 2, n - max(3, table.lo) + 1))
-        for stop in range(j, i, -_SERIES_CHUNK):
-            start = max(stop - _SERIES_CHUNK, i)
-            q = q_cls[start:stop][::-1]
-            slots = (n - origin) - q
-            slots >>= 2
-            terms = logs[rank[slots]]
-            terms *= q_logs[start:stop][::-1]
-            # only the last term, at the smallest q, can have p = q
-            terms[: len(terms) - (2 * int(q[-1]) == n)] *= 2
-            total = _add_terms(total, terms)
-    return total
+        p_cls, p_logs = classes[r].primes, classes[r].logs
+        # n mod 8 repeats with a period dividing 8
+        for s in {(n - r) % 8 for n in ns[:8]} & {3, 5}:
+            q_cls, q_logs = classes[s].primes, classes[s].logs
+            for i, j, c, qi in _pairs(ns, p_cls, q_cls):
+                # p_cls[i:j], each repeated c times, against q_cls[qi]
+                terms = np.repeat(2 * p_logs[i:j], c)
+                terms *= q_logs[qi]
+                if r == s:
+                    # q = p is the first partner of each p with 2p >= n_lo
+                    mid = 2 * p_cls[i:j] >= n_lo
+                    terms[(np.cumsum(c) - c)[mid]] = np.square(p_logs[i:j][mid])
+                at = np.repeat(p_cls[i:j] - n_lo, c)
+                at += q_cls[qi]
+                at //= step
+                np.add.at(totals, at, terms)
+
+
+def _pairs(
+    ns: range, p_cls: np.ndarray, q_cls: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    # Yield (i, j, c, qi): the pairs p <= q with ns[0] <= p + q <= ns[-1],
+    # p increasing, then q, are p_cls[i:j], each repeated c times,
+    # against q_cls[qi].  A yield holds about _SERIES_CHUNK // 4 pairs
+    # (more only when one p alone has more partners), which bounds the
+    # transient arrays.  The partners of p are one slice q_cls[first :
+    # first + count], found by two searchsorted calls; np.repeat and
+    # np.arange flatten the slices.
+    import numpy as np
+    n_lo, n_hi = ns[0], ns[-1]
+    budget = max(_SERIES_CHUNK // 4, 1)
+    stop = int(np.searchsorted(p_cls, n_hi // 2, side="right"))
+    for start in range(0, stop, budget):
+        p = p_cls[start : min(start + budget, stop)]
+        first = np.searchsorted(q_cls, np.maximum(p, n_lo - p))
+        count = np.searchsorted(q_cls, n_hi - p, side="right") - first
+        ends = np.cumsum(count)
+        i = 0
+        while i < len(p):
+            # p[i:j]: as many p as fit the budget, and one at least
+            base = int(ends[i - 1]) if i else 0
+            j = max(int(np.searchsorted(ends, base + budget, side="right")), i + 1)
+            c = count[i:j]
+            qi = np.repeat(first[i:j] - (ends[i:j] - c), c)
+            qi += np.arange(base, int(ends[j - 1]))
+            yield start + i, start + j, c, qi
+            i = j
+
+
+def _add_rows(
+    ns: range, table: PrimeTable, classes: dict[int, _PrimeClass], totals: np.ndarray
+) -> None:
+    # For each class r of p, 3 first, and each class s, the rows n whose
+    # partners n - p lie in s: read the sieve's byte of n - p for every
+    # row and every p <= n/2 of a chunk, a matrix rows by p of about
+    # _SERIES_CHUNK // 4 entries, and find the log of each prime partner
+    # by its class's bit index.  The hits come out row by row, each
+    # row's p increasing, and np.add.at adds them in that order.
+    import numpy as np
+    flags = np.frombuffer(table.flags, dtype=bool)
+    n_all = np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)
+    budget = max(_SERIES_CHUNK // 4, 1)
+    for r in (3, 5):
+        p_cls = classes[r]
+        for s in {(n - r) % 8 for n in ns[:8]} & {3, 5}:
+            rows = np.flatnonzero((n_all - r) % 8 == s)
+            q_cls = classes[s]
+            n = n_all[rows, None] - table.lo
+            stop = int(np.searchsorted(p_cls.primes, n_all[rows[-1]] // 2, side="right"))
+            size = max(budget // len(rows), 1)
+            for start in range(0, stop, size):
+                p = p_cls.primes[start : start + size]
+                # q - lo = n - lo - p; one below the table reads the
+                # table's first byte, and q < p drops it
+                at = n - p
+                hit = flags.take(at, mode="clip")
+                hit &= at >= p - table.lo
+                k = np.flatnonzero(hit)
+                row, i = np.divmod(k, len(p))
+                i += start
+                q = at.ravel()[k] + table.lo
+                terms = 2 * p_cls.logs[i]
+                terms *= q_cls.logs[_index(q_cls, q)]
+                if r == s:
+                    same = q == p_cls.primes[i]
+                    terms[same] = np.square(p_cls.logs[i[same]])
+                np.add.at(totals, rows[row], terms)
 
 
 def window_range(n_lo: int, n_hi: int, step: int) -> range:
@@ -366,10 +487,9 @@ def compare_window(
     `window_range` checks.  S2 is evaluated in product mode.
     Deterministic.
     """
+    ns = window_range(n_lo, n_hi, step)
     rows = []
-    for n in window_range(n_lo, n_hi, step):
-        s2 = restricted_singular_series(n, mode="product")
-        main = n * s2
-        r2 = goldbach_restricted_sum(n, table)
+    for n, r2 in zip(ns, goldbach_restricted_sum(ns, table)):
+        main = n * restricted_singular_series(n, mode="product")
         rows.append(CompareRow(n=n, restricted_sum=r2, main_term=main, ratio=r2 / main))
     return rows

@@ -115,7 +115,8 @@ def certify(
     criterion.  The symbol test, the order of the witness and
     criterion/oracle agreement are theorems, so a failure is an
     ArithmeticError.  The oracle gets the witness, so it counts the class
-    group and keeps no form list.
+    group and keeps no form list, and the factorization p1*p2, so it
+    factors nothing.
     """
     n = target(k, M)
     w = 2 * M * M
@@ -146,7 +147,9 @@ def certify(
     symbol_ok = criteria.exact_order_test(w, x, (p1, p2))
     if not symbol_ok:
         raise ArithmeticError(f"symbol test failed: the class of norm w={w} is a square")
-    oracle = forms.class_number(d, witness=_order_2k_witness(w, x, k, d))
+    oracle = forms.class_number(
+        d, witness=_order_2k_witness(w, x, k, d), factors=[(p1, 1), (p2, 1)]
+    )
     if oracle.two_part != 1 << k or not oracle.cyclic_2sylow:
         raise ArithmeticError(
             f"oracle-mismatch: symbol test passed but enumeration of d={d} "

@@ -423,11 +423,12 @@ _TWO_ADIC = ((_DELTA, _EPSILON), (_DELTA,), (_DELTA_EPSILON,), (),
              (_DELTA,), (_DELTA,), (_EPSILON,), ())
 
 
-def _genus_characters(d: int) -> list[tuple[int, frozenset | None]]:
+def _genus_characters(d: int, factors: list) -> list[tuple[int, frozenset | None]]:
     """The assigned characters of discriminant -d, fundamental or not,
-    from one factorization of d (Cox, Primes of the Form x^2 + ny^2,
-    Prop. 3.11 and Thm 3.15): (q, None) for the Legendre symbol (m/q) of
-    each odd prime q | d, and for d = 0 (mod 4), (2, residues) for each
+    from the factorization `factors` of d, as (prime, exponent) pairs
+    (Cox, Primes of the Form x^2 + ny^2, Prop. 3.11 and Thm 3.15): (q,
+    None) for the Legendre symbol (m/q) of each odd prime q | d, and
+    for d = 0 (mod 4), (2, residues) for each
     2-adic one, chosen by n = d/4: delta for n = 1 (mod 4) or 4 (mod 8),
     delta*epsilon for n = 2 (mod 8), epsilon for n = 6 (mod 8), delta and
     epsilon for n = 0 (mod 8), none for n = 3 (mod 4).  There are mu of
@@ -435,7 +436,7 @@ def _genus_characters(d: int) -> list[tuple[int, frozenset | None]]:
     in the principal genus, the squares, iff each character is +1 on a
     number its form represents prime to that character's q.
     """
-    chars: list = [(q, None) for q, _ in arith.factorize(d) if q > 2]
+    chars: list = [(q, None) for q, _ in factors if q > 2]
     if d % 4 == 0:
         chars += [(2, residues) for residues in _TWO_ADIC[(d >> 2) % 8]]
     return chars
@@ -451,7 +452,9 @@ def _bits(chars: list, m: int) -> int:
     return bits
 
 
-def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
+def class_number(
+    d: int, witness: tuple | None = None, factors: list | None = None
+) -> ClassGroup2Summary:
     """Class number and 2-Sylow structure of discriminant -d by enumeration.
 
     h and the shape count come from counting blocks (`_count`).  Three
@@ -466,12 +469,18 @@ def class_number(d: int, witness: tuple | None = None) -> ClassGroup2Summary:
     h even needs a class whose h/2-th power is not principal, and the
     scan stops at the first, so `compose` stays checked there.  A caller
     that knows a generator of the 2-Sylow subgroup passes it as
-    `witness`, and a cyclic verdict is checked on it alone.  A
-    certificate's d = p1*p2 has 2 genera, so its walk builds no
-    character.
+    `witness`, and a cyclic verdict is checked on it alone.  A caller
+    that knows the factorization of d passes it as `factors`, as
+    (prime, exponent) pairs whose product must be d, and d is not
+    factored again.  A certificate's d = p1*p2
+    has 2 genera, so its walk builds no character.
     """
     _check(d)
-    chars = _genus_characters(d)
+    if factors is None:
+        factors = arith.factorize(d)
+    elif math.prod(q**e for q, e in factors) != d:
+        raise ValueError(f"factors {factors} do not multiply to d={d}")
+    chars = _genus_characters(d, factors)
     genus = 1 << (len(chars) - 1)
     table = RootTable(d)
     h, ambiguous, principal = _count(table, chars if genus > 2 else ())

@@ -3,9 +3,14 @@
 These are the plain Python loops that `circle._series_sums` and
 `circle.goldbach_restricted_sum` replaced with numpy versions, and one
 Mobius and totient table for 0..limit, the oracle for the chunks of
-`circle._mobius_totient`.  They are kept here, outside the package, so
-that the differential tests compare every output bit for bit against
-code that shares nothing with the vectorised one but the prime table.
+`circle._mobius_totient`.  The series loop divides once per term with
+its weight applied first; `circle` divides once per q and scales by a
+power of 2 after.  The representation sum is one row at a time, where
+`circle` walks the prime pairs of a whole window at once, or the
+candidate partners of all its rows in one array.  They are
+kept here, outside the package, so that the differential tests compare
+every output bit for bit against code that shares nothing with the
+vectorised one but the prime table.
 
 Beside them live the identities that the series rests on and that no
 command evaluates: the Mobius function and Euler's totient of one q,
@@ -134,7 +139,8 @@ def reference_series_sum(m: int, Q: int, restricted: bool) -> float:
 
 def reference_restricted_sum(n: int, table: PrimeTable) -> float:
     """Sum of log p1 * log p2 over the ordered pairs p1 + p2 = n of primes
-    3 or 5 mod 8, the smaller prime over the 3 class, then the 5 class."""
+    3 or 5 mod 8, the smaller prime over the 3 class, then the 5 class,
+    each increasing: the order in which the window sum adds each row."""
     total = 0.0
     for r in (3, 5):
         for p in table.primes_mod8(r):

@@ -269,10 +269,19 @@ def test_mult_tables_match_arith(monkeypatch):
 
 def test_array_caches_keep_one_entry():
     # a second table evicts the first, so a library caller holds at most
-    # one set of window-sum arrays
+    # one set of window-sum arrays: the class primes and their logs, 16
+    # bytes per prime, and the bit index, 1/32 byte per sieved integer
     circle._restricted_primes(arith.sieve(2, 1000))
-    circle._restricted_primes(arith.sieve(2, 2000))
-    assert circle._restricted_primes.cache_info().currsize == 1
+    for lo in (2, 3, 6):
+        table = arith.sieve(lo, 20_000)
+        classes = circle._restricted_primes(table)
+        assert circle._restricted_primes.cache_info().currsize == 1
+        for r, cls in classes.items():
+            assert cls.primes.tolist() == table.primes_mod8(r)
+            assert cls.logs.tolist() == [math.log(p) for p in cls.primes.tolist()]
+            assert circle._index(cls, cls.primes).tolist() == list(range(len(cls.primes)))
+            assert cls.primes.nbytes + cls.logs.nbytes == 16 * len(cls.primes)
+            assert cls.words.nbytes + cls.counts.nbytes <= (table.hi - table.lo) / 32 + 16
 
 
 # 2**20 * 3**5 * 7**3 has prime powers on both sides of chunk boundaries
@@ -349,16 +358,20 @@ def wide_table():
     return arith.sieve(2, 300_000)
 
 
+def restricted_sum(n, table):
+    # the window sum of the one-row window n
+    (value,) = circle.goldbach_restricted_sum(range(n, n + 1), table)
+    return value
+
+
 def test_restricted_sum_matches_reference(table, wide_table):
     for n in range(2, 3000):
-        value = circle.goldbach_restricted_sum(n, table)
+        value = restricted_sum(n, table)
         assert type(value) is float
         assert value == reference_restricted_sum(n, table), n
     rng = random.Random(43)
     for n in [rng.randrange(2, 300_001) for _ in range(300)] + [300_000, 299_998]:
-        assert circle.goldbach_restricted_sum(n, wide_table) == (
-            reference_restricted_sum(n, wide_table)
-        ), n
+        assert restricted_sum(n, wide_table) == reference_restricted_sum(n, wide_table), n
 
 
 def test_restricted_sum_on_offset_and_tiny_tables():
@@ -366,15 +379,87 @@ def test_restricted_sum_on_offset_and_tiny_tables():
     for lo, hi in ((3, 3000), (2, 2), (2, 3), (3, 3), (2, 5)):
         t = arith.sieve(lo, hi)
         for n in range(2, max(hi, 6) + 1):
-            assert circle.goldbach_restricted_sum(n, t) == reference_restricted_sum(n, t)
+            assert restricted_sum(n, t) == reference_restricted_sum(n, t)
+
+
+# window starts by step: steps that divide 8, where every pair of two
+# classes lies on a row, and 16, 24 and 1000, where most do not
+WINDOW_STARTS = {1: [2], 4: [2, 6], 8: [2, 6, 8], 16: [2, 6, 8], 24: [2, 6, 8],
+                 1000: [2, 8]}
+
+
+@pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
+@pytest.mark.parametrize("lo", [2, 3])
+def test_window_sum_matches_reference(monkeypatch, chunk, lo):
+    # each row bit for bit against the scalar loop, which adds its terms
+    # in the same order; rows n = 2p hold the one term that is not
+    # doubled.  The row pass takes every window on its own too, and the
+    # pair pass every window whose step divides 8.
+    monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
+    table = arith.sieve(lo, 4000)
+    classes = circle._restricted_primes(table)
+    passes = {
+        "rows": lambda ns, totals: circle._add_rows(ns, table, classes, totals),
+        "pairs": lambda ns, totals: circle._add_pairs(ns, classes, totals),
+    }
+    for step, starts in WINDOW_STARTS.items():
+        for n_lo in starts:
+            ns = range(n_lo, 4001, step)
+            want = [reference_restricted_sum(n, table) for n in ns]
+            assert circle.goldbach_restricted_sum(ns, table) == want, (step, n_lo)
+            for name, add in passes.items():
+                if name == "pairs" and 8 % step:
+                    continue
+                totals = np.zeros(len(ns))
+                add(ns, totals)
+                assert totals.tolist() == want, (name, step, n_lo)
+
+
+def test_window_sum_takes_the_pair_pass_from_pair_span(monkeypatch):
+    # the pair pass for a step dividing 8 and a span of _PAIR_SPAN or
+    # more, the row pass for any other window, one row or none included
+    table = arith.sieve(2, 3000)
+    taken = []
+    for name in ("_add_pairs", "_add_rows"):
+        add = getattr(circle, name)
+        monkeypatch.setattr(
+            circle, name, lambda *a, name=name, add=add: taken.append(name) or add(*a)
+        )
+    span = circle._PAIR_SPAN
+    cases = {
+        range(1000, 1001 + span, 8): "_add_pairs",
+        range(1002, 1003 + span, 2): "_add_pairs",
+        range(1000, 1000 + span, 8): "_add_rows",
+        range(1000, 3001, 16): "_add_rows",
+        range(1000, 1001): "_add_rows",
+        range(1000, 1000): "_add_rows",
+    }
+    for ns, name in cases.items():
+        taken.clear()
+        got = circle.goldbach_restricted_sum(ns, table)
+        assert taken == [name], ns
+        assert got == [reference_restricted_sum(n, table) for n in ns], ns
+
+
+def test_window_sum_on_tables_from_an_odd_lo():
+    # a table that starts past 3 serves the rows n <= 6, and any table an
+    # empty window
+    for lo in (5, 7, 9):
+        table = arith.sieve(lo, 50)
+        for ns in (range(2, 7), range(2, 7, 4), range(6, 7), range(10, 10)):
+            assert circle.goldbach_restricted_sum(ns, table) == [
+                reference_restricted_sum(n, table) for n in ns
+            ], (lo, ns)
+        with pytest.raises(ValueError, match="cover"):
+            circle.goldbach_restricted_sum(range(2, 9, 2), table)
 
 
 @pytest.mark.parametrize("chunk", [circle._SERIES_CHUNK, 7])
 @pytest.mark.parametrize("lo", [2, 3])
 @pytest.mark.parametrize("n_lo", [2, 6, 8])
 def test_compare_window_matches_reference(monkeypatch, chunk, lo, n_lo):
-    # every n = 2, 6 or 0 (mod 8) from n_lo <= 8 up, on tables whose slot
-    # offsets differ; the n = 2p rows hold the one term that is not doubled
+    # every n = 2, 6 or 0 (mod 8) from n_lo <= 8 up, on tables from 2 and
+    # from 3; the n = 2p rows hold the one term that is not doubled
     monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
     table = arith.sieve(lo, 4000)
     rows = circle.compare_window(n_lo, 4000, 8, table)
@@ -421,15 +506,11 @@ def test_lambda_sum_prime_power_bound(table):
 
 
 def test_restricted_sum_examples(table):
-    assert circle.goldbach_restricted_sum(8, table) == pytest.approx(
-        2 * math.log(3) * math.log(5), abs=1e-12
-    )
+    assert restricted_sum(8, table) == pytest.approx(2 * math.log(3) * math.log(5), abs=1e-12)
     expected16 = 2 * (math.log(3) * math.log(13) + math.log(5) * math.log(11))
-    assert circle.goldbach_restricted_sum(16, table) == pytest.approx(
-        expected16, abs=1e-12
-    )
+    assert restricted_sum(16, table) == pytest.approx(expected16, abs=1e-12)
     for n in range(3, 300, 2):
-        assert circle.goldbach_restricted_sum(n, table) == 0.0
+        assert restricted_sum(n, table) == 0.0
 
 
 def test_restricted_sum_brute_force(table):
@@ -440,12 +521,12 @@ def test_restricted_sum_brute_force(table):
             if p % 8 in (3, 5) and (n - p) % 8 in (3, 5)
             and arith.is_prime(p) and arith.is_prime(n - p)
         )
-        assert circle.goldbach_restricted_sum(n, table) == pytest.approx(brute, abs=1e-9), n
+        assert restricted_sum(n, table) == pytest.approx(brute, abs=1e-9), n
 
 
 def test_restricted_below_full(table):
     for n in range(4, 2000, 2):
-        r2 = circle.goldbach_restricted_sum(n, table)
+        r2 = restricted_sum(n, table)
         r = goldbach_lambda_sum(n, table)
         assert r2 <= r + math.log(n) ** 2 * math.sqrt(n), n
         assert r2 <= r + 1e-9, n
@@ -455,7 +536,7 @@ def test_sum_range_errors(table):
     with pytest.raises(ValueError):
         goldbach_lambda_sum(5000, table)
     with pytest.raises(ValueError):
-        circle.goldbach_restricted_sum(5000, table)
+        circle.goldbach_restricted_sum(range(5000, 5001), table)
 
 
 # ---------------------------------------------------------- window compare
@@ -465,7 +546,7 @@ def test_compare_window_single_row(table):
     rows = circle.compare_window(16, 16, 8, table)
     assert len(rows) == 1
     row = rows[0]
-    r2 = circle.goldbach_restricted_sum(16, table)
+    r2 = restricted_sum(16, table)
     s2 = circle.restricted_singular_series(16, "product")
     assert row.restricted_sum == r2
     assert row.main_term == 16 * s2

@@ -111,13 +111,14 @@ def test_verify_rejects_bad_pair(capsys):
 
 
 def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
-    calls, witnesses = [], []
+    calls, witnesses, factorizations = [], [], []
     class_number = forms.class_number
 
-    def counted(d, witness=None):
+    def counted(d, witness=None, factors=None):
         calls.append(d)
         witnesses.append(witness)
-        return class_number(d, witness)
+        factorizations.append(factors)
+        return class_number(d, witness, factors)
 
     monkeypatch.setattr(forms, "class_number", counted)
     code, _, _ = run(capsys, "verify", "--k", "2", "--m", "1",
@@ -125,6 +126,7 @@ def test_verify_claimed_pair_runs_the_oracle_once(capsys, monkeypatch):
     assert code == 0
     assert calls == [39]
     assert witnesses == [(2, 1, 5)]  # (w, x, w**3) = (2, 5, 8), reduced
+    assert factorizations == [[(13, 1), (3, 1)]]
 
 
 def _assert_refused_before_enumeration(capsys, monkeypatch, *flags):
@@ -714,7 +716,7 @@ def test_verify_reports_an_oracle_mismatch_as_internal(capsys, monkeypatch):
     real = forms.class_number
     monkeypatch.setattr(
         forms, "class_number",
-        lambda d, witness=None: real(d, witness)._replace(two_part=8),
+        lambda d, witness=None, factors=None: real(d, witness, factors)._replace(two_part=8),
     )
     error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
                     "--p1", "13", "--p2", "3")

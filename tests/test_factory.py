@@ -166,14 +166,15 @@ def test_certify_examples():
     assert c.symbol_ok
 
 
-def test_certify_factorizes_once(monkeypatch):
+def test_certify_factorizes_nothing(monkeypatch):
     # p1 and p2 are proven distinct primes, so d = p1*p2 needs no
-    # factorization of its own; the genus route in the oracle does one
+    # factorization: certify hands both primes to the oracle's genus route
     calls = []
     factorize = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
-    factory.certify(2, 1, 13, 3)
-    assert calls == [39]
+    assert factory.certify(2, 1, 13, 3).d == 39
+    assert factory.certify(3, 1, 61, 3).oracle.two_part == 8
+    assert calls == []
 
 
 def test_certify_rejections():

@@ -302,6 +302,21 @@ def test_class_number_takes_a_witness():
     assert forms.class_number(1155, witness=(1, 1, 289)) == forms.class_number(1155)
 
 
+def test_class_number_takes_the_factorization(monkeypatch):
+    # a caller that knows the primes of d passes them, and d is not
+    # factored again; a factorization of another number is a bug
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    for d in (39, 1155, 4 * 1155, 8 * 9 * 35):
+        factors = factorize(d)
+        assert forms.class_number(d, factors=factors) == forms.class_number(d), d
+        assert calls == [d], d
+        calls.clear()
+    with pytest.raises(ValueError, match="multiply"):
+        forms.class_number(1155, factors=[(3, 1), (5, 1), (7, 1), (13, 1)])
+
+
 def test_cyclic_scan_stops_at_the_first_witness(monkeypatch):
     # d = 72501899 is cyclic with h = 2900; half the classes are
     # witnesses, so the scan, which consumes the forms as they come,
@@ -347,7 +362,7 @@ def test_enumerate_bound_checked_before_any_sieve(monkeypatch):
 
 def genus_count(d):
     """2**(mu - 1), mu the number of characters of -d."""
-    return 1 << (len(forms._genus_characters(d)) - 1)
+    return 1 << (len(forms._genus_characters(d, arith.factorize(d))) - 1)
 
 
 def genus_case(d):
@@ -397,7 +412,7 @@ def test_genus_count_large_d_divisible_by_32():
 def test_class_number_rejects_disagreeing_genus(monkeypatch):
     # four characters for d = 39, which has two: genus theory says 8
     real = forms._genus_characters
-    monkeypatch.setattr(forms, "_genus_characters", lambda d: real(d) * 2)
+    monkeypatch.setattr(forms, "_genus_characters", lambda d, factors: real(d, factors) * 2)
     with pytest.raises(ArithmeticError, match="genus"):
         forms.class_number(39)
 
@@ -566,7 +581,8 @@ def test_principal_genus_count_matches_square_count():
     # composing every class with itself
     assert [genus_count(d) for d in genus_discriminants()[:2]] == [4, 4]
     for d in counting_discriminants() + genus_discriminants():
-        h, ambiguous, principal = forms._count(forms.RootTable(d), forms._genus_characters(d))
+        chars = forms._genus_characters(d, arith.factorize(d))
+        h, ambiguous, principal = forms._count(forms.RootTable(d), chars)
         assert principal == square_count(d) and principal * ambiguous == h, d
 
 
