@@ -3,8 +3,8 @@
 Deterministic 64-bit primality, by Miller-Rabin on as few of twelve
 base primes as n needs, a segmented prime sieve whose table is
 one byte per value with residue-class views mod 8, the process's one
-prime list (`primes_to`, which the form enumeration reads), the Jacobi
-symbol, square roots modulo primes, and factorization: division by the
+prime list (`primes_to`, which the form enumeration reads), square
+roots modulo primes, and factorization: division by the
 twelve Miller-Rabin base primes, then `is_prime` and Pollard-Brent.  A
 square root of n mod p costs one pow when n is a non-residue or
 p = 3 (mod 4): Tonelli-Shanks reads Euler's criterion off the pow it
@@ -127,24 +127,6 @@ def sieve(lo: int, hi: int) -> PrimeTable:
             if first < end:
                 flags[first - lo : end - lo : p] = zeros[: (end - 1 - first) // p + 1]
     return PrimeTable(lo, hi, memoryview(flags).toreadonly())
-
-
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jacobi requires odd n >= 1, got n={n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def sqrt_mod_p(n: int, p: int) -> int | None:

@@ -22,6 +22,13 @@ class UsageError(ValueError):
 # VmHWM, by `verify --d` and by its certificate alike, on the same machine.
 MAX_D = 3 * 10**12
 
+# `verify --forms` bound: the one route that keeps a form list, and sorts
+# it; h reaches about 2.3 * sqrt(d), so its memory grows like sqrt(d).
+# `verify --d 9999010199 --forms` (h = 230,556) takes about 0.6 s at 75 MB
+# VmHWM on a 2-core machine (Python 3.11), about 260 bytes per form; at
+# that rate h = 3,836,444, reached near MAX_D, would need about 1 GB.
+MAX_FORMS_D = 10**10
+
 # The default d budget of `search` and `verify` (`factory`).
 DEFAULT_D_BUDGET = 10**9
 

@@ -102,8 +102,6 @@ def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray
             if p * p >= end:
                 break
             i = -start % p
-            if i >= size:
-                continue
             mu[i::p] *= -1
             phi[i::p] *= p - 1
             smooth[i::p] *= p

@@ -137,6 +137,9 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
     from . import forms
     if args.d > _d_budget(args):  # refused before any enumeration
         raise bounds.UsageError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
+    if args.forms and args.d > bounds.MAX_FORMS_D:
+        raise bounds.UsageError(f"--forms lists every form, so d={args.d} must be at most "
+                                f"{bounds.MAX_FORMS_D}")
     row = _group_row(forms.class_number(args.d))
     if args.forms:
         row["forms"] = ";".join(",".join(map(str, f)) for f in forms.enumerate_reduced(args.d))
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=int)
     p.add_argument("--p2", type=int)
     p.add_argument("--forms", action="store_true",
-                   help="with --d, include the reduced forms")
+                   help=f"with --d at most {bounds.MAX_FORMS_D}, include the reduced forms")
     d_max(p)
     common(p, cmd_verify)
 

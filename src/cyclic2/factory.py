@@ -168,8 +168,8 @@ def search(
     *,
     d_budget: int = DEFAULT_D_BUDGET,
 ) -> Iterator[Certificate]:
-    """Certificates for every passing pair over an increasing range of
-    multipliers M.
+    """Certificates for every passing pair over a non-empty, increasing
+    range of multipliers M.
 
     Emits in deterministic order: M ascending, then p1 ascending.  Only
     pairs with d <= d_budget are enumerated (`find_pairs`), so the cost
@@ -187,8 +187,6 @@ def search(
     search stops at the first M where that exceeds d_budget: no later M
     has a pair.
     """
-    if not m_values:
-        return
     target(k, m_values[-1])
     for m in m_values:
         if 3 * (target(k, m) - 3) > d_budget:

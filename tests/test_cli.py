@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
-import inspect
+import ast
 import json
 import math
 import os
@@ -9,12 +9,11 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-import types
 import weakref
 
 import pytest
 
-from cyclic2 import arith, circle, cli, criteria, factory, forms
+from cyclic2 import arith, bounds, circle, cli, criteria, factory, forms
 
 
 def run(capsys, *argv):
@@ -151,6 +150,28 @@ def test_verify_forms_respects_d_max(capsys, monkeypatch):
     _assert_refused_before_enumeration(capsys, monkeypatch, "--forms")
 
 
+def test_verify_forms_has_its_own_bound(capsys, monkeypatch):
+    # --forms keeps and sorts every form, so it takes d only up to
+    # MAX_FORMS_D, though --d-max admits more; refused before any walk
+    d = str(bounds.MAX_FORMS_D + 3)
+    blocks = forms._blocks
+
+    def no_enumeration(d):
+        raise AssertionError("the oracle ran on an over-bound --forms d")
+
+    monkeypatch.setattr(forms, "_blocks", no_enumeration)
+    code, out, err = run(capsys, "verify", "--d", d, "--forms", "--d-max", str(bounds.MAX_D))
+    assert code == 2
+    assert out == ""
+    diag = json.loads(err.splitlines()[-1])
+    assert diag["error"] == "validation"
+    assert "--forms" in diag["message"] and str(bounds.MAX_FORMS_D) in diag["message"]
+    # the same d without --forms is only counted
+    monkeypatch.setattr(forms, "_blocks", blocks)
+    code, out, _ = run(capsys, "verify", "--d", d, "--d-max", str(bounds.MAX_D))
+    assert code == 0 and out.startswith("d,h,")
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--k", "2", "--m-max", "1"],
     ["verify", "--d", "39"],
@@ -176,7 +197,9 @@ def test_d_max_help_names_the_oracle_bound(capsys):
     for subcommand in ("search", "verify"):
         with pytest.raises(SystemExit):
             cli.main([subcommand, "--help"])
-        assert f"at most {forms.MAX_D}" in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert f"at most {forms.MAX_D}" in help_text
+    assert f"with --d at most {bounds.MAX_FORMS_D}" in help_text  # verify's --forms
 
 
 # The certificate commands run on integers alone; only compare and
@@ -264,40 +287,84 @@ def test_no_command_loads_dataclasses():
         assert _modules_loaded_after(["dataclasses", "numpy"], argv) == [[0, ["numpy"]]]
 
 
-# Every def in src/cyclic2 runs on a README command line or a refused
-# input, except this one, kept for the reason given.
-UNREACHED = {"factory.validate_certificate": "perfbench/tracer.py wraps it by name"}
+# Every statement in a function body under src/cyclic2 runs on a README
+# command line or a refused input, except `raise`, `global` and
+# docstrings.  A stretch of statements that none of them runs is named
+# by its function and the first line of its first statement; these are
+# kept for the reason given.
+UNRUN = {
+    ("cli.main", '_error_line("internal", exc)'):
+        "an ArithmeticError is a bug in this code; the fault-injection tests reach it",
+    ("cli.main", '_error_line("internal", exc, f"{type(exc).__name__}: {exc}")'):
+        "any other exception is a bug in this code; the fault-injection tests reach it",
+    ("factory.validate_certificate", "try:"): "perfbench/tracer.py wraps it by name",
+    ("arith.is_prime", "return False"):
+        "no command asks about n < 2; the unit tests check that answer",
+    ("arith.sqrt_mod_p", "return None"):
+        "the oracle asks only where -d is a residue; tests/reference_forms.py reads it",
+    ("factory.find_pairs", "return []"):
+        "search stops at an M whose 3*(n - 3) exceeds the budget before it calls "
+        "find_pairs; tests call find_pairs with such budgets",
+}
 
-# One fresh interpreter runs the commands under sys.setprofile and prints
-# the (file, first line) of every Python function called.
+# One fresh interpreter runs the commands under sys.settrace and prints
+# every (file, line) that ran in a frame of the package.
 _REACH_PROBE = """
 import json, os, sys
 from cyclic2 import cli
-reached = set()
+package, ran = os.path.dirname(cli.__file__), set()
 
-def profile(frame, event, arg):
-    if event == "call":
-        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+def line(frame, event, arg):
+    if event == "line":
+        ran.add((frame.f_code.co_filename, frame.f_lineno))
+    return line
 
-sys.setprofile(profile)
+def call(frame, event, arg):
+    return line if frame.f_code.co_filename.startswith(package) else None
+
+sys.settrace(call)
 codes = [cli.main(argv + ["--output", os.devnull]) for argv in json.loads(sys.argv[1])]
-sys.setprofile(None)
-print(json.dumps([codes, sorted(reached)]))
+sys.settrace(None)
+print(json.dumps([codes, sorted(ran)]))
 """
 
 
-def _package_defs():
-    """{(file, first line): "module.qualname"} of every def in src/cyclic2."""
+def _unrun_stretches(ran):
+    """{(function, first line)} of each stretch of statements in a function
+    body under src/cyclic2 that no line in `ran`, a set of (file, line),
+    falls in.  A compound statement ran if any line of it ran."""
+    unrun = set()
+
+    def block(body, name, path, text):
+        previous_ran = True
+        for stmt in body:
+            if isinstance(stmt, (ast.Raise, ast.Global)) or (
+                    isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                    and isinstance(stmt.value.value, str)):
+                continue
+            if not any((path, n) in ran for n in range(stmt.lineno, stmt.end_lineno + 1)):
+                if previous_ran:
+                    unrun.add((name, text[stmt.lineno - 1].strip()))
+                previous_ran = False
+                continue
+            previous_ran = True
+            inner = f"{name}.{stmt.name}" if isinstance(stmt, ast.FunctionDef) else name
+            bodies = [getattr(stmt, field, []) for field in ("body", "orelse", "finalbody")]
+            for body in bodies + [h.body for h in getattr(stmt, "handlers", [])]:
+                block(body, inner, path, text)
+
+    def scope(body, prefix, path, text):
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                block(node.body, f"{prefix}.{node.name}", path, text)
+            elif isinstance(node, ast.ClassDef):
+                scope(node.body, f"{prefix}.{node.name}", path, text)
+
     package = pathlib.Path(os.path.abspath(cli.__file__)).parent
-    codes = [compile(path.read_text(), str(path), "exec") for path in package.glob("*.py")]
-    defs = {}
-    while codes:
-        code = codes.pop()
-        codes += [const for const in code.co_consts if isinstance(const, types.CodeType)]
-        if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
-            name = f"{pathlib.Path(code.co_filename).stem}.{code.co_qualname}"
-            defs[code.co_filename, code.co_firstlineno] = name
-    return defs
+    for path in package.glob("*.py"):
+        source = path.read_text()
+        scope(ast.parse(source).body, path.stem, str(path), source.splitlines())
+    return unrun
 
 
 def test_every_function_runs_from_the_cli():
@@ -311,12 +378,10 @@ def test_every_function_runs_from_the_cli():
         ["search", "--k", "9", "--m-max", "1"],
         ["verify", "--k", "2", "--m", "1", "--p1", "9", "--p2", "7"],
     ]
-    codes, reached = _run_probe(_REACH_PROBE, readme + refused)
+    codes, ran = _run_probe(_REACH_PROBE, readme + refused)
     assert readme, "no cyclic2 line in the README's CLI block"
     assert codes == [0] * len(readme) + [2] * len(refused)
-    reached = {tuple(key) for key in reached}
-    unreached = {name for key, name in _package_defs().items() if key not in reached}
-    assert unreached == set(UNREACHED)
+    assert _unrun_stretches({tuple(key) for key in ran}) == set(UNRUN)
 
 
 def _record_sieve_his(monkeypatch):
@@ -755,10 +820,11 @@ def test_verify_k_reports_a_failed_symbol_test_as_internal(capsys, monkeypatch):
 
 def test_verify_k_reports_a_refused_criterion_as_internal(capsys, monkeypatch):
     # certify's own checks establish every hypothesis of the criterion,
-    # so a ValueError from it is a bug, not a bad input; here a symbol
-    # is asked at p**2, which hilbert_symbol refuses
-    real = criteria.hilbert_symbol
-    monkeypatch.setattr(criteria, "hilbert_symbol", lambda a, b, p: real(a, b, p * p))
+    # so a ValueError from it is a bug, not a bad input; here it is handed
+    # d = 39 as one "prime", which passes every other check and is refused
+    real = criteria.exact_order_test
+    monkeypatch.setattr(criteria, "exact_order_test",
+                        lambda w, b, primes: real(w, b, (math.prod(primes),)))
     error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
                     "--p1", "13", "--p2", "3")
     assert error["error"] == "internal" and "requires a prime p" in error["message"]

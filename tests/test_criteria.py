@@ -1,4 +1,4 @@
-"""Tests for Hilbert symbols and the square-class criterion."""
+"""Tests for the reference Hilbert symbols and the square-class criterion."""
 
 import math
 import random
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference_pairs import negative_pairs
-from reference_symbols import kronecker, local_symbols
+from reference_symbols import hilbert_symbol, kronecker, local_symbols
 
 from cyclic2 import arith, criteria, factory, forms
 
@@ -36,21 +36,21 @@ def solvable_oracle(a: int, b: int, p: int, exp: int) -> bool:
 def test_hilbert_trivial_first_argument():
     for b in (2, -39, 7, -1):
         for p in (2, 3, 13):
-            assert criteria.hilbert_symbol(1, b, p) == 1
+            assert hilbert_symbol(1, b, p) == 1
 
 
 def test_hilbert_examples():
-    assert criteria.hilbert_symbol(2, -39, 13) == -1
-    assert criteria.hilbert_symbol(2, -39, 3) == -1
+    assert hilbert_symbol(2, -39, 13) == -1
+    assert hilbert_symbol(2, -39, 3) == -1
 
 
 def test_hilbert_validation():
     with pytest.raises(ValueError):
-        criteria.hilbert_symbol(0, 5, 3)
+        hilbert_symbol(0, 5, 3)
     with pytest.raises(ValueError):
-        criteria.hilbert_symbol(5, 0, 3)
+        hilbert_symbol(5, 0, 3)
     with pytest.raises(ValueError):
-        criteria.hilbert_symbol(5, 7, 15)
+        hilbert_symbol(5, 7, 15)
 
 
 def test_hilbert_symmetric():
@@ -59,7 +59,7 @@ def test_hilbert_symmetric():
         a = rng.choice([v for v in range(-50, 51) if v])
         b = rng.choice([v for v in range(-50, 51) if v])
         p = rng.choice([2, 3, 5, 7, 11, 13])
-        assert criteria.hilbert_symbol(a, b, p) == criteria.hilbert_symbol(b, a, p)
+        assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
 
 
 def test_hilbert_bimultiplicative():
@@ -70,8 +70,8 @@ def test_hilbert_bimultiplicative():
         a1 = rng.choice([v for v in range(-1000, 1001) if v])
         a2 = rng.choice([v for v in range(-1000, 1001) if v])
         b = rng.choice([v for v in range(-1000, 1001) if v])
-        lhs = criteria.hilbert_symbol(a1 * a2, b, p)
-        rhs = criteria.hilbert_symbol(a1, b, p) * criteria.hilbert_symbol(a2, b, p)
+        lhs = hilbert_symbol(a1 * a2, b, p)
+        rhs = hilbert_symbol(a1, b, p) * hilbert_symbol(a2, b, p)
         assert lhs == rhs, (a1, a2, b, p)
 
 
@@ -81,7 +81,7 @@ def test_hilbert_against_solubility_oracle():
         for a in values:
             for b in values:
                 expected = 1 if solvable_oracle(a, b, p, exp) else -1
-                assert criteria.hilbert_symbol(a, b, p) == expected, (a, b, p)
+                assert hilbert_symbol(a, b, p) == expected, (a, b, p)
 
 
 def test_hilbert_squares_are_trivial():
@@ -90,7 +90,7 @@ def test_hilbert_squares_are_trivial():
         s = rng.choice([v for v in range(-30, 31) if v]) ** 2
         b = rng.choice([v for v in range(-1000, 1001) if v])
         p = rng.choice([2, 3, 5, 7, 13, 97])
-        assert criteria.hilbert_symbol(s, b, p) == 1
+        assert hilbert_symbol(s, b, p) == 1
 
 
 # ------------------------------------------------------ square-class test
@@ -147,10 +147,12 @@ def test_square_class_product_formula_sweep():
 
 def test_square_class_broken_product_is_internal(monkeypatch):
     # the symbols over p | d multiply to 1 by a theorem; a symbol that
-    # breaks the product is a bug in this code, not a bad input
-    real = criteria.hilbert_symbol
+    # breaks the product is a bug in this code, not a bad input.  Each
+    # symbol is Euler's criterion, one pow per prime; the one at p = 3
+    # is negated.
     monkeypatch.setattr(
-        criteria, "hilbert_symbol", lambda a, b, p: -real(a, b, p) if p == 3 else real(a, b, p)
+        criteria, "pow", lambda w, e, p: p - pow(w, e, p) if p == 3 else pow(w, e, p),
+        raising=False,
     )
     with pytest.raises(ArithmeticError, match="Hilbert symbol product"):
         criteria.exact_order_test(2, 1, (3, 13))
