@@ -35,8 +35,8 @@ DEFAULT_D_BUDGET = 10**9
 # Largest series truncation Q (`circle`).  The series time grows with Q,
 # its memory does not: it sieves one chunk of 2**16 values of q at a
 # time and holds no array of size Q.  `singular --m 213396` takes about
-# 1.0 s at this cap and 0.3 s at Q = 10**6, and peaks at 33.8 and
-# 33.5 MB VmHWM, on a 2-core machine (Python 3.11, numpy 2.4).
+# 0.67 s at this cap and 0.21 s at Q = 10**6, and peaks at 31.5 MB VmHWM
+# at both, on a 2-core machine (Python 3.11, numpy 2.4).
 MAX_TRUNCATION_Q = 10**7
 
 # Largest compare window, as rows * n_hi (`circle`): the window sum pays

@@ -43,7 +43,9 @@ per term, so their floats are bit-identical to those loops
 takes mu and phi from a segmented sieve, one chunk of q at a time, so no
 array of size Q is built, c_q(m) from the odd primes of m, one
 factorization that the product mode shares, not from a gcd per q, and
-one division per q for both series.  This is the only module that uses
+one division per q for both series.  A chunk's terms are computed in two
+float64 buffers, allocated once per call, about 42 traced bytes per q
+of a chunk in all.  This is the only module that uses
 numpy, and it imports numpy inside the functions that build arrays.
 """
 
@@ -88,7 +90,8 @@ def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray
     # primes p with p*p < end: strided updates of mu, phi and the smooth
     # part of q, which starts as the power of 2 in q.  Then q // smooth
     # is 1 or the one prime above sqrt(end - 1).  No array of size Q is
-    # built.
+    # built, and each yield is a fresh (q, mu, phi): the sieve's other
+    # arrays are dropped before it.
     import numpy as np
     primes = arith.sieve(2, max(math.isqrt(Q), 2)).primes()[1:]
     for start in range(1, Q + 1, _SERIES_CHUNK):
@@ -114,9 +117,12 @@ def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray
                     phi[i::pk] *= p
                     smooth[i::pk] *= p
         big = q // smooth
+        del smooth
         above = big > 1
+        big -= 1
         np.negative(mu, out=mu, where=above)
-        np.multiply(phi, big - 1, out=phi, where=above)
+        np.multiply(phi, big, out=phi, where=above)
+        del big, above
         yield q, mu, phi
 
 
@@ -134,33 +140,46 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
             f"series mode requires 2 <= truncation_q <= {MAX_TRUNCATION_Q}, got {Q}"
         )
     import numpy as np
-    # A term is t = c / phi(q)**2, one division per q for both series (c
-    # of the odd part of q, and phi(q)**2 < 2**53, are exact), times a
-    # factor by q mod 16: the weight times c_q(m) of the power of 2 in q,
-    # so 1 or c_2(m) for S1, 1/4, c_2(m)/4 or 2*c_8(m) for S2, and 0 at
-    # the q that a series skips.  Each factor is 0 or a signed power of 2,
-    # so the product is the float of one Python expression per q, bit for
-    # bit.  A skipped q adds +-0.0, which changes no bit of a sum that is
-    # never -0.0; np.cumsum adds left to right in increasing q.
-    full_factor = np.zeros(16)
-    full_factor[1::2] = 1.0
-    full_factor[2::4] = 1.0 if m % 2 == 0 else -1.0
-    restricted_factor = full_factor / 4
+    # A term is t = c / phi(q)**2, one division per q for both series,
+    # times a factor by q mod 16: the weight times c_q(m) of the power of
+    # 2 in q, so 1 or c_2(m) for S1, 1/4, c_2(m)/4 or 2*c_8(m) for S2,
+    # and 0 at the q that a series skips.  A chunk's terms are computed
+    # in two float64 buffers, allocated once per call: `t` holds c of the
+    # odd part of q, then t, then S2's terms, and `terms` holds
+    # phi(q)**2, then S1's terms.  c, phi and phi(q)**2 < 2**53 are
+    # integers, exact in float64, so t is the one IEEE division of the
+    # scalar loop.  Each factor is 0 or a signed power of 2, applied by a
+    # strided multiply per residue mod 16, so the product is the float of
+    # one Python expression per q, bit for bit.  A skipped q adds +-0.0,
+    # which changes no bit of a sum that is never -0.0; np.cumsum adds
+    # left to right in increasing q.
+    c2 = 1.0 if m % 2 == 0 else -1.0
+    full_factor = [0.0 if r % 4 == 0 else c2 if r % 2 == 0 else 1.0 for r in range(16)]
+    restricted_factor = [f / 4 for f in full_factor]
     restricted_factor[8] = 2.0 * _C8.get(m % 8, 0)
     m_primes = [p for p in _odd_primes(m) if p <= Q]
+    t_buffer = np.empty(min(_SERIES_CHUNK, Q))
+    terms_buffer = np.empty_like(t_buffer)
     full = restricted = 0.0
     for q, mu, phi in _mobius_totient(Q):
-        start = int(q[0])
+        start, size = int(q[0]), len(q)
+        t, terms = t_buffer[:size], terms_buffer[:size]
         # c_q(m) of the odd part of q: mu flips the sign once per prime,
         # and each p | m turns that -1 into p - 1; a p past the chunk
         # slices nothing
-        c = mu.astype(np.int64)
+        np.copyto(t, mu)
         for p in m_primes:
-            c[-start % p :: p] *= 1 - p
-        t = c / np.square(phi, dtype=np.int64)
-        low = q & 15
-        full = _add_terms(full, t * full_factor[low])
-        t *= restricted_factor[low]
+            t[-start % p :: p] *= 1 - p
+        np.copyto(terms, phi)
+        terms *= terms
+        t /= terms
+        terms[:] = t
+        for r in range(16):
+            # the q = r (mod 16) of the chunk
+            i = (r - start) % 16
+            terms[i::16] *= full_factor[r]
+            t[i::16] *= restricted_factor[r]
+        full = _add_terms(full, terms)
         restricted = _add_terms(restricted, t)
     return full, restricted
 
@@ -463,12 +482,14 @@ def window_range(n_lo: int, n_hi: int, step: int) -> range:
         raise UsageError("empty window")
     if n_lo < 2:
         raise UsageError(f"--n-lo must be at least 2, got {n_lo}")
-    ns = range(n_lo, n_hi + 1, step)
-    if len(ns) * n_hi > MAX_WINDOW_WORK:
+    # counted, not len(range): len() raises OverflowError from 2**63 rows
+    rows = (n_hi - n_lo) // step + 1
+    if rows * n_hi > MAX_WINDOW_WORK:
         raise UsageError(
-            f"window of {len(ns)} rows up to n={n_hi} exceeds the work budget "
+            f"window of {rows} rows up to n={n_hi} exceeds the work budget "
             f"rows * n_hi <= {MAX_WINDOW_WORK}"
         )
+    ns = range(n_lo, n_hi + 1, step)
     for n in ns[:8]:
         if vanishing_reason(n) != "none":
             raise UsageError(

@@ -343,6 +343,23 @@ def test_series_sum_refuses_m_from_2_to_the_64(m):
     assert not isinstance(exc.value, circle.UsageError)
 
 
+def test_series_peak_memory():
+    # each chunk's terms are computed in two float64 buffers of
+    # _SERIES_CHUNK, 16 bytes per q, beside the sieve's q, mu and phi of
+    # this chunk and the last; the cofactor arrays go before each yield
+    np.zeros(16).cumsum()  # warm numpy, whose first calls allocate caches
+    circle._odd_primes(213396)  # factor m outside the trace
+    circle._series_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        value = circle._series_sums(213396, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == tuple(reference_series_sum(213396, 10**6, r) for r in (False, True))
+    assert peak < 48 * circle._SERIES_CHUNK, (peak, peak / circle._SERIES_CHUNK)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 2**80), st.integers(2, 2 * 10**4), st.booleans())
 def test_series_sum_property(m, Q, restricted):

@@ -12,6 +12,8 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cyclic2 import arith, bounds, circle, cli, criteria, factory, forms
 
@@ -662,6 +664,83 @@ def test_compare_window_refused_before_sieve(capsys, monkeypatch, argv, words):
     assert (code, out) == (2, "")
     diag = json.loads(err.splitlines()[-1])
     assert diag["error"] == "validation" and words in diag["message"]
+
+
+# Exit codes under drawn argv.  Each draw is a base argv, one value per
+# flag from its list (None leaves the flag out, True passes it bare), and
+# at most one edge case, which overrides a few flags at once.  Every base
+# runs in a few milliseconds.  The edge cases hold values past a bound at
+# the bound's real value, and integers at and past 2**31, 2**63 and 2**64;
+# where a value is accepted only with small other flags, the case sets
+# them too, so no draw runs for long.  Every base was run with every edge
+# case: all 142,446 exit 0 or 2, the slowest in 0.16 s.
+INTS = [-(2**63), -1, 0, 1, 2**31, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 10**30]
+FUZZ = {
+    "search": (
+        {"--k": [1, 2, 3, 4], "--m-min": [None, 1, 2], "--m-max": [1, 2, 3],
+         "--d-max": [10**4, 10**6, 10**8]},
+        [{"--k": v} for v in INTS + [5, 6, 7]]
+        + [{"--m-min": v} for v in INTS + [4]]
+        + [{"--m-max": v} for v in INTS + [2**30]]
+        # 2**31 is an accepted d budget, at which k = 3 takes 0.4 s
+        + [{"--d-max": v} for v in INTS + [bounds.MAX_D + 1] if v != 2**31]
+        # the largest M whose k = 1 target fits 63 bits, and the d bound
+        + [{"--k": 1, "--m-max": 2**30 - 1, "--d-max": 10**4},
+           {"--k": 1, "--m-max": 2, "--d-max": bounds.MAX_D}],
+    ),
+    "verify": (
+        {"--d": [None, 3, 4, 7, 15, 39, 420, 100415], "--k": [None, 2], "--m": [None, 1],
+         "--p1": [None, 13, 11], "--p2": [None, 3, 5], "--forms": [None, True],
+         "--d-max": [None, 1000, 10**6]},
+        [{"--d": v} for v in INTS + [2, 5, bounds.MAX_D + 1]]
+        + [{"--d-max": v} for v in INTS + [bounds.MAX_D, bounds.MAX_D + 1]]
+        + [{flag: v} for flag in ("--k", "--m", "--p1", "--p2") for v in INTS]
+        + [{"--d": bounds.MAX_D + 1, "--d-max": bounds.MAX_D},
+           {"--d": bounds.MAX_FORMS_D + 3, "--forms": True, "--d-max": bounds.MAX_D},
+           # the first k = 6 certificate, over the default budget
+           {"--d": None, "--k": 6, "--m": 1, "--p1": 17179869053, "--p2": 131}],
+    ),
+    "singular": (
+        {"--m": [1, 2, 15, 16, 30, 213396], "--truncation-q": [None, 2, 3, 100, 10**4]},
+        [{"--m": v} for v in INTS + [2**64 - 59]]
+        + [{"--truncation-q": v} for v in INTS + [bounds.MAX_TRUNCATION_Q + 1]],
+    ),
+    "compare": (
+        {"--n-lo": [2, 6, 8, 16, 100, 1000], "--n-hi": [2, 8, 16, 100, 1000, 5000],
+         "--step": [None, 1, 2, 8, 16]},
+        [{flag: v} for flag in ("--n-lo", "--n-hi", "--step") for v in INTS]
+        # one row past the sieve span; a window one row past the work budget
+        + [{"--n-lo": 2**28 + 2, "--n-hi": 2**28 + 2},
+           {"--n-lo": 10**6 - 8 * 10**5, "--n-hi": 10**6, "--step": 8}],
+    ),
+}
+
+
+@st.composite
+def edge_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ)))
+    base, edges = FUZZ[command]
+    flags = {flag: draw(st.sampled_from(values)) for flag, values in base.items()}
+    flags.update(draw(st.sampled_from([{}] + edges)))
+    argv = [command]
+    for flag, value in flags.items():
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edge_argv())
+@example(["compare", "--n-lo=2", "--n-hi=18446744073709551616", "--step=1"])
+def test_exit_code_is_0_or_2_on_edge_values(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == "validation", argv
 
 
 @pytest.mark.parametrize("m", ["0", "-5"])
