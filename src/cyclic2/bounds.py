@@ -35,8 +35,9 @@ DEFAULT_D_BUDGET = 10**9
 # Largest series truncation Q (`circle`).  The series time grows with Q,
 # its memory does not: it sieves one chunk of 2**16 values of q at a
 # time and holds no array of size Q.  `singular --m 213396` takes about
-# 0.67 s at this cap and 0.21 s at Q = 10**6, and peaks at 31.5 MB VmHWM
-# at both, on a 2-core machine (Python 3.11, numpy 2.4).
+# 0.8 s at this cap and 0.2 s at Q = 10**6, interpreter start included,
+# and peaks at 31.5 MB VmHWM at both, on a 2-core machine (Python 3.11,
+# numpy 2.4).
 MAX_TRUNCATION_Q = 10**7
 
 # Largest compare window, as rows * n_hi (`circle`): the window sum pays
@@ -46,8 +47,9 @@ MAX_TRUNCATION_Q = 10**7
 # about 2e8.  `compare` holds about 1.5 bytes per sieved integer: the
 # sieve's byte, about 0.45 for its primes 3 and 5 mod 8 and their logs,
 # and 1/16 for the bit indexes of the two classes.  `compare --n-lo
-# 200000000 --n-hi 200000000` takes about 1.9 s and peaks at 324 MB
-# VmHWM on a 2-core machine, Python 3.11, numpy 2.4.
+# 200000000 --n-hi 200000000` takes about 2 s, interpreter start
+# included, and peaks at 324 MB VmHWM on a 2-core machine, Python 3.11,
+# numpy 2.4.
 MAX_WINDOW_WORK = 10**11
 
 # `singular --m` bound: every column factorises m, which

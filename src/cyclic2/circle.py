@@ -46,7 +46,8 @@ factorization that the product mode shares, not from a gcd per q, and
 one division per q for both series.  A chunk's terms are computed in two
 float64 buffers, allocated once per call, about 42 traced bytes per q
 of a chunk in all.  This is the only module that uses
-numpy, and it imports numpy inside the functions that build arrays.
+numpy, and it imports numpy inside the functions that build arrays,
+about 0.06 s once per command; it calls no BLAS routine.
 """
 
 from __future__ import annotations

@@ -13,13 +13,17 @@ Failures also emit one machine-readable JSON line on stderr.  The
 parser reads its bounds from `bounds`, and each `cmd_*` imports the
 modules it runs, so `search` and `verify` never load `circle`, and
 `compare` and `singular` never load the form oracle; `json` is imported
-only where JSON is written.
+only where JSON is written.  `main` sets OPENBLAS_NUM_THREADS to 1
+unless the caller set it, before the command first imports numpy, so
+numpy's OpenBLAS starts no worker threads: `circle` calls no BLAS
+routine, so no float can depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import TYPE_CHECKING, Iterable
 
@@ -134,6 +138,9 @@ def cmd_verify(args: argparse.Namespace) -> list[dict]:
             raise bounds.UsageError("verify requires either --d or all of --k --m --p1 --p2")
         cert = factory.certify(args.k, args.m, args.p1, args.p2, d_budget=_d_budget(args))
         return [_cert_row(cert)]
+    given = [f"--{name}" for name in ("k", "m", "p1", "p2") if getattr(args, name) is not None]
+    if given:
+        raise bounds.UsageError(f"{' '.join(given)} cannot be given with --d")
     from . import forms
     if args.d > _d_budget(args):  # refused before any enumeration
         raise bounds.UsageError(f"d={args.d} exceeds the oracle budget --d-max {args.d_max}")
@@ -196,9 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     d_max(p)
     common(p, cmd_search)
 
-    p = sub.add_parser("verify", help="re-validate a claimed certificate, or "
-                       "report the 2-Sylow structure of a discriminant")
-    p.add_argument("--d", type=int)
+    p = sub.add_parser("verify", help="re-validate a claimed certificate (--k --m --p1 "
+                       "--p2), or report the 2-Sylow structure of a discriminant (--d alone)")
+    p.add_argument("--d", type=int, help="refused with any of --k --m --p1 --p2")
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--p1", type=int)
@@ -227,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         if not _write_rows(args, args.run(args)):
             raise bounds.UsageError("no output rows produced")

@@ -219,11 +219,16 @@ print(json.dumps(seen))
 """
 
 
-def _run_probe(probe, payload):
-    # a fresh interpreter runs `probe` on payload, JSON in and JSON out
+def _run_probe(probe, payload, openblas_threads=None):
+    # a fresh interpreter runs `probe` on payload, JSON in and JSON out.
+    # OPENBLAS_NUM_THREADS is not inherited: an in-process cli.main call
+    # sets it in this process, so the child gets only `openblas_threads`.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(payload)],
         capture_output=True, text=True, env=env, check=True,
@@ -252,6 +257,42 @@ def test_certificate_commands_never_load_numpy():
 def test_compare_and_singular_load_numpy():
     assert _numpy_loaded_after(["compare", "--n-lo", "200", "--n-hi", "208"]) == [[0, True]]
     assert _numpy_loaded_after(["singular", "--m", "16"]) == [[0, True]]
+
+
+# The probe records each command's exit code, its stdout,
+# OPENBLAS_NUM_THREADS and the process's thread count, None without /proc.
+_THREAD_PROBE = """
+import contextlib, io, json, os, sys
+from cyclic2 import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    tasks = "/proc/self/task"
+    threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    seen.append([code, out.getvalue(), os.environ.get("OPENBLAS_NUM_THREADS"), threads])
+print(json.dumps(seen))
+"""
+
+
+def test_compare_and_singular_start_no_blas_threads():
+    seen = _run_probe(_THREAD_PROBE, [["compare", "--n-lo", "200", "--n-hi", "208"],
+                                      ["singular", "--m", "16"]])
+    assert [(code, variable) for code, _, variable, _ in seen] == [(0, "1")] * 2
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    assert [threads for *_, threads in seen] == [1, 1]
+
+
+def test_preset_openblas_threads_kept_and_changes_no_byte():
+    argvs = [["compare", "--n-lo", "200006", "--n-hi", "201006", "--step", "8"],
+             ["singular", "--m", "30", "--truncation-q", "100000"]]
+    unset = _run_probe(_THREAD_PROBE, argvs)
+    preset = _run_probe(_THREAD_PROBE, argvs, openblas_threads="2")
+    assert [variable for _, _, variable, _ in preset] == ["2", "2"]
+    assert [code for code, *_ in unset + preset] == [0] * 4
+    assert [out for _, out, *_ in preset] == [out for _, out, *_ in unset]
+    assert all(out.count("\n") > 1 for _, out, *_ in unset)
 
 
 def test_each_command_loads_only_its_own_modules():
@@ -585,6 +626,25 @@ def test_verify_forms_requires_d(capsys):
     assert out == ""
     diag = json.loads(err.strip())
     assert diag["error"] == "validation" and "--d" in diag["message"]
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--k", "2", "--m", "1", "--p1", "11", "--p2", "5"], "--k --m --p1 --p2"),
+    (["--k", "2"], "--k"),
+    (["--p2", "5", "--forms"], "--p2"),
+    (["--m", "-1", "--p1", str(10**31)], "--m --p1"),
+])
+def test_verify_d_refuses_certificate_flags(capsys, monkeypatch, extra, named):
+    # --d reports one discriminant; the flags of a claimed certificate
+    # beside it are refused, naming them, not ignored
+    def no_enumeration(d):
+        raise AssertionError("the oracle ran on a refused verify --d")
+
+    monkeypatch.setattr(forms, "_blocks", no_enumeration)
+    code, out, err = run(capsys, "verify", "--d", "39", *extra)
+    assert (code, out) == (2, "")
+    diag = json.loads(err.strip())
+    assert diag == {"error": "validation", "message": f"{named} cannot be given with --d"}
 
 
 def test_verify_forms_json_lists_the_forms(capsys):
