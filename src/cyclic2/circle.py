@@ -40,12 +40,14 @@ their terms left to right in increasing q (resp. p, 3 class first), the
 order of the scalar loops they replaced, with the same IEEE operations
 per term, so their floats are bit-identical to those loops
 (tests/reference_circle.py keeps them as the test oracle).  The series
-takes mu and phi from a segmented sieve, one chunk of q at a time, so no
-array of size Q is built, c_q(m) from the odd primes of m, one
-factorization that the product mode shares, not from a gcd per q, and
-one division per q for both series.  A chunk's terms are computed in two
-float64 buffers, allocated once per call, about 42 traced bytes per q
-of a chunk in all.  This is the only module that uses
+takes the signed totient f(q) = mu(odd part of q) * phi(q), 0 where an
+odd p**2 divides q, from a segmented sieve, one int32 array per chunk of
+q, so no array of size Q is built; mu is the sign of f and phi**2 is
+f**2.  It takes c_q(m) from the odd primes of m, one factorization that
+the product mode shares, not from a gcd per q, and divides once per q
+for both series.  A chunk's terms are computed in two float64 buffers,
+allocated once per call, about 33 traced bytes per q of a chunk in all.
+This is the only module that uses
 numpy, and it imports numpy inside the functions that build arrays,
 about 0.06 s once per command; it calls no BLAS routine.
 """
@@ -83,48 +85,41 @@ class CompareRow(NamedTuple):
 _SERIES_CHUNK = 1 << 16   # q per numpy step of the series, 4x the pairs per step of the window sum
 
 
-def _mobius_totient(Q: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    # Yield (q, mu, phi) per chunk of q = 1..Q, each a range of at most
-    # _SERIES_CHUNK values: mu is the Mobius value of the odd part of q
-    # (the series needs mu(q0) at q = 8*q0) and phi is phi(q), int32
-    # since phi(q) <= q <= Q < 2**31.  A segmented sieve over the odd
-    # primes p with p*p < end: strided updates of mu, phi and the smooth
-    # part of q, which starts as the power of 2 in q.  Then q // smooth
-    # is 1 or the one prime above sqrt(end - 1).  No array of size Q is
-    # built, and each yield is a fresh (q, mu, phi): the sieve's other
-    # arrays are dropped before it.
+def _mobius_totient(Q: int) -> Iterator[tuple[int, np.ndarray]]:
+    # Yield (start, f) per chunk of q = start, start + 1, ..., at most
+    # _SERIES_CHUNK values of 1..Q, with f(q) = mu(q0) * phi(q) for q0
+    # the odd part of q (the series needs mu(q0) at q = 8*q0): 0 where an
+    # odd p**2 divides q, int32 since |f(q)| <= q <= Q < 2**31.  A
+    # segmented sieve over the odd primes p with p*p < end: one strided
+    # update of f, by 1 - p, and of the smooth part of q, which starts as
+    # the power of 2 in q, and one that zeroes f at the multiples of p*p;
+    # no pass per prime power.  Where f != 0, q // smooth is 1 or the one
+    # prime P above sqrt(end - 1), which multiplies f by 1 - P.  No array
+    # of size Q is built, and only f outlives its chunk's sieve.
     import numpy as np
     primes = arith.sieve(2, max(math.isqrt(Q), 2)).primes()[1:]
     for start in range(1, Q + 1, _SERIES_CHUNK):
         end = min(start + _SERIES_CHUNK, Q + 1)
         q = np.arange(start, end, dtype=np.int32)
-        size = end - start
-        mu = np.ones(size, dtype=np.int8)
-        smooth = q & -q
-        phi = (smooth + 1) >> 1
+        smooth = -q
+        smooth &= q
+        f = smooth + 1
+        f >>= 1
         for p in primes:
             if p * p >= end:
                 break
             i = -start % p
-            mu[i::p] *= -1
-            phi[i::p] *= p - 1
+            f[i::p] *= 1 - p
             smooth[i::p] *= p
-            pk = p
-            while pk * p < end:
-                pk *= p
-                i = -start % pk
-                if i < size:
-                    mu[i::pk] = 0
-                    phi[i::pk] *= p
-                    smooth[i::pk] *= p
-        big = q // smooth
-        del smooth
-        above = big > 1
-        big -= 1
-        np.negative(mu, out=mu, where=above)
-        np.multiply(phi, big, out=phi, where=above)
-        del big, above
-        yield q, mu, phi
+            f[-start % (p * p) :: p * p] = 0
+        # 1 - q // smooth in place, then 1 where it is 0: 1, or 1 - P (a
+        # multiply with where= would take numpy's slow masked loop)
+        np.floor_divide(q, smooth, out=smooth)
+        np.subtract(1, smooth, out=smooth)
+        smooth += smooth == 0
+        f *= smooth
+        del q, smooth
+        yield start, f
 
 
 @lru_cache(maxsize=8)
@@ -147,11 +142,12 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     # and 0 at the q that a series skips.  A chunk's terms are computed
     # in two float64 buffers, allocated once per call: `t` holds c of the
     # odd part of q, then t, then S2's terms, and `terms` holds
-    # phi(q)**2, then S1's terms.  c, phi and phi(q)**2 < 2**53 are
+    # phi(q)**2 = f(q)**2, then S1's terms.  c, f and f(q)**2 < 2**53 are
     # integers, exact in float64, so t is the one IEEE division of the
-    # scalar loop.  Each factor is 0 or a signed power of 2, applied by a
-    # strided multiply per residue mod 16, so the product is the float of
-    # one Python expression per q, bit for bit.  A skipped q adds +-0.0,
+    # scalar loop; where f = 0 the divisor is raised to 1, so t is +-0.0
+    # there and never NaN.  Each factor is 0 or a signed power of 2,
+    # applied by a strided multiply per residue mod 16, so the product is
+    # the float of one Python expression per q, bit for bit.  A skipped q adds +-0.0,
     # which changes no bit of a sum that is never -0.0; np.cumsum adds
     # left to right in increasing q.
     c2 = 1.0 if m % 2 == 0 else -1.0
@@ -162,17 +158,18 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
     t_buffer = np.empty(min(_SERIES_CHUNK, Q))
     terms_buffer = np.empty_like(t_buffer)
     full = restricted = 0.0
-    for q, mu, phi in _mobius_totient(Q):
-        start, size = int(q[0]), len(q)
+    for start, f in _mobius_totient(Q):
+        size = len(f)
         t, terms = t_buffer[:size], terms_buffer[:size]
-        # c_q(m) of the odd part of q: mu flips the sign once per prime,
-        # and each p | m turns that -1 into p - 1; a p past the chunk
-        # slices nothing
-        np.copyto(t, mu)
+        # c_q(m) of the odd part of q: mu, the sign of f, flips once per
+        # prime, and each p | m turns that -1 into p - 1; a p past the
+        # chunk slices nothing
+        np.sign(f, out=t)
         for p in m_primes:
             t[-start % p :: p] *= 1 - p
-        np.copyto(terms, phi)
+        np.copyto(terms, f)
         terms *= terms
+        np.maximum(terms, 1.0, out=terms)
         t /= terms
         terms[:] = t
         for r in range(16):

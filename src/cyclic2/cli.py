@@ -17,12 +17,23 @@ only where JSON is written.  `main` sets OPENBLAS_NUM_THREADS to 1
 unless the caller set it, before the command first imports numpy, so
 numpy's OpenBLAS starts no worker threads: `circle` calls no BLAS
 routine, so no float can depend on the BLAS thread count.
+
+`run` is the process entry, for `python -m cyclic2.cli` and the
+installed `cyclic2` script: it returns `main`'s exit code after
+`gc.freeze()`.  The interpreter's collection at shutdown skips frozen
+objects, so the process no longer walks every object it made, numpy's
+included, to free memory that the OS takes back at exit (about 15 ms
+of a 0.11 s `import numpy` child, 6 ms of an empty one, on a 2-core
+x86 machine).  atexit
+handlers, stream flushes and the exit code are unchanged.  `main`
+itself never freezes, for the in-process callers: tests, the tracer.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from typing import TYPE_CHECKING, Iterable
@@ -250,5 +261,12 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run(argv=None) -> int:
+    """`main`, then freeze every object it leaves, for the process entry."""
+    code = main(argv)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -228,9 +228,10 @@ def test_singular_value_metadata():
 
 
 def chunked_tables(limit):
-    # the (q, mu, phi) chunks of the series sieve, joined into arrays
-    parts = list(zip(*circle._mobius_totient(limit)))
-    return tuple(np.concatenate(arrays) for arrays in parts)
+    # q and the signed totient f of the series sieve's chunks, joined
+    parts = list(circle._mobius_totient(limit))
+    q = np.concatenate([np.arange(start, start + len(f)) for start, f in parts])
+    return q, np.concatenate([f for _, f in parts])
 
 
 def odd_part(q):
@@ -242,29 +243,27 @@ MULT_LIMITS = [2, 3, 4, 5, 8, 9, 10, 24, 25, 26, 100, 997, 1000, 4096, 10**4, 12
 
 @pytest.mark.parametrize("limit", MULT_LIMITS)
 def test_mult_tables_match_reference(monkeypatch, limit):
-    # mu of the odd part of q and phi(q), chunk by chunk, at the default
+    # f(q) = mu(odd part of q) * phi(q), chunk by chunk, at the default
     # chunk and at a small one: 7 up to 10**4, and 1009 above, where
     # chunk 7 would take from 6 s to over a minute.  At Q = 2 and 3 no
     # prime is sieved and 2 and 3 both lie above sqrt(Q).
     ref_mu, ref_phi = reference_mult_tables(limit)
     for chunk in (circle._SERIES_CHUNK, 7 if limit <= 10**4 else 1009):
         monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
-        q, mu, phi = chunked_tables(limit)
+        q, f = chunked_tables(limit)
+        assert f.dtype == np.int32, chunk
         assert q.tolist() == list(range(1, limit + 1)), chunk
-        assert mu.tolist() == ref_mu[odd_part(q)].tolist(), chunk
-        assert phi.tolist() == ref_phi[1:].tolist(), chunk
+        assert f.tolist() == (ref_mu[odd_part(q)] * ref_phi[1:]).tolist(), chunk
 
 
 def test_mult_tables_match_arith(monkeypatch):
     rng = random.Random(41)
     for limit, chunk in ((10**6, circle._SERIES_CHUNK), (10**6, 1009), (10**4, 7)):
         monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
-        q, mu, phi = chunked_tables(limit)
+        q, f = chunked_tables(limit)
         for i in [rng.randrange(limit) for _ in range(200)] + [limit - 1]:
             n = int(q[i])
-            assert (int(mu[i]), int(phi[i])) == (
-                mobius(odd_part(n)), euler_phi(n)
-            ), (n, chunk)
+            assert int(f[i]) == mobius(odd_part(n)) * euler_phi(n), (n, chunk)
 
 
 def test_array_caches_keep_one_entry():
@@ -345,8 +344,8 @@ def test_series_sum_refuses_m_from_2_to_the_64(m):
 
 def test_series_peak_memory():
     # each chunk's terms are computed in two float64 buffers of
-    # _SERIES_CHUNK, 16 bytes per q, beside the sieve's q, mu and phi of
-    # this chunk and the last; the cofactor arrays go before each yield
+    # _SERIES_CHUNK, 16 bytes per q, beside the signed totient f of the
+    # last chunk and the sieve's q, smooth part and f of this one
     np.zeros(16).cumsum()  # warm numpy, whose first calls allocate caches
     circle._odd_primes(213396)  # factor m outside the trace
     circle._series_sums.cache_clear()
@@ -357,7 +356,7 @@ def test_series_peak_memory():
     finally:
         tracemalloc.stop()
     assert value == tuple(reference_series_sum(213396, 10**6, r) for r in (False, True))
-    assert peak < 48 * circle._SERIES_CHUNK, (peak, peak / circle._SERIES_CHUNK)
+    assert peak < 40 * circle._SERIES_CHUNK, (peak, peak / circle._SERIES_CHUNK)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

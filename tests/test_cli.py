@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its output formats."""
 
 import ast
+import gc
 import json
 import math
 import os
@@ -219,19 +220,24 @@ print(json.dumps(seen))
 """
 
 
-def _run_probe(probe, payload, openblas_threads=None):
-    # a fresh interpreter runs `probe` on payload, JSON in and JSON out.
-    # OPENBLAS_NUM_THREADS is not inherited: an in-process cli.main call
-    # sets it in this process, so the child gets only `openblas_threads`.
+def _child_env(openblas_threads=None):
+    # this package on PYTHONPATH.  OPENBLAS_NUM_THREADS is not inherited:
+    # an in-process cli.main call sets it in this process, so the child
+    # gets only `openblas_threads`.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def _run_probe(probe, payload, openblas_threads=None):
+    # a fresh interpreter runs `probe` on payload, JSON in and JSON out
     proc = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(payload)],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(openblas_threads), check=True,
     )
     return json.loads(proc.stdout)
 
@@ -295,6 +301,29 @@ def test_preset_openblas_threads_kept_and_changes_no_byte():
     assert all(out.count("\n") > 1 for _, out, *_ in unset)
 
 
+# A fresh interpreter runs cyclic2.cli as __main__, as `python -m
+# cyclic2.cli` and the installed script do, and prints the freeze count
+# on stderr from an atexit hook, which runs after the entry returns.
+_ENTRY_PROBE = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("cyclic2.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_process_entry_freezes_before_exit(capsys):
+    proc = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, "verify", "--d", "39"],
+                          capture_output=True, env=_child_env())
+    assert proc.returncode == 0
+    assert int(proc.stderr) > 0
+    # in-process, main returns the same bytes and freezes nothing
+    code, out, _ = run(capsys, "verify", "--d", "39")
+    assert (code, gc.get_freeze_count()) == (0, 0)
+    assert proc.stdout == out.encode() == b"d,h,two_part,cyclic,ambiguous\n39,4,4,true,2\n"
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'cyclic2 = "cyclic2.cli:run"' in pyproject.read_text().splitlines()
+
+
 def test_each_command_loads_only_its_own_modules():
     # the parser reads its bounds from cyclic2.bounds; each command
     # imports the modules it runs, one fresh interpreter per command
@@ -350,8 +379,9 @@ UNRUN = {
         "find_pairs; tests call find_pairs with such budgets",
 }
 
-# One fresh interpreter runs the commands under sys.settrace and prints
-# every (file, line) that ran in a frame of the package.
+# One fresh interpreter runs the commands under sys.settrace, the last
+# through the process entry `cli.run`, and prints every (file, line) that
+# ran in a frame of the package.
 _REACH_PROBE = """
 import json, os, sys
 from cyclic2 import cli
@@ -366,7 +396,12 @@ def call(frame, event, arg):
     return line if frame.f_code.co_filename.startswith(package) else None
 
 sys.settrace(call)
-codes = [cli.main(argv + ["--output", os.devnull]) for argv in json.loads(sys.argv[1])]
+*argvs, last = [argv + ["--output", os.devnull] for argv in json.loads(sys.argv[1])]
+codes = [cli.main(argv) for argv in argvs]
+try:  # the last one through the process entry, which argparse leaves by SystemExit
+    codes.append(cli.run(last))
+except SystemExit as exc:
+    codes.append(exc.code)
 sys.settrace(None)
 print(json.dumps([codes, sorted(ran)]))
 """
