@@ -137,23 +137,21 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         )
     import numpy as np
     # A term is t = c / phi(q)**2, one division per q for both series,
-    # times a factor by q mod 16: the weight times c_q(m) of the power of
-    # 2 in q, so 1 or c_2(m) for S1, 1/4, c_2(m)/4 or 2*c_8(m) for S2,
-    # and 0 at the q that a series skips.  A chunk's terms are computed
+    # weighed by the power of 2 in q: S1 takes t at odd q, c_2(m)*t at
+    # q = 2 (mod 4) and 0 where 4 | q, and S2 takes S1's term / 4, but
+    # 2*c_8(m)*t at q = 8 (mod 16).  A chunk's terms are computed
     # in two float64 buffers, allocated once per call: `t` holds c of the
     # odd part of q, then t, then S2's terms, and `terms` holds
     # phi(q)**2 = f(q)**2, then S1's terms.  c, f and f(q)**2 < 2**53 are
     # integers, exact in float64, so t is the one IEEE division of the
     # scalar loop; where f = 0 the divisor is raised to 1, so t is +-0.0
-    # there and never NaN.  Each factor is 0 or a signed power of 2,
-    # applied by a strided multiply per residue mod 16, so the product is
-    # the float of one Python expression per q, bit for bit.  A skipped q adds +-0.0,
-    # which changes no bit of a sum that is never -0.0; np.cumsum adds
-    # left to right in increasing q.
+    # there and never NaN.  Each weight is 0 or a signed power of 2,
+    # applied by a strided step over the chunk, at any chunk length, so a
+    # term is the float of one Python expression per q, bit for bit.  A
+    # skipped q adds +-0.0, which changes no bit of a sum that is never
+    # -0.0; np.cumsum adds left to right in increasing q.
     c2 = 1.0 if m % 2 == 0 else -1.0
-    full_factor = [0.0 if r % 4 == 0 else c2 if r % 2 == 0 else 1.0 for r in range(16)]
-    restricted_factor = [f / 4 for f in full_factor]
-    restricted_factor[8] = 2.0 * _C8.get(m % 8, 0)
+    c8 = 2.0 * _C8.get(m % 8, 0)
     m_primes = [p for p in _odd_primes(m) if p <= Q]
     t_buffer = np.empty(min(_SERIES_CHUNK, Q))
     terms_buffer = np.empty_like(t_buffer)
@@ -172,11 +170,14 @@ def _series_sums(m: int, Q: int) -> tuple[float, float]:
         np.maximum(terms, 1.0, out=terms)
         t /= terms
         terms[:] = t
-        for r in range(16):
-            # the q = r (mod 16) of the chunk
-            i = (r - start) % 16
-            terms[i::16] *= full_factor[r]
-            t[i::16] *= restricted_factor[r]
+        terms[-start % 2 :: 2] *= c2
+        np.multiply(terms, 0.25, out=t)
+        t[-start % 4 :: 4] = 0.0
+        # S2's 2*c_8(m)*t at q = 8 (mod 16), from terms' c_2(m)*t there:
+        # c_2(m) = +-1 only flips signs, and c_2(m)**2 = 1
+        eight = (8 - start) % 16
+        np.multiply(terms[eight::16], c2 * c8, out=t[eight::16])
+        terms[-start % 4 :: 4] = 0.0
         full = _add_terms(full, terms)
         restricted = _add_terms(restricted, t)
     return full, restricted
@@ -218,9 +219,8 @@ def vanishing_reason(m: int) -> str:
 
 
 def _singular(m: int, mode: str, truncation_q: int, restricted: bool) -> float:
-    # S2(m) when restricted, else S1(m), in the given mode
-    if m < 1:
-        raise ValueError("the singular series requires m >= 1")
+    # S2(m) when restricted, else S1(m), in the given mode, for the m >= 1
+    # that `cmd_singular` admits
     if mode == "series":
         return _series_sums(m, truncation_q)[restricted]
     if mode != "product":
@@ -285,14 +285,13 @@ class _PrimeClass(NamedTuple):
     counts: np.ndarray   # int64
 
 
-@lru_cache(maxsize=1)
 def _restricted_primes(table: PrimeTable) -> dict[int, _PrimeClass]:
     """The primes 3 and 5 mod 8 of `table`, for the window sum.
 
     Maps each class r in (3, 5) to its primes, increasing, as read by
     `_class_primes`, their math.log values, filled one chunk at a time,
     which bounds the transient Python floats, and its bit index.  The
-    full prime list is never built.  One table is cached.
+    full prime list is never built.
     """
     import numpy as np
     classes = {}
@@ -339,6 +338,7 @@ def goldbach_restricted_sum(ns: range, table: PrimeTable) -> list[float]:
     """For each n of the window `ns`, the sum of log p1 * log p2 over the
     ordered pairs p1 + p2 = n of primes congruent to 3 or 5 mod 8.  Every
     representation is counted; there is no cutoff on the prime sizes.
+    `ns` is increasing with n >= 2, as `window_range` returns it.
 
     A window whose step divides 8, so that every pair of the two
     classes lies on a row, and whose rows span at least _PAIR_SPAN
@@ -353,8 +353,8 @@ def goldbach_restricted_sum(ns: range, table: PrimeTable) -> list[float]:
     np.add.at is NumPy's behaviour, not a documented guarantee;
     test_window_sum_matches_reference checks it on the installed NumPy.
     """
-    if ns.step < 1 or (ns and ns[0] < 2):
-        raise ValueError(f"goldbach_restricted_sum requires n >= 2, increasing, got {ns}")
+    # a table short of ns[-1] would give wrong sums without an error: the
+    # row pass reads its bytes with take(mode="clip")
     if ns and ns[-1] > 6 and not table.covers(3, ns[-1]):
         raise ValueError(
             f"prime table [{table.lo}, {table.hi}] does not cover [3, {ns[-1]}]"
@@ -497,14 +497,11 @@ def window_range(n_lo: int, n_hi: int, step: int) -> range:
     return ns
 
 
-def compare_window(
-    n_lo: int, n_hi: int, step: int, table: PrimeTable
-) -> list[CompareRow]:
-    """Rows (n, restricted sum, n*S2(n), ratio) for n in the window, which
-    `window_range` checks.  S2 is evaluated in product mode.
+def compare_window(ns: range, table: PrimeTable) -> list[CompareRow]:
+    """Rows (n, restricted sum, n*S2(n), ratio) for n in the window `ns`,
+    as `window_range` returns it.  S2 is evaluated in product mode.
     Deterministic.
     """
-    ns = window_range(n_lo, n_hi, step)
     rows = []
     for n, r2 in zip(ns, goldbach_restricted_sum(ns, table)):
         main = n * restricted_singular_series(n, mode="product")

@@ -183,9 +183,8 @@ def cmd_singular(args: argparse.Namespace) -> list[dict]:
 
 def cmd_compare(args: argparse.Namespace) -> list[dict]:
     from . import arith, circle
-    circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
-    table = arith.sieve(2, args.n_hi)
-    rows = circle.compare_window(args.n_lo, args.n_hi, args.step, table)
+    ns = circle.window_range(args.n_lo, args.n_hi, args.step)  # refused before the sieve
+    rows = circle.compare_window(ns, arith.sieve(2, args.n_hi))
     return [r._asdict() for r in rows]
 
 

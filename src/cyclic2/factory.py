@@ -96,7 +96,7 @@ def find_pairs(k: int, M: int, d_budget: int = DEFAULT_D_BUDGET) -> list[tuple[i
 def _order_2k_witness(w: int, x: int, k: int, d: int) -> tuple[int, int, int]:
     """The reduced class g of (w, x, w**(2**k - 1)), the ideal of norm w,
     checked in k compositions to have order exactly 2**k."""
-    g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
+    g = forms.reduce((w, x, w ** ((1 << k) - 1)))
     half = forms.form_pow(g, 1 << (k - 1))
     ident = forms.principal_form(-d)
     if half != ident and forms.compose(half, half) == ident:
@@ -109,10 +109,10 @@ def certify(
 ) -> Certificate:
     """Validate a claimed pair and return its certificate.
 
-    Raises CertificationError naming the first failed requirement.  What
-    these establish is checked where it is used: 0 < x <= n/2 - 2 and
-    gcd(x, w) = 1 by `forms.order_2m_form`, d = 3 (mod 4) by the
-    criterion.  The symbol test, the order of the witness and
+    Raises CertificationError naming the first failed requirement.  These
+    checks establish every hypothesis of the criterion and of the witness
+    form (the comment below), so neither checks them again, and each
+    prime is tested once.  The symbol test, the order of the witness and
     criterion/oracle agreement are theorems, so a failure is an
     ArithmeticError.  The oracle gets the witness, so it counts the class
     group and keeps no form list, and the factorization p1*p2, so it
@@ -140,11 +140,14 @@ def certify(
         raise CertificationError(
             "oracle-budget-exceeded", f"d={d} exceeds the oracle budget {d_budget}"
         )
-    # The hypotheses of the criterion hold here: p1 != p2, d = 3 (mod 4),
-    # gcd(w, d) = 1 and x**2 + d = 4*w**(2**k).  Its verdict is a theorem:
+    # The hypotheses of the criterion and of the witness form hold here:
+    # p1 != p2, d = 3 (mod 4), x > 0 and x**2 + d = 4*w**(2**k); and
+    # gcd(w, d) = gcd(w, x) = 1, as a prime q | w divides n/2, so q | d or
+    # q | x would make q divide both p1 and p2 = n/2 -+ x.  The
+    # criterion's verdict is a theorem:
     # (w, -d)_p1 = (2/p1)*(M/p1)**2 = -1 for p1 = 5 (mod 8), as p1 | M
     # would give p1 | p2.
-    symbol_ok = criteria.exact_order_test(w, x, (p1, p2))
+    symbol_ok = criteria.exact_order_test(w, (p1, p2))
     if not symbol_ok:
         raise ArithmeticError(f"symbol test failed: the class of norm w={w} is a square")
     oracle = forms.class_number(

@@ -471,15 +471,13 @@ def class_number(
     that knows a generator of the 2-Sylow subgroup passes it as
     `witness`, and a cyclic verdict is checked on it alone.  A caller
     that knows the factorization of d passes it as `factors`, as
-    (prime, exponent) pairs whose product must be d, and d is not
-    factored again.  A certificate's d = p1*p2
-    has 2 genera, so its walk builds no character.
+    (prime, exponent) pairs, and d is not factored again; it is not
+    checked, and `factory.certify` builds it from d's own primes.  A
+    certificate's d = p1*p2 has 2 genera, so its walk builds no character.
     """
     _check(d)
     if factors is None:
         factors = arith.factorize(d)
-    elif math.prod(q**e for q, e in factors) != d:
-        raise ValueError(f"factors {factors} do not multiply to d={d}")
     chars = _genus_characters(d, factors)
     genus = 1 << (len(chars) - 1)
     table = RootTable(d)
@@ -507,23 +505,3 @@ def class_number(
                                   f"{ambiguous}, but no {'witness' if witness else 'element'} "
                                   f"of order {two_part}")
     return ClassGroup2Summary(d, h, two_part, cyclic, ambiguous)
-
-
-def order_2m_form(w: int, x: int, m: int) -> tuple[int, int, int]:
-    """The form (w, x, w**(2m-1)), whose class has order divisible by 2m.
-
-    Requires w even and positive, 0 < x <= 2*w**m - 2, and gcd(x, w) = 1;
-    the discriminant is then -(4*w**(2m) - x**2) < 0.  For squarefree
-    discriminants arising from a prime pair the order is exactly 2m.
-    """
-    if m < 1:
-        raise ValueError("hypothesis failed: m must be a positive integer")
-    if w < 2 or w % 2:
-        raise ValueError("hypothesis failed: w must be a positive even integer")
-    if x < 1 or x > 2 * w**m - 2:
-        raise ValueError(
-            f"hypothesis failed: x must satisfy 0 < x <= 2*w**m - 2 = {2 * w**m - 2}"
-        )
-    if math.gcd(x, w) != 1:
-        raise ValueError("hypothesis failed: x and w must be coprime")
-    return w, x, w ** (2 * m - 1)

@@ -87,7 +87,7 @@ def test_criterion_3_biconditional():
         for negative in (False, True):
             for p1, p2 in (negative_pairs if negative else factory.find_pairs)(k, m, 10**7):
                 d = p1 * p2
-                verdict = criteria.exact_order_test(w, abs(p1 - p2) // 2, (p1, p2))
+                verdict = criteria.exact_order_test(w, (p1, p2))
                 oracle = forms.class_number(d)
                 assert oracle.cyclic_2sylow, (k, m, p1, p2)
                 assert verdict == (oracle.two_part == 1 << k), (k, m, p1, p2)
@@ -105,7 +105,7 @@ def test_criterion_4_order_divisibility():
             for x in range(1, 2 * w**m - 1):
                 if math.gcd(x, w) != 1:
                     continue
-                f = forms.order_2m_form(w, x, m)
+                f = (w, x, w ** (2 * m - 1))
                 order = element_order(f)
                 assert order % (2 * m) == 0, (w, x, m, order)
                 checked += 1
@@ -116,7 +116,7 @@ def test_criterion_4_order_divisibility():
                 if not (arith.is_prime(lo) and arith.is_prime(hi) and lo >= 3):
                     continue
                 p1, p2 = (lo, hi) if lo % 4 == 1 else (hi, lo)
-                if criteria.exact_order_test(w, x, (p1, p2)):
+                if criteria.exact_order_test(w, (p1, p2)):
                     assert order == 2 * m, (w, x, m, order)
                     exact_checked += 1
     assert checked > 200 and exact_checked > 10
@@ -130,17 +130,17 @@ def test_criterion_5_product_formula():
         if any(e > 1 for _, e in fac):
             continue
         primes = [p for p, _ in fac]
-        norms = {a: b for a, b, _ in forms.enumerate_reduced(d) if math.gcd(a, d) == 1}
+        norms = {a for a, _, _ in forms.enumerate_reduced(d) if math.gcd(a, d) == 1}
         for w in sorted(norms):
             symbols = local_symbols(w, d)
             assert math.prod(symbols) == 1, (w, d)
-            assert criteria.exact_order_test(w, norms[w], primes) == (-1 in symbols), (w, d)
+            assert criteria.exact_order_test(w, primes) == (-1 in symbols), (w, d)
             tested += 1
     # certificate-shaped pairs as well
     for k, m in ((1, 1), (1, 2), (1, 3), (2, 1), (1, 4)):
         for p1, p2 in factory.find_pairs(k, m):
             assert math.prod(local_symbols(2 * m * m, p1 * p2)) == 1
-            assert criteria.exact_order_test(2 * m * m, abs(p1 - p2) // 2, (p1, p2))
+            assert criteria.exact_order_test(2 * m * m, (p1, p2))
             tested += 1
     assert tested > 3000, f"only {tested} pairs tested"
 
@@ -193,7 +193,8 @@ def test_criterion_8_window_mean():
     table = arith.sieve(2, 201_000)
     rows = []
     for start in (200_000, 200_002, 200_006):  # residues 0, 2, 6 mod 8
-        rows.extend(circle.compare_window(start, 201_000, 8, table))
+        ns = circle.window_range(start, 201_000, 8)
+        rows.extend(circle.compare_window(ns, table))
     assert {r.n % 8 for r in rows} == {0, 2, 6}
     assert len(rows) == 376
     mean = sum(r.ratio for r in rows) / len(rows)

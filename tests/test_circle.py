@@ -267,14 +267,12 @@ def test_mult_tables_match_arith(monkeypatch):
 
 
 def test_array_caches_keep_one_entry():
-    # a second table evicts the first, so a library caller holds at most
-    # one set of window-sum arrays: the class primes and their logs, 16
-    # bytes per prime, and the bit index, 1/32 byte per sieved integer
-    circle._restricted_primes(arith.sieve(2, 1000))
+    # the window-sum arrays, built per call and not cached: the class
+    # primes and their logs, 16 bytes per prime, and the bit index, 1/32
+    # byte per sieved integer
     for lo in (2, 3, 6):
         table = arith.sieve(lo, 20_000)
         classes = circle._restricted_primes(table)
-        assert circle._restricted_primes.cache_info().currsize == 1
         for r, cls in classes.items():
             assert cls.primes.tolist() == table.primes_mod8(r)
             assert cls.logs.tolist() == [math.log(p) for p in cls.primes.tolist()]
@@ -478,7 +476,7 @@ def test_compare_window_matches_reference(monkeypatch, chunk, lo, n_lo):
     # from 3; the n = 2p rows hold the one term that is not doubled
     monkeypatch.setattr(circle, "_SERIES_CHUNK", chunk)
     table = arith.sieve(lo, 4000)
-    rows = circle.compare_window(n_lo, 4000, 8, table)
+    rows = circle.compare_window(circle.window_range(n_lo, 4000, 8), table)
     assert [row.restricted_sum for row in rows] == [
         reference_restricted_sum(row.n, table) for row in rows
     ]
@@ -559,7 +557,7 @@ def test_sum_range_errors(table):
 
 
 def test_compare_window_single_row(table):
-    rows = circle.compare_window(16, 16, 8, table)
+    rows = circle.compare_window(range(16, 17), table)
     assert len(rows) == 1
     row = rows[0]
     r2 = restricted_sum(16, table)
@@ -573,16 +571,15 @@ def test_window_sum_never_lists_all_primes(monkeypatch):
     # the window sum reads each class from the table's bytes as an array;
     # it never builds a list of primes (the sieve itself does, for its
     # base primes, so tables come first)
-    want = circle.compare_window(1000, 1100, 8, arith.sieve(2, 1100))
+    want = circle.compare_window(range(1000, 1101, 8), arith.sieve(2, 1100))
     fresh = arith.sieve(2, 1100)
-    circle._restricted_primes.cache_clear()
 
     def refuse(*args):
         raise AssertionError("a prime list was built")
 
     monkeypatch.setattr(arith.PrimeTable, "primes", refuse)
     monkeypatch.setattr(arith.PrimeTable, "primes_mod8", refuse)
-    assert circle.compare_window(1000, 1100, 8, fresh) == want
+    assert circle.compare_window(range(1000, 1101, 8), fresh) == want
 
 
 def test_class_primes_match_table():
@@ -612,11 +609,12 @@ def test_class_primes_peak_memory():
     assert peak < 1.5 * cls.nbytes, (peak, cls.nbytes)
 
 
-def test_compare_window_rejects_vanishing(table):
+def test_compare_window_rejects_vanishing():
+    # the window's one check, which compare runs before the sieve
     with pytest.raises(ValueError, match="vanishes"):
-        circle.compare_window(12, 20, 8, table)
+        circle.window_range(12, 20, 8)
     with pytest.raises(ValueError, match="vanishes"):
-        circle.compare_window(15, 15, 8, table)
+        circle.window_range(15, 15, 8)
 
 
 def test_compare_window_work_budget():
@@ -626,8 +624,6 @@ def test_compare_window_work_budget():
     assert len(circle.window_range(n_lo, n_hi, 8)) * n_hi == circle.MAX_WINDOW_WORK
     with pytest.raises(ValueError, match="work budget"):
         circle.window_range(n_lo - 8, n_hi, 8)
-    with pytest.raises(ValueError, match="work budget"):
-        circle.compare_window(n_lo - 8, n_hi, 8, arith.sieve(2, 10))
     with pytest.raises(ValueError, match="step"):
         circle.window_range(8, 16, 0)
     with pytest.raises(ValueError, match="empty"):
@@ -635,7 +631,7 @@ def test_compare_window_work_budget():
 
 
 def test_compare_window_deterministic(table):
-    a = circle.compare_window(1000, 1100, 8, table)
-    b = circle.compare_window(1000, 1100, 8, table)
+    a = circle.compare_window(circle.window_range(1000, 1100, 8), table)
+    b = circle.compare_window(circle.window_range(1000, 1100, 8), table)
     assert a == b
     assert [r.n for r in a] == list(range(1000, 1101, 8))

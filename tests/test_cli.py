@@ -985,23 +985,10 @@ def test_verify_k_reports_a_broken_witness_check_as_internal(capsys, monkeypatch
 def test_verify_k_reports_a_failed_symbol_test_as_internal(capsys, monkeypatch):
     # after certify's own checks (w, -d)_p1 = -1 is a theorem, so a
     # False from the symbol test is a bug and not a rejection
-    monkeypatch.setattr(criteria, "exact_order_test", lambda w, b, primes: False)
+    monkeypatch.setattr(criteria, "exact_order_test", lambda w, primes: False)
     error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
                     "--p1", "13", "--p2", "3")
     assert error["error"] == "internal" and "symbol test failed" in error["message"]
-    assert "reason" not in error
-
-
-def test_verify_k_reports_a_refused_criterion_as_internal(capsys, monkeypatch):
-    # certify's own checks establish every hypothesis of the criterion,
-    # so a ValueError from it is a bug, not a bad input; here it is handed
-    # d = 39 as one "prime", which passes every other check and is refused
-    real = criteria.exact_order_test
-    monkeypatch.setattr(criteria, "exact_order_test",
-                        lambda w, b, primes: real(w, b, (math.prod(primes),)))
-    error = failure(capsys, 1, "verify", "--k", "2", "--m", "1",
-                    "--p1", "13", "--p2", "3")
-    assert error["error"] == "internal" and "requires a prime p" in error["message"]
     assert "reason" not in error
 
 

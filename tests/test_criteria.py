@@ -100,30 +100,15 @@ def at_pair(w, p1, p2):
     """The criterion at a pair p1 + p2 = 4*w**(2**(k-1)).  With
     x = |p1 - p2|/2 and d = p1*p2, x**2 + d = 4*w**(2**k), so the ideal
     of norm w is (w, (x + sqrt(-d))/2)."""
-    return criteria.exact_order_test(w, abs(p1 - p2) // 2, (p1, p2))
+    return criteria.exact_order_test(w, (p1, p2))
 
 
 def test_square_class_examples():
     # (2, 1, 5) and (1, 1, 4) are forms of discriminant -39 and -15
     assert local_symbols(2, 39) == [-1, -1]
-    assert criteria.exact_order_test(2, 1, (3, 13)) is True
+    assert criteria.exact_order_test(2, (3, 13)) is True
     assert all(s == 1 for s in local_symbols(1, 15))
-    assert criteria.exact_order_test(1, 1, (3, 5)) is False
-
-
-def test_square_class_validation():
-    with pytest.raises(ValueError, match="coprime"):
-        criteria.exact_order_test(3, 3, (3, 13))    # gcd(3, 39) > 1
-    with pytest.raises(ValueError, match="distinct"):
-        criteria.exact_order_test(2, 1, (3, 3, 7))  # 63 = 9 * 7 not squarefree
-    with pytest.raises(ValueError, match="3 mod 4"):
-        criteria.exact_order_test(2, 1, (3, 7))     # 21 = 1 mod 4
-    with pytest.raises(ValueError, match="square root"):
-        criteria.exact_order_test(2, 1, (3,))       # 2 is inert: no ideal of norm 2
-    with pytest.raises(ValueError, match="prime"):
-        criteria.exact_order_test(1, 1, (15,))      # 15 is not a prime
-    with pytest.raises(ValueError, match="positive"):
-        criteria.exact_order_test(0, 1, (3, 5))
+    assert criteria.exact_order_test(1, (3, 5)) is False
 
 
 def test_square_class_product_formula_sweep():
@@ -135,14 +120,34 @@ def test_square_class_product_formula_sweep():
         if any(e > 1 for _, e in fac):
             continue
         primes = [p for p, _ in fac]
-        for a, b, _ in forms.enumerate_reduced(d):
+        for a, _, _ in forms.enumerate_reduced(d):
             if math.gcd(a, d) != 1 or a == 1:
                 continue
             symbols = local_symbols(a, d)
             assert math.prod(symbols) == 1
-            assert criteria.exact_order_test(a, b, primes) == (-1 in symbols)
+            assert criteria.exact_order_test(a, primes) == (-1 in symbols)
             count += 1
     assert count > 500
+
+
+def test_criterion_matches_composition_on_every_class():
+    # the criterion checks none of its hypotheses, so this sweep carries
+    # it: for every squarefree d = 3 (mod 4) up to 20,000, the class of
+    # each reduced form (a, b, c) with a prime to d, the ideal of norm a,
+    # is a non-square iff no class composed with itself gives it
+    checked = 0
+    for d in range(3, 20_001, 4):
+        fac = arith.factorize(d)
+        if any(e > 1 for _, e in fac):
+            continue
+        primes = [p for p, _ in fac]
+        classes = forms.enumerate_reduced(d)
+        squares = {forms.compose(f, f) for f in classes}
+        for f in classes:
+            if math.gcd(f[0], d) == 1:
+                assert criteria.exact_order_test(f[0], primes) == (f not in squares), (d, f)
+                checked += 1
+    assert checked == 169_750
 
 
 def test_square_class_broken_product_is_internal(monkeypatch):
@@ -155,14 +160,14 @@ def test_square_class_broken_product_is_internal(monkeypatch):
         raising=False,
     )
     with pytest.raises(ArithmeticError, match="Hilbert symbol product"):
-        criteria.exact_order_test(2, 1, (3, 13))
+        criteria.exact_order_test(2, (3, 13))
 
 
 def test_square_class_principal_is_square():
     # the identity class (norm 1) is trivially a square
     for d in (15, 39, 183, 295, 455):
         primes = [p for p, _ in arith.factorize(d)]
-        assert criteria.exact_order_test(1, 1, primes) is False
+        assert criteria.exact_order_test(1, primes) is False
 
 
 # ------------------------------------------------------- exact-order test

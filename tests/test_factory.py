@@ -348,11 +348,16 @@ def test_witness_has_order_exactly_2k_in_both_modes():
             for negative in (False, True):
                 for p1, p2 in PAIRS[negative](k, m, 10**9):
                     x = abs(p1 - half)
-                    g = forms.reduce(forms.order_2m_form(w, x, 1 << (k - 1)))
+                    g = forms.reduce((w, x, w ** ((1 << k) - 1)))
                     assert element_order(g) == 1 << k, (k, m, p1, p2)
                     assert factory._order_2k_witness(w, x, k, p1 * p2) == g
                     seen[negative] += 1
     assert seen[False] >= 500 and seen[True] >= 100, seen
+    # nothing checks x before the form is built: a wrong x gives a form of
+    # another discriminant, -55 here, whose powers never reach the
+    # principal form of -39
+    with pytest.raises(ArithmeticError, match="witness check failed"):
+        factory._order_2k_witness(2, 3, 2, 39)
 
 
 def test_certify_builds_no_form_list(monkeypatch):
@@ -390,7 +395,7 @@ def capped_pairs(draw):
 def test_symbol_route_agrees_with_oracle(case):
     k, m, negative, (p1, p2) = case
     summary = forms.class_number(p1 * p2)
-    verdict = criteria.exact_order_test(2 * m * m, abs(p1 - p2) // 2, (p1, p2))
+    verdict = criteria.exact_order_test(2 * m * m, (p1, p2))
     assert verdict == (summary.two_part == 1 << k)
     assert verdict != negative
     assert summary.cyclic_2sylow

